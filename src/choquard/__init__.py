@@ -16,10 +16,10 @@ from .io import (ParsedConfig, RunManifest, load_field, parse_config,
                  report_to_dict, save_field)
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, F_truncated,
                            G_eval, calibrate_ell0, f_truncated, g_eval)
-from .operators import (HartreeCache, QuadratureOperator, build_hartree_cache,
-                        frac_lap_constant, gagliardo_form, magnetic_frac_laplacian,
-                        near_zone_weight, riesz_convolve, spectral_frac_laplacian,
-                        spectral_seminorm_sq, sphere_area)
+from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
+                        build_hartree_cache, frac_lap_constant, gagliardo_form,
+                        magnetic_frac_laplacian, near_zone_weight, riesz_convolve,
+                        spectral_frac_laplacian, spectral_seminorm_sq, sphere_area)
 from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
                          constant_V, random_smooth_A, sine_A, zero_A)
 from .solver import (SolveReport, SolverError, SolverOptions, phase_gauge,

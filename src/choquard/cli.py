@@ -119,11 +119,31 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _run_potential(field_path: Path, u, eps: float):
+    """(A(eps x), kind) from the run's `config.json` beside the field, or
+    (None, "zero") with a warning when there is none."""
+    cfg_path = field_path.parent / "config.json"
+    if not cfg_path.exists():
+        print(f"warning: no {cfg_path}; checking with A = 0", file=sys.stderr)
+        return None, "zero"
+    parsed = parse_config(cfg_path)
+    if parsed.cfg.dim != u.grid.dim:
+        raise ConfigError(f"{cfg_path} has N = {parsed.cfg.dim}, the field "
+                          f"has {u.grid.dim} dimensions")
+    A = parsed.pot.A
+    kind = json.loads(parsed.raw)["potential"].get("A", {"kind": "zero"})["kind"]
+    if A is None:
+        return None, kind
+    return (lambda p: A(eps * np.asarray(p))), kind
+
+
 def _cmd_check(args) -> int:
     u, meta = load_field(args.field)
     name = args.name
     if name == "diamagnetic":
-        result = check_diamagnetic(u, None, float(meta["s"]), seed=args.seed or 0)
+        A, kind = _run_potential(Path(args.field), u, float(meta["eps"]))
+        result = check_diamagnetic(u, A, float(meta["s"]), seed=args.seed or 0)
+        result.context["A"] = kind
     elif name == "hls":
         if not args.config:
             print("check 'hls' requires --config for the growth exponent",

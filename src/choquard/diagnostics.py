@@ -12,7 +12,7 @@ from scipy.special import gamma
 from .config import ProblemConfig, PotentialSpec, boundary_mask
 from .energy import EnergyContext, shell_samples
 from .grids import Field, GridSpec
-from .operators import QuadratureOperator, build_hartree_cache, riesz_convolve
+from .operators import build_hartree_cache, gagliardo_form, riesz_convolve
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,13 @@ class CheckResult:
 
 
 # ------------------------------------------------------------- decay fitting
+
+def outer_layer_max(u: Field) -> float:
+    """Largest |u| over the outermost layer of grid cells."""
+    absu = np.abs(u.values)
+    return max(float(np.max(np.take(absu, [0, u.grid.M - 1], axis=a)))
+               for a in range(u.grid.dim))
+
 
 def _tail_radii(u: Field, x_max_index) -> np.ndarray:
     """Euclidean distance from the argmax, zero-extension view (no wrap)."""
@@ -64,13 +71,7 @@ def fit_decay(u: Field, s: float, x_max_index) -> tuple[float, float, str]:
     if sup == 0:
         return float("nan"), float("nan"), "inconclusive"
     absu = np.abs(u.values)
-    bnd = 0.0
-    for a in range(g.dim):
-        for edge in (0, g.M - 1):
-            sl = [slice(None)] * g.dim
-            sl[a] = edge
-            bnd = max(bnd, float(np.max(absu[tuple(sl)])))
-    status = "inconclusive" if bnd > 1e-3 * sup else "ok"
+    status = "inconclusive" if outer_layer_max(u) > 1e-3 * sup else "ok"
     r = _tail_radii(u, x_max_index)
     envp = _periodized_envelope(u, x_max_index, power)
     m_fit = (r >= g.L / 8) & (r <= g.L / 2)
@@ -122,11 +123,7 @@ def check_diamagnetic(u: Field, A, s: float, *, n_pairs: int = 10_000,
                       seed: int = 0) -> CheckResult:
     """Seminorm and pointwise diamagnetic inequalities; never fails, since the
     pointwise bound holds term by term in the quadrature sums."""
-    sem_A, sem_mod = None, None
-    op_A = QuadratureOperator(u.grid, s, A, mode="free")
-    op_0 = QuadratureOperator(u.grid, s, None, mode="free")
-    sem_A = op_A.seminorm_sq(u.values)
-    sem_mod = op_0.seminorm_sq(np.abs(u.values))
+    sem_A, sem_mod = gagliardo_form(u, A, s, with_modulus=True)
     slack = 1e-12 * max(1.0, sem_A)
     sem_ok = sem_mod <= sem_A + slack
 

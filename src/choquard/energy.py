@@ -7,13 +7,12 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from ._fft import fftn, ifftn
 from .config import ProblemConfig, PotentialSpec, rescaled_grid
 from .grids import Field, GridSpec
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval,
                            calibrate_ell0, g_eval)
-from .operators import (HartreeCache, QuadratureOperator, build_hartree_cache,
-                        riesz_convolve)
+from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
+                        build_hartree_cache, riesz_convolve)
 from .sampling import band_limited_field, bump_in_region
 
 
@@ -28,6 +27,7 @@ class EnergyContext:
     Treated as immutable after construction; shared read-only by the solver.
     `pen is None` means the un-truncated nonlinearity (g = f everywhere),
     which is both the pre-calibration state and the limit functional.
+    `op` is the fractional (magnetic) Laplacian of the problem, built once.
     """
 
     cfg: ProblemConfig
@@ -36,32 +36,17 @@ class EnergyContext:
     lambda_mask: np.ndarray = field(repr=False)
     nl: PowerNonlinearity = field(repr=False)
     hartree: HartreeCache = field(repr=False)
-    backend: str = "spectral"
+    op: SpectralOperator | QuadratureOperator = field(repr=False)
     pen: PenalizationParams | None = None
-    quad_op: QuadratureOperator | None = field(default=None, repr=False)
     A0: np.ndarray | None = None
-    _spectral_mult: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.backend not in ("spectral", "quadrature"):
-            raise ValueError("backend must be 'spectral' or 'quadrature'")
-        if self.backend == "spectral" and self._spectral_mult is None:
-            self._spectral_mult = self.grid.wavenumber_mesh_sq() ** self.cfg.s
 
     # ------------- operator pieces
 
     def apply_op(self, u: np.ndarray) -> np.ndarray:
-        if self.backend == "spectral":
-            out = ifftn(self._spectral_mult * fftn(u))
-            return np.real(out) if not np.iscomplexobj(u) else out
-        return self.quad_op.apply(u)
+        return self.op.apply(u)
 
     def seminorm_sq(self, u: np.ndarray) -> float:
-        if self.backend == "spectral":
-            uf = fftn(u)
-            return float(np.sum(self._spectral_mult * np.abs(uf) ** 2)
-                         * self.grid.cell_volume() / self.grid.size)
-        return self.quad_op.seminorm_sq(u)
+        return self.op.seminorm_sq(u)
 
     def potential_sq(self, u: np.ndarray) -> float:
         return float(np.sum(self.V_eps * np.abs(u) ** 2) * self.grid.cell_volume())
@@ -70,7 +55,13 @@ class EnergyContext:
         return self.seminorm_sq(u) + self.potential_sq(u)
 
     def precond_multiplier(self) -> np.ndarray:
-        return 1.0 / (1.0 + self.grid.wavenumber_mesh_sq() ** self.cfg.s + self.cfg.V0)
+        return 1.0 / (1.0 + SpectralOperator(self.grid, self.cfg.s).mult + self.cfg.V0)
+
+    def a0_plane_wave(self, vals: np.ndarray) -> np.ndarray:
+        """`vals` times the plane wave e^{i A(0).x}, the gauge of A at the origin."""
+        if self.A0 is None or not np.any(self.A0 != 0):
+            return vals
+        return vals * np.exp(1j * np.tensordot(self.grid.mesh(), self.A0, axes=([-1], [0])))
 
     # ------------- nonlinear pieces
 
@@ -91,32 +82,24 @@ class EnergyContext:
 
 
 def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
-                            pen: PenalizationParams | None = None,
-                            backend: str = "auto") -> EnergyContext:
+                            pen: PenalizationParams | None = None) -> EnergyContext:
     """Context for the rescaled penalized problem on `grid`.
 
-    backend "auto" selects the fast spectral operator whenever the magnetic
-    potential vanishes on the grid, else the singular-integral quadrature.
+    The operator is the singular-integral quadrature when the magnetic
+    potential is nonzero on the grid, else the faster spectral operator.
     """
     rg = rescaled_grid(cfg, grid, pot)
-    magnetic = pot.magnetic(grid)
-    if backend == "auto":
-        backend = "quadrature" if magnetic else "spectral"
-    if backend == "spectral" and magnetic:
-        raise ValueError("spectral backend requires A == 0 on the grid")
-    mesh = grid.mesh()
-    V_eps = np.asarray(pot.V(cfg.eps * mesh))
-
-    def A_eps(points):
-        return np.asarray(pot.A(cfg.eps * np.asarray(points)))
-
-    quad_op = None
-    if backend == "quadrature":
-        quad_op = QuadratureOperator(grid, cfg.s, A_eps if magnetic else None, mode="free")
+    V_eps = np.asarray(pot.V(cfg.eps * grid.mesh()))
+    if pot.magnetic(grid):
+        def A_eps(points):
+            return np.asarray(pot.A(cfg.eps * np.asarray(points)))
+        op = QuadratureOperator(grid, cfg.s, A_eps, mode="free")
+    else:
+        op = SpectralOperator(grid, cfg.s)
     return EnergyContext(
         cfg=cfg, grid=grid, V_eps=V_eps, lambda_mask=rg.lambda_mask,
         nl=PowerNonlinearity(cfg.q), hartree=build_hartree_cache(grid, cfg.mu),
-        backend=backend, pen=pen, quad_op=quad_op, A0=pot.A0(grid.dim))
+        op=op, pen=pen, A0=pot.A0(grid.dim))
 
 
 def build_limit_context(cfg: ProblemConfig, grid: GridSpec) -> EnergyContext:
@@ -126,7 +109,7 @@ def build_limit_context(cfg: ProblemConfig, grid: GridSpec) -> EnergyContext:
         cfg=replace(cfg, eps=1.0), grid=grid, V_eps=V,
         lambda_mask=np.ones(grid.shape, dtype=bool),
         nl=PowerNonlinearity(cfg.q), hartree=build_hartree_cache(grid, cfg.mu),
-        backend="spectral", pen=None, A0=np.zeros(grid.dim))
+        op=SpectralOperator(grid, cfg.s), pen=None, A0=np.zeros(grid.dim))
 
 
 # ------------------------------------------------------------------ energy
@@ -156,11 +139,7 @@ def energy(u: Field, ctx: EnergyContext) -> EnergyReport:
 
 
 def energy_value(u: Field, ctx: EnergyContext) -> float:
-    v = u.values
-    density = np.abs(v) ** 2
-    Gv = ctx.G_of(density)
-    K = riesz_convolve(Gv, ctx.hartree)
-    return 0.5 * ctx.norm_eps_sq(v) - 0.25 * float(np.sum(K * Gv) * ctx.grid.cell_volume())
+    return energy(u, ctx).J
 
 
 def gradient(u: Field, ctx: EnergyContext) -> Field:
@@ -177,11 +156,7 @@ def gradient(u: Field, ctx: EnergyContext) -> Field:
 
 
 def nehari_residual(u: Field, ctx: EnergyContext) -> float:
-    v = u.values
-    density = np.abs(v) ** 2
-    K = ctx.hartree_potential(density)
-    return ctx.norm_eps_sq(v) - float(np.sum(K * ctx.g_of(density) * density)
-                                      * ctx.grid.cell_volume())
+    return energy(u, ctx).nehari_residual
 
 
 # ------------------------------------------------------------------ Nehari
@@ -240,8 +215,7 @@ def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
     """Random band-limited fields projected to ||u||_eps^2 = shell (the extreme
     shell of the bounded set B), as (field, norm_sq) pairs."""
     rng = np.random.default_rng(seed)
-    complex_valued = ctx.backend == "quadrature" and ctx.quad_op is not None \
-        and ctx.quad_op.A is not None
+    complex_valued = getattr(ctx.op, "A", None) is not None
     for _ in range(n):
         f = band_limited_field(ctx.grid, rng, complex_valued=complex_valued)
         n2 = ctx.norm_eps_sq(f.values)
@@ -265,10 +239,7 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50, seed: int
     base = replace(ctx, pen=None)
     rng = np.random.default_rng(seed)
     u0 = bump_in_region(ctx.grid, ctx.lambda_mask, rng)
-    if ctx.A0 is not None and np.any(ctx.A0 != 0):
-        mesh = ctx.grid.mesh()
-        phase = np.exp(1j * np.tensordot(mesh, ctx.A0, axes=([-1], [0])))
-        u0 = Field(u0.values * phase, ctx.grid)
+    u0 = Field(ctx.a0_plane_wave(u0.values), ctx.grid)
     t_star = nehari_project(u0, base).t_star
     kappa = 2.0 * energy_value(Field(t_star * u0.values, ctx.grid), base)
     shell = 4.0 * (kappa + 1.0)

@@ -101,6 +101,8 @@ def load_field(path) -> tuple[Field, dict]:
 # ------------------------------------------------------------- config parse
 
 def _take(doc: dict, where: str, required: dict, optional: dict | None = None):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     optional = optional or {}
     unknown = set(doc) - set(required) - set(optional)
     if unknown:
@@ -113,9 +115,13 @@ def _take(doc: dict, where: str, required: dict, optional: dict | None = None):
         if key in doc:
             try:
                 out[key] = cast(doc[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for '{key}' in {where}: {exc}") from exc
     return out
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
 
 
 def _parse_V(doc: dict, V0: float):
@@ -136,8 +142,8 @@ def _parse_A(doc: dict, dim: int):
         _take(doc, "potential.A", {"kind": str})
         return None
     if kind == "constant":
-        vals = _take(doc, "potential.A", {"kind": str, "value": list})
-        vec = [float(x) for x in vals["value"]]
+        vals = _take(doc, "potential.A", {"kind": str, "value": _floats})
+        vec = vals["value"]
         if len(vec) != dim:
             raise ConfigError("potential.A constant value length must match N")
         return constant_A(vec)
@@ -152,15 +158,14 @@ def _parse_region(doc: dict, dim: int):
     kind = doc.get("kind")
     if kind == "ball":
         vals = _take(doc, "potential.Lambda", {"kind": str, "radius": float},
-                     {"center": list})
-        center = tuple(float(x) for x in vals.get("center", [0.0] * dim))
+                     {"center": _floats})
+        center = vals.get("center", (0.0,) * dim)
         if len(center) != dim:
             raise ConfigError("potential.Lambda center length must match N")
         return BallRegion(center, vals["radius"])
     if kind == "box":
-        vals = _take(doc, "potential.Lambda", {"kind": str, "lo": list, "hi": list})
-        lo = tuple(float(x) for x in vals["lo"])
-        hi = tuple(float(x) for x in vals["hi"])
+        vals = _take(doc, "potential.Lambda", {"kind": str, "lo": _floats, "hi": _floats})
+        lo, hi = vals["lo"], vals["hi"]
         if len(lo) != dim or len(hi) != dim:
             raise ConfigError("potential.Lambda lo/hi length must match N")
         return BoxRegion(lo, hi)
@@ -199,7 +204,10 @@ def parse_config(source) -> ParsedConfig:
                         eps=prob["eps"], V0=prob["V0"])
 
     gdoc = _take(top["grid"], "grid", {"L": float, "M": int})
-    grid = GridSpec(L=gdoc["L"], M=gdoc["M"], dim=cfg.dim)
+    try:
+        grid = GridSpec(L=gdoc["L"], M=gdoc["M"], dim=cfg.dim)
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
 
     pdoc = _take(top["potential"], "potential", {"V": dict, "Lambda": dict},
                  {"A": dict})
@@ -210,12 +218,15 @@ def parse_config(source) -> ParsedConfig:
 
     odoc = _take(top.get("solver", {}), "solver", {},
                  {"max_iters": int, "grad_tol": float, "seed": int})
-    opts = SolverOptions(max_iters=odoc.get("max_iters", 2000),
-                         grad_tol=odoc.get("grad_tol", 1e-6),
-                         seed=odoc.get("seed", 0))
+    try:
+        opts = SolverOptions(max_iters=odoc.get("max_iters", 2000),
+                             grad_tol=odoc.get("grad_tol", 1e-6),
+                             seed=odoc.get("seed", 0))
+    except ValueError as exc:
+        raise ConfigError(f"bad solver options: {exc}") from exc
 
-    sdoc = _take(top.get("sweep", {}), "sweep", {}, {"eps_list": list})
-    eps_list = tuple(float(x) for x in sdoc.get("eps_list", ()))
+    sdoc = _take(top.get("sweep", {}), "sweep", {}, {"eps_list": _floats})
+    eps_list = sdoc.get("eps_list", ())
     return ParsedConfig(cfg, pot, grid, opts, eps_list, raw)
 
 

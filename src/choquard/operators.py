@@ -50,6 +50,13 @@ def _check_s(s: float):
 
 # ------------------------------------------------------------------ helpers
 
+def fourier_multiply(mult: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """ifft(mult * fft(u)): real in gives real out (the imaginary part is
+    dropped), complex in gives complex out."""
+    out = ifftn(mult * fftn(u))
+    return out if np.iscomplexobj(u) else np.real(out)
+
+
 def _shift_zero(u: np.ndarray, axis: int, step: int) -> np.ndarray:
     """Shift by one cell with zero fill (zero extension outside the box)."""
     v = np.zeros_like(u)
@@ -137,6 +144,8 @@ class QuadratureOperator:
     """Assembled singular-integral quadrature of the fractional magnetic
     Laplacian on one grid, reusable across applications."""
 
+    backend = "quadrature"
+
     grid: GridSpec
     s: float
     A: object | None = None  # vector potential callable, or None for A == 0
@@ -174,7 +183,7 @@ class QuadratureOperator:
                 self._state["kernel_fft"] = fftn(_free_kernel_block(g, self.s, self.cutoff))
                 pad = np.zeros((2 * g.M,) * g.dim)
                 pad[(slice(0, g.M),) * g.dim] = 1.0
-                conv = np.real(ifftn(self._state["kernel_fft"] * fftn(pad)))
+                conv = fourier_multiply(self._state["kernel_fft"], pad)
                 self._state["rowsums"] = conv[(slice(0, g.M),) * g.dim].copy()
             elif g.size <= self.dense_limit:
                 self._assemble_dense()
@@ -230,18 +239,13 @@ class QuadratureOperator:
         """Return (rowsums, W @ u) for the pair quadrature."""
         g = self.grid
         if self.mode == "torus":
-            Wu = ifftn(self._state["kernel_fft"] * fftn(u))
-            if not np.iscomplexobj(u):
-                Wu = np.real(Wu)
-            return self._state["rowsum"], Wu
+            return self._state["rowsum"], fourier_multiply(self._state["kernel_fft"], u)
         if self.A is None:
             pad_shape = (2 * g.M,) * g.dim
             pad = np.zeros(pad_shape, dtype=complex if np.iscomplexobj(u) else float)
             pad[(slice(0, g.M),) * g.dim] = u
-            Wu = ifftn(self._state["kernel_fft"] * fftn(pad))[(slice(0, g.M),) * g.dim]
-            if not np.iscomplexobj(u):
-                Wu = np.real(Wu)
-            return self._state["rowsums"], Wu
+            Wu = fourier_multiply(self._state["kernel_fft"], pad)
+            return self._state["rowsums"], Wu[(slice(0, g.M),) * g.dim]
         flat = u.reshape(-1)
         if "W" in self._state:
             return self._state["rowsums"].reshape(g.shape), \
@@ -320,24 +324,45 @@ class QuadratureOperator:
         return val
 
 
+@dataclass
+class SpectralOperator:
+    """Fourier-multiplier fractional Laplacian |xi|^(2s) on the periodic grid,
+    with the same `apply` and `seminorm_sq` as `QuadratureOperator`.
+
+    Accepts s in (0, 1]; s = 1 reproduces the (spectral) Laplacian.
+    """
+
+    backend = "spectral"
+
+    grid: GridSpec
+    s: float
+    mult: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (0.0 < self.s <= 1.0):
+            raise ValueError("spectral path requires s in (0, 1]")
+        self.mult = self.grid.wavenumber_mesh_sq() ** self.s
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return fourier_multiply(self.mult, u)
+
+    def seminorm_sq(self, u: np.ndarray) -> float:
+        """[u]^2 via the Fourier symbol; equals <apply(u), u> on the grid."""
+        uf = fftn(u)
+        return float(np.sum(self.mult * np.abs(uf) ** 2)
+                     * self.grid.cell_volume() / self.grid.size)
+
+
 # ------------------------------------------------------------ public wrappers
-
-def _vector_potential(A):
-    """Accept a potential spec (anything with an .A evaluator), a bare
-    callable, or None."""
-    return getattr(A, "A", A)
-
 
 def magnetic_frac_laplacian(u: Field, A, s: float, *, mode: str = "free",
                             near_radius: int | None = None,
                             cutoff: float | None = None) -> Field:
     """Apply the fractional magnetic Laplacian by singular-integral quadrature.
 
-    `A` is a vector-potential callable, a potential spec carrying one, or
-    None for the plain fractional Laplacian; see the module docstring for the
-    two kernel modes.
+    `A` is a vector-potential callable, or None for the plain fractional
+    Laplacian; see the module docstring for the two kernel modes.
     """
-    A = _vector_potential(A)
     op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius,
                             cutoff=cutoff)
     vals = op.apply(u.values.astype(complex) if A is not None else u.values)
@@ -352,8 +377,8 @@ def gagliardo_form(u: Field, A, s: float, *, mode: str = "free",
     With `with_modulus=True` also returns the real seminorm of |u| under the
     same quadrature rule, the two sides of the diamagnetic inequality.
     """
-    op = QuadratureOperator(u.grid, s, _vector_potential(A), mode=mode,
-                            near_radius=near_radius, cutoff=cutoff)
+    op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius,
+                            cutoff=cutoff)
     val = op.seminorm_sq(u.values)
     if not with_modulus:
         return val
@@ -363,24 +388,13 @@ def gagliardo_form(u: Field, A, s: float, *, mode: str = "free",
 
 
 def spectral_frac_laplacian(u: Field, s: float) -> Field:
-    """Fourier-multiplier fractional Laplacian |xi|^(2s) on the periodic grid.
-
-    Accepts s in (0, 1]; s = 1 reproduces the (spectral) Laplacian.
-    """
-    if not (0.0 < s <= 1.0):
-        raise ValueError("spectral path requires s in (0, 1]")
-    mult = u.grid.wavenumber_mesh_sq() ** s
-    out = ifftn(mult * fftn(u.values))
-    if not u.is_complex:
-        out = np.real(out)
-    return Field(out, u.grid)
+    """`SpectralOperator(u.grid, s).apply` on a Field; s in (0, 1]."""
+    return Field(SpectralOperator(u.grid, s).apply(u.values), u.grid)
 
 
 def spectral_seminorm_sq(u: Field, s: float) -> float:
-    """[u]^2 via the Fourier symbol; equals <(-Delta)^s u, u> on the grid."""
-    mult = u.grid.wavenumber_mesh_sq() ** s
-    uf = fftn(u.values)
-    return float(np.sum(mult * np.abs(uf) ** 2) * u.grid.cell_volume() / u.grid.size)
+    """`SpectralOperator(u.grid, s).seminorm_sq` on a Field."""
+    return SpectralOperator(u.grid, s).seminorm_sq(u.values)
 
 
 # ------------------------------------------------------------ Riesz potential
@@ -426,5 +440,5 @@ def riesz_convolve(h, cache: HartreeCache):
     Arrays map to arrays; a Field maps to a Field on the same grid.
     """
     if isinstance(h, Field):
-        return Field(np.real(ifftn(cache.kernel_spectrum * fftn(h.values))), h.grid)
-    return np.real(ifftn(cache.kernel_spectrum * fftn(np.asarray(h))))
+        return Field(fourier_multiply(cache.kernel_spectrum, h.values), h.grid)
+    return fourier_multiply(cache.kernel_spectrum, np.asarray(h))

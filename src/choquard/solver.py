@@ -8,14 +8,22 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from ._fft import fftn, ifftn
-from .config import ProblemConfig, PotentialSpec, validate_config
-from .diagnostics import fit_decay
+from .config import (OUTSIDE_THEORY_WARNING, ProblemConfig, PotentialSpec,
+                     validate_config)
+from .diagnostics import fit_decay, outer_layer_max
 from .energy import (EnergyContext, NehariError, build_limit_context,
                      build_penalized_context, calibrate_penalization, energy_value,
                      gradient, nehari_project, nehari_residual)
 from .grids import Field, GridSpec
+from .operators import fourier_multiply
 from .sampling import band_limited_field, gaussian_bump
+
+ARMIJO_C1 = 1e-4
+# absolute slack keeping steps acceptable at the floating-point floor of J
+ARMIJO_SLACK = 1e-12
+BB_TAU_MIN = 1e-6
+BB_TAU_MAX = 1e6
+MAX_BACKTRACKS = 40
 
 
 class SolverError(RuntimeError):
@@ -31,17 +39,12 @@ class SolverOptions:
     max_iters: int = 2000
     grad_tol: float = 1e-6
     seed: int = 0
-    armijo_c1: float = 1e-4
-    # absolute slack keeping steps acceptable at the floating-point floor of J
-    armijo_slack: float = 1e-12
-    bb_tau_min: float = 1e-6
-    bb_tau_max: float = 1e6
-    max_backtracks: int = 40
-    precondition: bool = True
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -84,26 +87,8 @@ def phase_gauge(u: Field) -> Field:
 
 def _boundary_ratio(u: Field) -> float:
     """Largest |u| over the outermost grid layer, relative to the sup norm."""
-    g = u.grid
     sup = u.sup_norm()
-    if sup == 0:
-        return 0.0
-    worst = 0.0
-    for a in range(g.dim):
-        for edge in (0, g.M - 1):
-            sl = [slice(None)] * g.dim
-            sl[a] = edge
-            worst = max(worst, float(np.max(np.abs(u.values[tuple(sl)]))))
-    return worst / sup
-
-
-def _precondition(g: Field, mult: np.ndarray | None) -> Field:
-    if mult is None:
-        return g
-    out = ifftn(mult * fftn(g.values))
-    if not g.is_complex:
-        out = np.real(out)
-    return Field(out, g.grid)
+    return outer_layer_max(u) / sup if sup > 0 else 0.0
 
 
 def _l2(vals: np.ndarray, grid: GridSpec) -> float:
@@ -119,7 +104,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
     J = energy_value(u, ctx)
     if not np.isfinite(J):
         raise SolverError("quadrature blow-up", u)
-    pmult = ctx.precond_multiplier() if opts.precondition else None
+    pmult = ctx.precond_multiplier()
     history = [J]
     tau = 1.0 / (1.0 + ctx.cfg.V0)
     u_prev = d_prev = None
@@ -128,7 +113,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
         g = gradient(u, ctx)
         if not np.all(np.isfinite(g.values)):
             raise SolverError("quadrature blow-up", u)
-        d = _precondition(g, pmult)
+        d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = _l2(d.values, ctx.grid)
         if gn < opts.grad_tol:
             return u, J, it, gn, history
@@ -138,11 +123,11 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
             denom = float(np.real(np.sum(np.conj(sv) * yv)) * hV)
             if denom > 0:
                 tau = float(np.sum(np.abs(sv) ** 2) * hV) / denom
-            tau = min(max(tau, opts.bb_tau_min), opts.bb_tau_max)
+            tau = min(max(tau, BB_TAU_MIN), BB_TAU_MAX)
         u_prev, d_prev = u, d
         slope = float(np.real(np.sum(np.conj(g.values) * d.values)) * hV)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             w = u.values - tau * d.values
             try:
                 t = nehari_project(Field(w, ctx.grid), ctx).t_star
@@ -152,7 +137,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
             u_new = Field(t * w, ctx.grid)
             J_new = energy_value(u_new, ctx)
             if np.isfinite(J_new) and \
-                    J_new <= J - opts.armijo_c1 * tau * slope + opts.armijo_slack:
+                    J_new <= J - ARMIJO_C1 * tau * slope + ARMIJO_SLACK:
                 accepted = True
                 break
             tau *= 0.5
@@ -162,6 +147,17 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
         history.append(J)
     raise SolverError(f"no convergence in {opts.max_iters} iterations "
                       f"(grad norm {gn:.3e})", u)
+
+
+def _seeded_perturbation(grid: GridSpec, seed: int) -> np.ndarray:
+    """Factor 1 + 0.01 * p for a seeded band-limited p, symmetrized about the
+    origin (index reflection on the periodic grid) so a degenerate
+    translation-invariant well keeps its flat mode unexcited."""
+    rng = np.random.default_rng(seed)
+    pert = band_limited_field(grid, rng, complex_valued=False).values
+    for a in range(grid.dim):
+        pert = 0.5 * (pert + np.roll(np.flip(pert, axis=a), 1, axis=a))
+    return 1.0 + 0.01 * pert
 
 
 def _default_start(ctx: EnergyContext, opts: SolverOptions) -> Field:
@@ -181,16 +177,7 @@ def _default_start(ctx: EnergyContext, opts: SolverOptions) -> Field:
     extent = float(np.min(pts.max(axis=0) - pts.min(axis=0))) if pts.size else 2 * g.h
     width = max(extent / 6.0, 2 * g.h)
     vals = np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width ** 2))
-    rng = np.random.default_rng(opts.seed)
-    pert = band_limited_field(g, rng, complex_valued=False).values
-    # symmetrize about the origin (index reflection on the periodic grid) so a
-    # degenerate translation-invariant well keeps its flat mode unexcited
-    for a in range(g.dim):
-        pert = 0.5 * (pert + np.roll(np.flip(pert, axis=a), 1, axis=a))
-    vals = vals * (1.0 + 0.01 * pert)
-    if ctx.A0 is not None and np.any(ctx.A0 != 0):
-        vals = vals * np.exp(1j * np.tensordot(mesh, ctx.A0, axes=([-1], [0])))
-    return Field(vals, g)
+    return Field(ctx.a0_plane_wave(vals * _seeded_perturbation(g, opts.seed)), g)
 
 
 def _finish_report(u: Field, ctx: EnergyContext, pot: PotentialSpec | None,
@@ -218,7 +205,7 @@ def _finish_report(u: Field, ctx: EnergyContext, pot: PotentialSpec | None,
         decay_exponent=slope, Cfit=Cfit, iterations=iters, residual=gn,
         converged=converged, nehari_residual=nehari_residual(u, ctx),
         sup_norm=u.sup_norm(), boundary_ratio=_boundary_ratio(u),
-        eps=eps, seed=opts.seed, backend=ctx.backend,
+        eps=eps, seed=opts.seed, backend=ctx.op.backend,
         kappa=ctx.cfg.kappa, ell0=ctx.cfg.ell0, a=ctx.cfg.a,
         warnings=warnings, decay_status=status,
         energy_history=tuple(history))
@@ -259,16 +246,9 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
     opts = opts or SolverOptions()
     ctx = build_limit_context(cfg, grid)
     if initial is None:
-        rng = np.random.default_rng(opts.seed)
-        pert = band_limited_field(grid, rng, complex_valued=False).values
-        for a in range(grid.dim):
-            pert = 0.5 * (pert + np.roll(np.flip(pert, axis=a), 1, axis=a))
         base = gaussian_bump(grid, width=1.0).values
-        initial = Field(base * (1.0 + 0.01 * pert), grid)
-    warnings = (() if cfg.dim >= 3 else
-                ("outside theory hypotheses: the existence/concentration theory "
-                 "requires N >= 3 and N > 2s; results at this desk scale are "
-                 "numerical only",))
+        initial = Field(base * _seeded_perturbation(grid, opts.seed), grid)
+    warnings = () if cfg.dim >= 3 else (OUTSIDE_THEORY_WARNING,)
     u, J, iters, gn, hist = minimize_on_nehari(ctx, initial, opts)
     return _finish_report(u, ctx, None, J, iters, gn, hist, opts, warnings, None)
 

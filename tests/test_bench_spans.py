@@ -1,0 +1,25 @@
+"""The benchmark's trace (`perfbench/spans.py`) wraps library names by
+`getattr`; a rename must fail here, not when the benchmark runs."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_names_resolve():
+    spans = _spans()
+    for mod_name, fn_name, _, _ in spans.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(mod_name), fn_name)), \
+            (mod_name, fn_name)
+    for mod_name, cls_name, method, _ in spans.METHODS:
+        cls = getattr(importlib.import_module(mod_name), cls_name)
+        assert callable(getattr(cls, method)), (mod_name, cls_name, method)

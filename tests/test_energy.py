@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from choquard import (Field, GridSpec, ProblemConfig, build_limit_context,
-                      build_penalized_context, energy, energy_value, gradient,
-                      mpg_shell_radius, nehari_project)
+from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
+                      QuadratureOperator, SpectralOperator, build_limit_context,
+                      build_penalized_context, clipped_quadratic_V, energy,
+                      energy_value, gradient, mpg_shell_radius, nehari_project,
+                      sine_A, zero_A)
+from choquard.nonlinearity import PenalizationParams
 from choquard.sampling import band_limited_field
 
 from conftest import central_diff_energy
@@ -102,3 +107,18 @@ def test_small_shell_positivity(plain_ctx):
         n2 = ctx.norm_eps_sq(f.values)
         u = Field(f.values * (rho / np.sqrt(n2)), ctx.grid)
         assert energy_value(u, ctx) > 0.0
+
+
+@pytest.mark.parametrize("A, op_type", [(zero_A(1), SpectralOperator),
+                                        (sine_A(0.5, 4.0, 1), QuadratureOperator)],
+                         ids=["zero", "sine"])
+def test_context_holds_one_operator_built_once(A, op_type):
+    grid = GridSpec(L=12.0, M=64, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=A,
+                        region=BallRegion((0.0,), 1.0), V0=1.0)
+    ctx = build_penalized_context(cfg, pot, grid)
+    assert type(ctx.op) is op_type
+    pen = PenalizationParams(ell0=8.0, a=0.125 ** 2, V0=1.0)
+    assert ctx.with_penalization(pen, 1.0).op is ctx.op
+    assert replace(ctx, pen=None).op is ctx.op

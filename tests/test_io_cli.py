@@ -3,8 +3,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from choquard import ConfigError, Field, GridSpec, load_field, parse_config, save_field
+from choquard import (ConfigError, Field, GridSpec, gagliardo_form, load_field,
+                      parse_config, save_field, sine_A)
 from choquard.cli import main
 from choquard.io import report_to_dict, sanitize_json
 
@@ -103,6 +105,69 @@ def test_parse_config_missing_key(tmp_path):
         parse_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("path, value", [
+    ((), 3),
+    (("grid", "M"), 97),
+    (("grid", "M"), 4),
+    (("grid", "L"), 0),
+    (("problem", "N"), 4),
+    (("potential", "Lambda", "center"), ["x"]),
+    (("potential", "A"), {"kind": "constant", "value": ["x"]}),
+    (("solver", "grad_tol"), 0),
+    (("solver", "seed"), -1),
+], ids=["top_level_int", "M_odd", "M_small", "L_zero", "N_4", "center_text",
+        "A_value_text", "grad_tol_zero", "seed_negative"])
+def test_parse_config_malformed_values_are_config_errors(path, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    if not path:
+        doc = value
+    else:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _sections(node, path=()):
+    """Paths of every JSON object in the document, the root included."""
+    yield path
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _sections(value, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_config_raises_only_config_error(data):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["sweep"] = {"eps_list": [0.5, 0.25]}
+    for _ in range(data.draw(st.integers(1, 3))):
+        sections = list(_sections(doc))
+        node = doc
+        for key in data.draw(st.sampled_from(sections)):
+            node = node[key]
+        keys = sorted(node) + ["extra"]
+        key = data.draw(st.sampled_from(keys))
+        if data.draw(st.booleans()) and key in node:
+            del node[key]
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+    try:
+        parse_config(doc)
+    except Exception as exc:
+        assert type(exc) is ConfigError, repr(exc)
+
+
 def test_sanitize_nonfinite():
     doc = sanitize_json({"a": float("nan"), "b": float("inf"),
                          "c": float("-inf"), "d": 1.5, "e": np.float64(2.0)})
@@ -147,11 +212,32 @@ def test_cli_check_diamagnetic_and_decay(tmp_path, capsys):
     path = tmp_path / "u.f64"
     save_field(path, u, s=0.6, mu=0.5, eps=0.25)
     assert main(["check", "--field", str(path), "--name", "diamagnetic"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert doc["name"] == "diamagnetic" and doc["passed"] is True
+    assert doc["context"]["A"] == "zero" and "warning" in captured.err
     assert main(["check", "--field", str(path), "--name", "decay"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["name"] == "decay"
+
+
+def test_cli_check_diamagnetic_uses_run_potential(tmp_path, capsys):
+    grid = GridSpec(L=8.0, M=64, dim=1)
+    x = grid.axis()
+    u = Field(np.exp(-x ** 2 / 4) * np.exp(1j * 0.7 * x), grid)
+    eps = 0.5
+    save_field(tmp_path / "u.f64", u, s=0.6, mu=0.5, eps=eps)
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["potential"]["A"] = {"kind": "sine", "amplitude": 0.8, "wavelength": 3.0}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["check", "--field", str(tmp_path / "u.f64"),
+                 "--name", "diamagnetic"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    A = sine_A(0.8, 3.0, 1)
+    expected = gagliardo_form(u, lambda p: A(eps * np.asarray(p)), 0.6)
+    assert out["passed"] is True and out["context"]["A"] == "sine"
+    assert out["rhs"] == expected
+    assert abs(out["rhs"] - gagliardo_form(u, None, 0.6)) > 1e-6 * expected
 
 
 def test_cli_check_unknown_name(tmp_path, capsys):
@@ -197,6 +283,15 @@ def test_cli_sweep_subcommand(tmp_path):
     assert (out / "u_eps_0.25.f64").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "sweep.json" in manifest["artifacts"]
+
+
+@pytest.mark.parametrize("flag, value", [("--grid", "97"), ("--tol", "0")])
+def test_cli_malformed_override_exits_1(tmp_path, capsys, flag, value):
+    cfg = write_config(tmp_path)
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 flag, value])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config invalid:")
 
 
 def test_cli_missing_config_file(tmp_path):

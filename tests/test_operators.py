@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from choquard import (Field, GridSpec, QuadratureOperator, build_hartree_cache,
-                      constant_A, frac_lap_constant, gagliardo_form,
+from choquard import (Field, GridSpec, QuadratureOperator, SpectralOperator,
+                      build_hartree_cache, constant_A, frac_lap_constant, gagliardo_form,
                       magnetic_frac_laplacian, random_smooth_A, riesz_convolve,
                       spectral_frac_laplacian, spectral_seminorm_sq)
 
@@ -122,9 +122,14 @@ def test_gauge_covariance_constant_shift(g128):
     assert abs(base - moved) <= 1e-12 * base
 
 
-def test_quadratic_form_consistency_and_self_adjointness(g128):
-    A = random_smooth_A(1, g128.L, 0.5, seed=6)
-    op = QuadratureOperator(g128, 0.6, A, mode="free")
+@pytest.mark.parametrize("make_op", [
+    lambda g: QuadratureOperator(g, 0.6, random_smooth_A(1, g.L, 0.5, seed=6),
+                                 mode="free"),
+    lambda g: SpectralOperator(g, 0.6),
+], ids=["quadrature", "spectral"])
+def test_quadratic_form_consistency_and_self_adjointness(g128, make_op):
+    # both operators the energy context may hold obey the same contract
+    op = make_op(g128)
     u = random_complex_field(g128, 7)
     v = random_complex_field(g128, 8)
     h = g128.cell_volume()
