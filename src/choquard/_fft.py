@@ -18,9 +18,9 @@ def fft_workers() -> int:
     return max(1, min(n, os.cpu_count() or 1))
 
 
-def fftn(a):
-    return _sf.fftn(a, workers=fft_workers())
+def fftn(a, axes=None):
+    return _sf.fftn(a, axes=axes, workers=fft_workers())
 
 
-def ifftn(a):
-    return _sf.ifftn(a, workers=fft_workers())
+def ifftn(a, axes=None):
+    return _sf.ifftn(a, axes=axes, workers=fft_workers())

@@ -50,11 +50,21 @@ def _validated(parsed: ParsedConfig):
     return report
 
 
+def _print_solve_warnings(reports, validation) -> None:
+    """Print on stderr the warnings the solves added to those of validation
+    (an invalid penalization, say); they do not change the exit code."""
+    for r in reports:
+        for w in r.warnings:
+            if w not in validation.warnings:
+                print(f"warning: eps={r.eps:g}: {w}", file=sys.stderr)
+
+
 def _cmd_solve(args) -> int:
     parsed = _load_parsed(args)
-    _validated(parsed)
+    validation = _validated(parsed)
     started = datetime.now(timezone.utc)
     u, rep = solve_penalized(parsed.cfg, parsed.pot, parsed.grid, parsed.opts)
+    _print_solve_warnings([rep], validation)
     out = Path(args.out)
     save_field(out / "u.f64", u, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=parsed.cfg.eps)
     write_report(out / "report.json", rep)
@@ -83,7 +93,7 @@ def _cmd_limit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     parsed = _load_parsed(args)
-    _validated(parsed)
+    validation = _validated(parsed)
     if len(parsed.eps_list) < 2:
         print("config invalid: sweep.eps_list needs at least two values",
               file=sys.stderr)
@@ -101,6 +111,7 @@ def _cmd_sweep(args) -> int:
 
     reports = sweep_epsilon(parsed.cfg, parsed.pot, parsed.grid, parsed.eps_list,
                             parsed.opts, on_solution=on_solution)
+    _print_solve_warnings(reports, validation)
     summary = {
         "eps_list": list(parsed.eps_list),
         "V_at_max": [r.V_at_max for r in reports],

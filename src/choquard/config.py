@@ -115,6 +115,14 @@ def boundary_mask(inside: np.ndarray) -> np.ndarray:
     return out
 
 
+REGION_LEAVES_DOMAIN = "penalization region leaves domain"
+
+
+def region_leaves_domain(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> bool:
+    """True unless the blown-up region Lambda/eps fits strictly inside the box."""
+    return pot.region.bounding_radius() / cfg.eps >= grid.L
+
+
 def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> ValidationReport:
     """Check every standing assumption; violations are reported, never raised."""
     bad: list[str] = []
@@ -177,9 +185,8 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
         else:
             bad.append("penalization region boundary is not resolved by the grid")
 
-    # the blown-up region must fit strictly inside the computational box
-    if pot.region.bounding_radius() / cfg.eps >= grid.L:
-        bad.append("penalization region leaves domain")
+    if region_leaves_domain(cfg, grid, pot):
+        bad.append(REGION_LEAVES_DOMAIN)
 
     if (cfg.ell0 is None) != (cfg.a is None):
         bad.append("ell0 and a must be calibrated together")
@@ -197,7 +204,7 @@ def rescaled_grid(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> Res
 
     Raises ConfigError when the blown-up region does not fit the box.
     """
-    if pot.region.bounding_radius() / cfg.eps >= grid.L:
-        raise ConfigError("penalization region leaves domain")
+    if region_leaves_domain(cfg, grid, pot):
+        raise ConfigError(REGION_LEAVES_DOMAIN)
     mask = pot.region.contains(cfg.eps * grid.points()).reshape(grid.shape)
     return RescaledGrid(grid, mask, cfg.eps)

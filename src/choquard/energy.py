@@ -43,16 +43,26 @@ class EnergyContext:
     # ------------- operator pieces
 
     def apply_op(self, u: np.ndarray) -> np.ndarray:
+        """The operator on u; leading axes of u stack fields (one pass)."""
         return self.op.apply(u)
 
-    def seminorm_sq(self, u: np.ndarray) -> float:
-        return self.op.seminorm_sq(u)
+    def seminorm_sq(self, u: np.ndarray, Lu: np.ndarray | None = None):
+        """[u]^2. Given the image Lu = apply_op(u) it is Re<Lu, u> h^N (the
+        operators' `seminorm_sq` contract) and takes no operator pass; then
+        leading axes of u may stack fields, each getting its own value."""
+        if Lu is None:
+            return self.op.seminorm_sq(u)
+        return self._grid_sum(np.real(np.conj(u) * Lu))
 
-    def potential_sq(self, u: np.ndarray) -> float:
-        return float(np.sum(self.V_eps * np.abs(u) ** 2) * self.grid.cell_volume())
+    def potential_sq(self, u: np.ndarray):
+        return self._grid_sum(self.V_eps * np.abs(u) ** 2)
 
-    def norm_eps_sq(self, u: np.ndarray) -> float:
-        return self.seminorm_sq(u) + self.potential_sq(u)
+    def norm_eps_sq(self, u: np.ndarray, Lu: np.ndarray | None = None):
+        return self.seminorm_sq(u, Lu) + self.potential_sq(u)
+
+    def _grid_sum(self, a: np.ndarray):
+        """h^N times the sum over the grid axes; leading axes are kept."""
+        return np.sum(a, axis=tuple(range(-self.grid.dim, 0))) * self.grid.cell_volume()
 
     def precond_multiplier(self) -> np.ndarray:
         return 1.0 / (1.0 + SpectralOperator(self.grid, self.cfg.s).mult + self.cfg.V0)
@@ -123,11 +133,12 @@ class EnergyReport:
     nehari_residual: float
 
 
-def energy(u: Field, ctx: EnergyContext) -> EnergyReport:
-    """All energy pieces of one field from shared quadratures."""
+def energy(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> EnergyReport:
+    """All energy pieces of one field from shared quadratures; `Lu`, the
+    operator image of u when it is already known, saves the operator pass."""
     v = u.values
     hV = ctx.grid.cell_volume()
-    sem = ctx.seminorm_sq(v)
+    sem = ctx.seminorm_sq(v, Lu)
     potq = ctx.potential_sq(v)
     density = np.abs(v) ** 2
     Gv = ctx.G_of(density)
@@ -138,20 +149,21 @@ def energy(u: Field, ctx: EnergyContext) -> EnergyReport:
     return EnergyReport(sem, potq, har, J, resid)
 
 
-def energy_value(u: Field, ctx: EnergyContext) -> float:
-    return energy(u, ctx).J
+def energy_value(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> float:
+    return energy(u, ctx, Lu).J
 
 
-def gradient(u: Field, ctx: EnergyContext) -> Field:
+def gradient(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> Field:
     """L2 gradient: (-Delta)^s_A u + V_eps u - (K u) g(eps x, |u|^2) u.
 
     This is the exact discrete gradient of the discrete energy, so central
     finite differences of `energy_value` reproduce it to truncation error.
+    `Lu`, the operator image of u when it is already known, saves the pass.
     """
     v = u.values
     density = np.abs(v) ** 2
     K = ctx.hartree_potential(density)
-    out = ctx.apply_op(v) + ctx.V_eps * v - K * ctx.g_of(density) * v
+    out = (ctx.apply_op(v) if Lu is None else Lu) + ctx.V_eps * v - K * ctx.g_of(density) * v
     return Field(out, u.grid)
 
 
@@ -166,15 +178,16 @@ class NehariScalar:
     t_star: float
 
 
-def nehari_project(u: Field, ctx: EnergyContext, *, rel_tol: float = 1e-12,
-                   max_expansions: int = 60) -> NehariScalar:
+def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None,
+                   rel_tol: float = 1e-12, max_expansions: int = 60) -> NehariScalar:
     """Unique ray parameter with <J'(t u), t u> = 0, by bracketed bisection.
 
     phi(t)/t^2 is strictly decreasing from ||u||_eps^2 under the model
     monotonicity, so a sign change bracket is expanded from t = 1 upward.
+    `Lu`, the operator image of u when it is already known, saves the pass.
     """
     v = u.values
-    n2 = ctx.norm_eps_sq(v)
+    n2 = ctx.norm_eps_sq(v, Lu)
     if n2 <= 0:
         raise NehariError("cannot project the zero field")
     density = np.abs(v) ** 2
@@ -211,21 +224,49 @@ def nehari_project(u: Field, ctx: EnergyContext, *, rel_tol: float = 1e-12,
 
 # ------------------------------------------------------------- calibration
 
+# Shell samples are drawn in groups of at most this many bytes, counted as
+# complex values (at least one field per group); each group's norms take one
+# stacked operator pass. A 32^3 field (512 KiB) is drawn alone; a 784-point
+# field (12 KiB) in groups of 10. Larger groups raise the peak memory of
+# small 1-D runs (1024 points: +1.3 MB at 512 KiB).
+SAMPLE_GROUP_BYTES = 1 << 17
+
+
 def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
     """Random band-limited fields projected to ||u||_eps^2 = shell (the extreme
-    shell of the bounded set B), as (field, norm_sq) pairs."""
+    shell of the bounded set B), as (field, norm_sq) pairs.
+
+    The fields and their order are those of drawing one at a time; only the
+    norms are computed a group at a time."""
     rng = np.random.default_rng(seed)
     complex_valued = getattr(ctx.op, "A", None) is not None
-    for _ in range(n):
-        f = band_limited_field(ctx.grid, rng, complex_valued=complex_valued)
-        n2 = ctx.norm_eps_sq(f.values)
-        if n2 <= 0:
-            continue
-        scaled = Field(f.values * np.sqrt(shell / n2), ctx.grid)
-        yield scaled, shell
+    per_group = max(1, SAMPLE_GROUP_BYTES // (16 * ctx.grid.size))
+    for lo in range(0, n, per_group):
+        U = np.stack([band_limited_field(ctx.grid, rng, complex_valued=complex_valued).values
+                      for _ in range(min(per_group, n - lo))])
+        for v, n2 in zip(U, ctx.norm_eps_sq(U, ctx.apply_op(U))):
+            if n2 <= 0:
+                continue
+            yield Field(v * np.sqrt(shell / n2), ctx.grid), shell
 
 
-def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50, seed: int = 0):
+@dataclass(frozen=True)
+class Calibration:
+    """The calibrated penalization and the inputs a report keeps: the cap
+    kappa, the sampled bound C0, how many shell samples entered the supremum
+    (`samples_used`) and how many did not (`samples_skipped`: zero-norm
+    draws and fields outside B), and the canonical bump."""
+
+    pen: PenalizationParams
+    kappa: float
+    C0: float
+    samples_used: int
+    samples_skipped: int
+    u0: Field = field(repr=False)
+
+
+def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
+                           seed: int = 0) -> Calibration:
     """Fix the mountain-pass cap, the convolution bound, and the truncation.
 
     kappa is twice the ray maximum of the energy of the canonical bump
@@ -233,21 +274,23 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50, seed: int
     value does not depend on it); C0 is the sampled supremum of the Hartree
     sup norm over the shell ||u||^2 = 4(kappa+1); ell0 = 4*C0 keeps the
     bound ratio at 1/4; the threshold a = (V0/ell0)^(2/(q-2)) is closed form.
-
-    Returns (params, kappa, C0, canonical bump).
     """
     base = replace(ctx, pen=None)
     rng = np.random.default_rng(seed)
     u0 = bump_in_region(ctx.grid, ctx.lambda_mask, rng)
     u0 = Field(ctx.a0_plane_wave(u0.values), ctx.grid)
-    t_star = nehari_project(u0, base).t_star
-    kappa = 2.0 * energy_value(Field(t_star * u0.values, ctx.grid), base)
+    Lu0 = base.apply_op(u0.values)
+    t_star = nehari_project(u0, base, Lu=Lu0).t_star
+    kappa = 2.0 * energy_value(Field(t_star * u0.values, ctx.grid), base, t_star * Lu0)
     shell = 4.0 * (kappa + 1.0)
+    used = 0
 
     def hartree_sup(fld: Field) -> float:
+        nonlocal used
+        used += 1
         Fv = base.nl.F(np.abs(fld.values) ** 2)
         return float(np.max(np.abs(riesz_convolve(Fv, base.hartree))))
 
     pen, C0 = calibrate_ell0(shell_samples(base, shell, n_samples, seed),
                              hartree_sup, V0=ctx.cfg.V0, q=ctx.cfg.q, shell=shell)
-    return pen, kappa, C0, u0
+    return Calibration(pen, kappa, C0, used, n_samples - used, u0)

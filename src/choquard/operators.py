@@ -21,6 +21,19 @@ Both modes exclude the singular cell from the pair sum and restore accuracy
 with the analytic integral of the second-order Taylor model over a near zone
 of `near_radius` cells; the model derivatives are formed with link-phase
 covariant differences so the correction is also exactly gauge covariant.
+
+The free mode's row sums sum_j k(x_i - x_j) do not depend on A and come from
+one FFT convolution of the kernel block with the box indicator.  With A, the
+pair weights k(x_i - x_j) e^{i A((x_i+x_j)/2).(x_i - x_j)} are gathered from
+two tables built once per operator: the kernel on every displacement
+d in [-(M-1), M-1]^N, and A on the half-step lattice -L + m h/2,
+m in [0, 2M-2]^N, which holds every pair midpoint.  With flat multi-indices
+S of stride 2M-1, a pair reads the kernel at S_i - S_j and A at S_i + S_j.
+The weight matrix is Hermitian (the phase is odd under i <-> j), so only
+row blocks on and above the diagonal are generated.  Up to `dense_limit`
+points the weights are stored as one dense matrix; above it each pair pass
+regenerates them.  A pass acts on a stack of fields at once (leading axes),
+so one pass serves a whole group.
 """
 
 from __future__ import annotations
@@ -51,9 +64,12 @@ def _check_s(s: float):
 # ------------------------------------------------------------------ helpers
 
 def fourier_multiply(mult: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """ifft(mult * fft(u)): real in gives real out (the imaginary part is
+    """ifft(mult * fft(u)) over the trailing `mult.ndim` axes of u (leading
+    axes stack fields): real in gives real out (the imaginary part is
     dropped), complex in gives complex out."""
-    out = ifftn(mult * fftn(u))
+    # explicit axes only for a stack: scipy's all-axes path is the faster one
+    axes = tuple(range(-mult.ndim, 0)) if u.ndim > mult.ndim else None
+    out = ifftn(mult * fftn(u, axes), axes)
     return out if np.iscomplexobj(u) else np.real(out)
 
 
@@ -123,17 +139,14 @@ def _torus_kernel(grid: GridSpec, s: float) -> np.ndarray:
     return k
 
 
-def _free_kernel_block(grid: GridSpec, s: float, cutoff: float) -> np.ndarray:
-    """Kernel on the full true-displacement range, wrapped into a (2M)^N block
-    for linear convolution; entry at index (d mod 2M) holds k(h*d)."""
-    M, h, N = grid.M, grid.h, grid.dim
-    d = np.arange(2 * M)
-    d = np.where(d < M, d, d - 2 * M)  # offsets -M..M-1; |offset| M unused
-    axes = np.meshgrid(*([d * h] * N), indexing="ij")
+def _free_kernel(grid: GridSpec, s: float, cutoff: float, offsets: np.ndarray) -> np.ndarray:
+    """k(h d) = |h d|^(-N-2s) on the mesh of integer displacements d with
+    components in `offsets`; zero at d = 0 and beyond the cutoff."""
+    axes = np.meshgrid(*([offsets * grid.h] * grid.dim), indexing="ij")
     rr = np.sqrt(sum(a ** 2 for a in axes))
     k = np.zeros_like(rr)
     mask = (rr > 0) & (rr <= cutoff)
-    k[mask] = rr[mask] ** (-N - 2 * s)
+    k[mask] = rr[mask] ** (-grid.dim - 2 * s)
     return k
 
 
@@ -179,45 +192,61 @@ class QuadratureOperator:
             rc = self.cutoff if self.cutoff is not None else g.L - g.h / 2
             self.cutoff = float(min(rc, g.L - g.h / 2))
             self.tail = sphere_area(g.dim) / (2 * self.s * self.cutoff ** (2 * self.s))
+            M = g.M
+            d = np.arange(2 * M)
+            d = np.where(d < M, d, d - 2 * M)  # offsets -M..M-1; |offset| M unused
+            kernel_fft = fftn(_free_kernel(g, self.s, self.cutoff, d))
+            box = (Ellipsis,) + (slice(0, M),) * g.dim
+            pad = np.zeros((2 * M,) * g.dim)
+            pad[box] = 1.0
+            self._state["rowsums"] = fourier_multiply(kernel_fft, pad)[box].copy()
             if self.A is None:
-                self._state["kernel_fft"] = fftn(_free_kernel_block(g, self.s, self.cutoff))
-                pad = np.zeros((2 * g.M,) * g.dim)
-                pad[(slice(0, g.M),) * g.dim] = 1.0
-                conv = fourier_multiply(self._state["kernel_fft"], pad)
-                self._state["rowsums"] = conv[(slice(0, g.M),) * g.dim].copy()
-            elif g.size <= self.dense_limit:
-                self._assemble_dense()
+                self._state["kernel_fft"] = kernel_fft
             else:
-                self._state["rowsums"] = self._chunked_rowsums()
+                self._build_pair_tables()
+                if g.size <= self.dense_limit:
+                    W = np.empty((g.size, g.size), dtype=complex)
+                    for rows in self._row_blocks():
+                        B = self._pair_block(rows)
+                        W[rows, rows.start:] = B
+                        W[rows.start:, rows] = B.conj().T
+                    self._state["W"] = W
         self._link_phases = self._build_link_phases()
 
-    # ---------------- assembly paths
+    # ---------------- magnetic pair weights
 
-    def _assemble_dense(self):
+    def _build_pair_tables(self):
+        """The kernel by displacement and A on the half-step lattice, indexed
+        by the flat multi-indices S_i - S_j + S_off and S_i + S_j."""
         g = self.grid
-        pts = g.points()
-        Z = pts[:, None, :] - pts[None, :, :]
-        rr = np.linalg.norm(Z, axis=-1)
-        mask = (rr > 0) & (rr <= self.cutoff)
-        K = np.zeros_like(rr)
-        K[mask] = rr[mask] ** (-g.dim - 2 * self.s)
-        mid = (pts[:, None, :] + pts[None, :, :]) / 2
-        th = np.sum(np.asarray(self.A(mid)) * Z, axis=-1)
-        self._state["W"] = K * np.exp(1j * th)
-        self._state["rowsums"] = K.sum(axis=1)
+        M, N = g.M, g.dim
+        n = 2 * M - 1
+        self._state["ktab"] = _free_kernel(g, self.s, self.cutoff,
+                                           np.arange(-(M - 1), M)).reshape(-1)
+        half = -g.L + 0.5 * g.h * np.arange(n)
+        lattice = np.stack(np.meshgrid(*([half] * N), indexing="ij"), axis=-1)
+        self._state["Atab"] = np.asarray(self.A(lattice.reshape(-1, N))).T.copy()
+        strides = n ** np.arange(N - 1, -1, -1)
+        self._state["S"] = strides @ np.indices(g.shape).reshape(N, -1)
+        self._state["S_off"] = int((M - 1) * strides.sum())
+        self._state["xT"] = g.points().T.copy()
 
-    def _chunked_rowsums(self, chunk: int = 128) -> np.ndarray:
-        g = self.grid
-        pts = g.points()
-        out = np.zeros(g.size)
-        for lo in range(0, g.size, chunk):
-            hi = min(lo + chunk, g.size)
-            Z = pts[lo:hi, None, :] - pts[None, :, :]
-            rr = np.linalg.norm(Z, axis=-1)
-            mask = (rr > 0) & (rr <= self.cutoff)
-            K = np.where(mask, np.where(rr > 0, rr, 1.0) ** (-g.dim - 2 * self.s), 0.0)
-            out[lo:hi] = K.sum(axis=1)
-        return out
+    def _row_blocks(self, rows: int = 64) -> list[slice]:
+        size = self.grid.size
+        return [slice(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
+
+    def _pair_block(self, rows: slice) -> np.ndarray:
+        """Rows `rows`, columns from `rows.start` on, of the pair weights
+        W_ij = k(x_i - x_j) e^{i A(mid).(x_i - x_j)}; W is Hermitian (the
+        phase is odd under i <-> j), so these blocks determine it."""
+        st = self._state
+        cols = slice(rows.start, None)
+        S, xT = st["S"][cols], st["xT"]
+        Si = st["S"][rows, None]
+        K = st["ktab"][Si - S + st["S_off"]]
+        A_mid = st["Atab"][:, Si + S]
+        th = np.einsum("aij,aij->ij", A_mid, xT[:, rows, None] - xT[:, None, cols])
+        return K * np.exp(1j * th)
 
     def _build_link_phases(self):
         """Per-axis phases on the links i -> i+e_a, from midpoints of the links."""
@@ -236,50 +265,45 @@ class QuadratureOperator:
     # ---------------- pair sums
 
     def _pair_data(self, u: np.ndarray):
-        """Return (rowsums, W @ u) for the pair quadrature."""
+        """Return (rowsums, W @ u) for the pair quadrature; leading axes of u
+        stack fields, all served by one pass over the pair weights."""
         g = self.grid
         if self.mode == "torus":
             return self._state["rowsum"], fourier_multiply(self._state["kernel_fft"], u)
         if self.A is None:
-            pad_shape = (2 * g.M,) * g.dim
-            pad = np.zeros(pad_shape, dtype=complex if np.iscomplexobj(u) else float)
-            pad[(slice(0, g.M),) * g.dim] = u
-            Wu = fourier_multiply(self._state["kernel_fft"], pad)
-            return self._state["rowsums"], Wu[(slice(0, g.M),) * g.dim]
-        flat = u.reshape(-1)
+            box = (Ellipsis,) + (slice(0, g.M),) * g.dim
+            pad = np.zeros(u.shape[:u.ndim - g.dim] + (2 * g.M,) * g.dim,
+                           dtype=complex if np.iscomplexobj(u) else float)
+            pad[box] = u
+            return self._state["rowsums"], fourier_multiply(self._state["kernel_fft"], pad)[box]
+        flat = u.reshape(-1, g.size).T
         if "W" in self._state:
-            return self._state["rowsums"].reshape(g.shape), \
-                (self._state["W"] @ flat).reshape(g.shape)
-        return self._state["rowsums"].reshape(g.shape), self._chunked_Wu(flat).reshape(g.shape)
-
-    def _chunked_Wu(self, flat: np.ndarray, chunk: int = 64) -> np.ndarray:
-        g = self.grid
-        pts = g.points()
-        out = np.zeros(g.size, dtype=complex)
-        for lo in range(0, g.size, chunk):
-            hi = min(lo + chunk, g.size)
-            Z = pts[lo:hi, None, :] - pts[None, :, :]
-            rr = np.linalg.norm(Z, axis=-1)
-            mask = (rr > 0) & (rr <= self.cutoff)
-            K = np.where(mask, np.where(rr > 0, rr, 1.0) ** (-g.dim - 2 * self.s), 0.0)
-            mid = (pts[lo:hi, None, :] + pts[None, :, :]) / 2
-            th = np.sum(np.asarray(self.A(mid)) * Z, axis=-1)
-            out[lo:hi] = (K * np.exp(1j * th)) @ flat
-        return out
+            Wu = self._state["W"] @ flat
+        else:
+            Wu = np.zeros(flat.shape, dtype=complex)
+            for rows in self._row_blocks():
+                B = self._pair_block(rows)
+                Wu[rows] += B @ flat[rows.start:]
+                # the rows below the block take its conjugate transpose
+                below = B[:, rows.stop - rows.start:]
+                Wu[rows.stop:] += (flat[rows].conj().T @ below).conj().T
+        return self._state["rowsums"], Wu.T.reshape(u.shape)
 
     # ---------------- covariant differences
 
     def _transported_neighbors(self, u: np.ndarray, a: int):
-        """(u+ transported to i, u- transported to i) along axis a."""
+        """(u+ transported to i, u- transported to i) along grid axis a
+        (counted from the end, so leading axes of u may stack fields)."""
+        ax = a - self.grid.dim
         periodic = self.mode == "torus"
         if self._link_phases is None:
             if periodic:
-                return np.roll(u, -1, axis=a), np.roll(u, 1, axis=a)
-            return _shift_zero(u, a, +1), _shift_zero(u, a, -1)
+                return np.roll(u, -1, axis=ax), np.roll(u, 1, axis=ax)
+            return _shift_zero(u, ax, +1), _shift_zero(u, ax, -1)
         phi = self._link_phases[a]
-        up = _shift_zero(u, a, +1) * np.exp(-1j * phi)
-        phim = _shift_zero(phi, a, -1)
-        um = _shift_zero(u, a, -1) * np.exp(1j * phim)
+        up = _shift_zero(u, ax, +1) * np.exp(-1j * phi)
+        phim = _shift_zero(phi, ax, -1)
+        um = _shift_zero(u, ax, -1) * np.exp(1j * phim)
         return up, um
 
     def _covariant_lap(self, u: np.ndarray) -> np.ndarray:
@@ -294,6 +318,7 @@ class QuadratureOperator:
     # ---------------- public evaluations
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """The operator on u; leading axes of u stack fields, one pair pass."""
         g = self.grid
         rowsums, Wu = self._pair_data(u)
         out = self.c * g.cell_volume() * (rowsums * u - Wu)
@@ -344,6 +369,7 @@ class SpectralOperator:
         self.mult = self.grid.wavenumber_mesh_sq() ** self.s
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """The multiplier on u; leading axes of u stack fields."""
         return fourier_multiply(self.mult, u)
 
     def seminorm_sq(self, u: np.ndarray) -> float:

@@ -4,6 +4,7 @@ manifold, and the epsilon-sweep concentration experiment."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -11,7 +12,7 @@ from scipy import ndimage
 from .config import (OUTSIDE_THEORY_WARNING, ProblemConfig, PotentialSpec,
                      validate_config)
 from .diagnostics import fit_decay, outer_layer_max
-from .energy import (EnergyContext, NehariError, build_limit_context,
+from .energy import (Calibration, EnergyContext, NehariError, build_limit_context,
                      build_penalized_context, calibrate_penalization, energy_value,
                      gradient, nehari_project, nehari_residual)
 from .grids import Field, GridSpec
@@ -24,6 +25,11 @@ ARMIJO_SLACK = 1e-12
 BB_TAU_MIN = 1e-6
 BB_TAU_MAX = 1e6
 MAX_BACKTRACKS = 40
+
+INVALID_PENALIZATION_WARNING = (
+    "invalid penalization: |u| outside the region reaches the truncation "
+    "threshold, so u solves the truncated problem, not the original equation"
+)
 
 
 class SolverError(RuntimeError):
@@ -68,10 +74,41 @@ class SolveReport:
     kappa: float | None = None
     ell0: float | None = None
     a: float | None = None
+    # calibration inputs; None when the penalization was given, not calibrated
+    C0: float | None = None
+    calibration_samples_used: int | None = None
+    calibration_samples_skipped: int | None = None
+    spectrum_clip: float = 0.0  # clip applied to the Riesz kernel spectrum
+    # descent work: line-search trials (one operator pass each) and Nehari
+    # projections that found a ray parameter, the start's included
+    line_search_trials: int = 0
+    nehari_projections: int = 0
     warnings: tuple[str, ...] = ()
     error: str | None = None
     decay_status: str = "ok"
     energy_history: tuple[float, ...] = field(default=(), repr=False)
+
+    @classmethod
+    def failed(cls, eps: float, seed: int, error: str) -> "SolveReport":
+        """Report of a solve that raised `error`: no field, every number NaN."""
+        nan = float("nan")
+        return cls(c_eps=nan, x_eps=(), x_eps_index=(), V_at_max=nan,
+                   valid_penalization=False, decay_exponent=nan, Cfit=nan,
+                   iterations=0, residual=nan, converged=False,
+                   nehari_residual=nan, sup_norm=nan, boundary_ratio=nan,
+                   eps=eps, seed=seed, backend="", error=error)
+
+
+class Descent(NamedTuple):
+    """Result of `minimize_on_nehari`."""
+
+    u: Field
+    J: float
+    iterations: int
+    grad_norm: float
+    history: list
+    line_search_trials: int
+    nehari_projections: int
 
 
 def phase_gauge(u: Field) -> Field:
@@ -95,13 +132,18 @@ def _l2(vals: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell_volume()))
 
 
-def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
+def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) -> Descent:
     """Barzilai-Borwein projected gradient descent restricted to the Nehari
-    manifold, with Armijo backtracking on the restricted energy."""
+    manifold, with Armijo backtracking on the restricted energy.
+
+    Each trial w takes one operator pass, Lw: the projection reads ||w||_eps
+    from it, the energy of t w uses t Lw, and so does the next gradient."""
     hV = ctx.grid.cell_volume()
-    t0 = nehari_project(start, ctx).t_star
+    Lu = ctx.apply_op(start.values)
+    t0 = nehari_project(start, ctx, Lu=Lu).t_star
     u = Field(t0 * start.values, ctx.grid)
-    J = energy_value(u, ctx)
+    Lu *= t0
+    J = energy_value(u, ctx, Lu)
     if not np.isfinite(J):
         raise SolverError("quadrature blow-up", u)
     pmult = ctx.precond_multiplier()
@@ -109,14 +151,15 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
     tau = 1.0 / (1.0 + ctx.cfg.V0)
     u_prev = d_prev = None
     gn = np.inf
+    trials, projections = 0, 1
     for it in range(opts.max_iters):
-        g = gradient(u, ctx)
+        g = gradient(u, ctx, Lu)
         if not np.all(np.isfinite(g.values)):
             raise SolverError("quadrature blow-up", u)
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = _l2(d.values, ctx.grid)
         if gn < opts.grad_tol:
-            return u, J, it, gn, history
+            return Descent(u, J, it, gn, history, trials, projections)
         if u_prev is not None:
             sv = u.values - u_prev.values
             yv = d.values - d_prev.values
@@ -126,16 +169,22 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
             tau = min(max(tau, BB_TAU_MIN), BB_TAU_MAX)
         u_prev, d_prev = u, d
         slope = float(np.real(np.sum(np.conj(g.values) * d.values)) * hV)
+        del g, Lu  # not needed in the line search; freeing them bounds peak memory
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             w = u.values - tau * d.values
+            trials += 1
+            Lw = ctx.apply_op(w)
             try:
-                t = nehari_project(Field(w, ctx.grid), ctx).t_star
+                t = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw).t_star
             except NehariError:
                 tau *= 0.5
                 continue
-            u_new = Field(t * w, ctx.grid)
-            J_new = energy_value(u_new, ctx)
+            projections += 1
+            w *= t  # in place: the trial and its image become the projected point's
+            Lw *= t
+            u_new = Field(w, ctx.grid)
+            J_new = energy_value(u_new, ctx, Lw)
             if np.isfinite(J_new) and \
                     J_new <= J - ARMIJO_C1 * tau * slope + ARMIJO_SLACK:
                 accepted = True
@@ -143,7 +192,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions):
             tau *= 0.5
         if not accepted:
             raise SolverError("line search stalled before reaching tolerance", u)
-        u, J = u_new, J_new
+        u, J, Lu = u_new, J_new, Lw
         history.append(J)
     raise SolverError(f"no convergence in {opts.max_iters} iterations "
                       f"(grad norm {gn:.3e})", u)
@@ -180,10 +229,10 @@ def _default_start(ctx: EnergyContext, opts: SolverOptions) -> Field:
     return Field(ctx.a0_plane_wave(vals * _seeded_perturbation(g, opts.seed)), g)
 
 
-def _finish_report(u: Field, ctx: EnergyContext, pot: PotentialSpec | None,
-                   J: float, iters: int, gn: float, history, opts: SolverOptions,
-                   warnings: tuple[str, ...], kappa, converged=True) -> tuple[Field, SolveReport]:
-    u = phase_gauge(u)
+def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
+                   opts: SolverOptions, warnings: tuple[str, ...],
+                   cal: Calibration | None = None) -> tuple[Field, SolveReport]:
+    u = phase_gauge(run.u)
     idx = u.argmax_index()
     x_eps = u.grid.index_to_point(idx)
     eps = ctx.cfg.eps
@@ -198,17 +247,26 @@ def _finish_report(u: Field, ctx: EnergyContext, pot: PotentialSpec | None,
         valid = bool(sup_out < thresh)
     else:
         valid = True
+    if not valid:
+        warnings = warnings + (INVALID_PENALIZATION_WARNING,)
     slope, Cfit, status = fit_decay(u, ctx.cfg.s, idx)
     report = SolveReport(
-        c_eps=J, x_eps=tuple(float(x) for x in x_eps), x_eps_index=idx,
+        c_eps=run.J, x_eps=tuple(float(x) for x in x_eps), x_eps_index=idx,
         V_at_max=V_at_max, valid_penalization=valid,
-        decay_exponent=slope, Cfit=Cfit, iterations=iters, residual=gn,
-        converged=converged, nehari_residual=nehari_residual(u, ctx),
+        decay_exponent=slope, Cfit=Cfit, iterations=run.iterations,
+        residual=run.grad_norm, converged=True,
+        nehari_residual=nehari_residual(u, ctx),
         sup_norm=u.sup_norm(), boundary_ratio=_boundary_ratio(u),
         eps=eps, seed=opts.seed, backend=ctx.op.backend,
         kappa=ctx.cfg.kappa, ell0=ctx.cfg.ell0, a=ctx.cfg.a,
+        C0=cal.C0 if cal else None,
+        calibration_samples_used=cal.samples_used if cal else None,
+        calibration_samples_skipped=cal.samples_skipped if cal else None,
+        spectrum_clip=ctx.hartree.spectrum_clip,
+        line_search_trials=run.line_search_trials,
+        nehari_projections=run.nehari_projections,
         warnings=warnings, decay_status=status,
-        energy_history=tuple(history))
+        energy_history=tuple(run.history))
     return u, report
 
 
@@ -229,13 +287,14 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
                           + "; ".join(report.violations))
     ctx = build_penalized_context(cfg, pot, grid)
     kappa = cfg.kappa
+    cal = None
     if pen is None:
-        pen, kappa, _, _ = calibrate_penalization(ctx, n_samples=calibration_samples,
-                                                  seed=opts.seed)
+        cal = calibrate_penalization(ctx, n_samples=calibration_samples, seed=opts.seed)
+        pen, kappa = cal.pen, cal.kappa
     ctx = ctx.with_penalization(pen, kappa)
     start = initial if initial is not None else _default_start(ctx, opts)
-    u, J, iters, gn, hist = minimize_on_nehari(ctx, start, opts)
-    return _finish_report(u, ctx, pot, J, iters, gn, hist, opts, report.warnings, kappa)
+    run = minimize_on_nehari(ctx, start, opts)
+    return _finish_report(run, ctx, pot, opts, report.warnings, cal)
 
 
 def solve_limit(cfg: ProblemConfig, grid: GridSpec,
@@ -249,8 +308,8 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
         base = gaussian_bump(grid, width=1.0).values
         initial = Field(base * _seeded_perturbation(grid, opts.seed), grid)
     warnings = () if cfg.dim >= 3 else (OUTSIDE_THEORY_WARNING,)
-    u, J, iters, gn, hist = minimize_on_nehari(ctx, initial, opts)
-    return _finish_report(u, ctx, None, J, iters, gn, hist, opts, warnings, None)
+    run = minimize_on_nehari(ctx, initial, opts)
+    return _finish_report(run, ctx, None, opts, warnings)
 
 
 def rescale_field(u: Field, ratio: float) -> Field:
@@ -299,12 +358,5 @@ def sweep_epsilon(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
             if on_solution is not None:
                 on_solution(eps, u, rep)
         except (SolverError, NehariError, ValueError) as exc:
-            reports.append(SolveReport(
-                c_eps=float("nan"), x_eps=(), x_eps_index=(),
-                V_at_max=float("nan"), valid_penalization=False,
-                decay_exponent=float("nan"), Cfit=float("nan"),
-                iterations=0, residual=float("nan"), converged=False,
-                nehari_residual=float("nan"), sup_norm=float("nan"),
-                boundary_ratio=float("nan"), eps=eps, seed=opts.seed,
-                backend="", error=str(exc)))
+            reports.append(SolveReport.failed(eps, opts.seed, str(exc)))
     return reports

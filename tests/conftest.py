@@ -68,8 +68,8 @@ def magnetic_ctx(grid1d):
                         A=random_smooth_A(1, grid1d.L * cfg.eps, 0.4, seed=11),
                         region=BallRegion((0.0,), 1.0), V0=1.0)
     ctx = build_penalized_context(cfg, pot, grid1d)
-    pen, kappa, C0, u0 = calibrate_penalization(ctx, n_samples=20, seed=3)
-    return ctx.with_penalization(pen, kappa), pot, u0
+    cal = calibrate_penalization(ctx, n_samples=20, seed=3)
+    return ctx.with_penalization(cal.pen, cal.kappa), pot, cal.u0
 
 
 @pytest.fixture(scope="session")
@@ -79,8 +79,8 @@ def plain_ctx(grid1d):
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
                         A=None, region=BallRegion((0.0,), 1.0), V0=1.0)
     ctx = build_penalized_context(cfg, pot, grid1d)
-    pen, kappa, C0, u0 = calibrate_penalization(ctx, n_samples=20, seed=3)
-    return ctx.with_penalization(pen, kappa), pot, u0
+    cal = calibrate_penalization(ctx, n_samples=20, seed=3)
+    return ctx.with_penalization(cal.pen, cal.kappa), pot, cal.u0
 
 
 @pytest.fixture(scope="session")

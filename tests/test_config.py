@@ -127,3 +127,22 @@ def test_region_mask_monotone_in_eps(e1, e2, data):
     m_hi = region.contains(hi * pts)
     # smaller eps blows the region up: mask at hi is contained in mask at lo
     assert np.all(~m_hi | m_lo)
+
+
+def test_region_leaves_domain_one_predicate():
+    # validation and the rescaled grid flag the same boundary case
+    from choquard.config import region_leaves_domain
+    grid = GridSpec(L=4.0, M=32, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.25, V0=1.0)
+    for radius, leaves in ((1.0, True), (0.99, False)):
+        pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                            region=BallRegion((0.0,), radius), V0=1.0)
+        assert region_leaves_domain(cfg, grid, pot) is leaves
+        flagged = "penalization region leaves domain" in \
+            validate_config(cfg, grid=grid, pot=pot).violations
+        assert flagged is leaves
+        if leaves:
+            with pytest.raises(ConfigError, match="leaves domain"):
+                rescaled_grid(cfg, grid, pot)
+        else:
+            assert rescaled_grid(cfg, grid, pot).lambda_mask.any()

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -122,3 +123,20 @@ def test_context_holds_one_operator_built_once(A, op_type):
     pen = PenalizationParams(ell0=8.0, a=0.125 ** 2, V0=1.0)
     assert ctx.with_penalization(pen, 1.0).op is ctx.op
     assert replace(ctx, pen=None).op is ctx.op
+
+
+def test_grouped_shell_samples_match_one_at_a_time(magnetic_ctx, monkeypatch):
+    # groups of three fields: the same draws in the same order, each scaled
+    # by its own norm as if it had been drawn and normed alone
+    energy_mod = importlib.import_module("choquard.energy")  # not the function
+    ctx, _, _ = magnetic_ctx
+    monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 3 * 16 * ctx.grid.size)
+    shell = 5.0
+    got = list(energy_mod.shell_samples(ctx, shell, 8, seed=4))
+    rng = np.random.default_rng(4)
+    assert len(got) == 8
+    for f, n2 in got:
+        v = band_limited_field(ctx.grid, rng, complex_valued=True).values
+        ref = v * np.sqrt(shell / ctx.norm_eps_sq(v))
+        assert n2 == shell
+        assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -197,6 +197,22 @@ def test_cli_solve_writes_artifacts_and_stable_hash(tmp_path):
     assert manifest2["config_hash"] == manifest["config_hash"]
 
 
+def test_cli_solve_warns_on_invalid_penalization(tmp_path, capsys):
+    # the base config ends with |u| outside the region above the threshold:
+    # exit 0, a warning on stderr and in the report, calibration inputs kept
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["valid_penalization"] is False
+    assert any(w.startswith("invalid penalization") for w in report["warnings"])
+    assert "invalid penalization" in capsys.readouterr().err
+    assert report["C0"] > 0 and report["spectrum_clip"] == 0.0
+    assert report["calibration_samples_used"] + report["calibration_samples_skipped"] == 50
+    assert report["line_search_trials"] >= report["iterations"]
+    assert 0 < report["nehari_projections"] <= report["line_search_trials"] + 1
+
+
 def test_cli_mu_at_2s_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, mu=1.2)  # mu == 2s
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -200,9 +200,11 @@ def test_3d_torus_vs_spectral_coarse():
     assert rel < 0.15  # M=16 per axis is very coarse
 
 
-def test_chunked_magnetic_apply_matches_dense():
-    grid = GridSpec(L=6.0, M=24, dim=2)  # 576 points
-    A = random_smooth_A(2, grid.L, 0.4, seed=14)
+@pytest.mark.parametrize("grid", [GridSpec(L=6.0, M=24, dim=2),  # 576 points
+                                  GridSpec(L=4.0, M=8, dim=3)],  # 512 points
+                         ids=["2d", "3d"])
+def test_chunked_magnetic_apply_matches_dense(grid):
+    A = random_smooth_A(grid.dim, grid.L, 0.4, seed=14)
     rng = np.random.default_rng(15)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     dense = QuadratureOperator(grid, 0.6, A, mode="free", dense_limit=1024)
@@ -212,6 +214,44 @@ def test_chunked_magnetic_apply_matches_dense():
     assert np.max(np.abs(out_d - out_c)) < 1e-12 * np.max(np.abs(out_d))
     assert chunked.seminorm_sq(vals) == pytest.approx(dense.seminorm_sq(vals),
                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda g: QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3),
+                                 dense_limit=1),
+    lambda g: QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3)),
+    lambda g: QuadratureOperator(g, 0.6, None),
+    lambda g: QuadratureOperator(g, 0.6, None, mode="torus"),
+    lambda g: SpectralOperator(g, 0.6),
+], ids=["chunked", "dense", "free", "torus", "spectral"])
+def test_stacked_pass_matches_one_pass_per_field(make_op):
+    grid = GridSpec(L=6.0, M=16, dim=2)
+    op = make_op(grid)
+    rng = np.random.default_rng(16)
+    U = rng.normal(size=(3,) + grid.shape) + 1j * rng.normal(size=(3,) + grid.shape)
+    stacked = op.apply(U)
+    for u, out in zip(U, stacked):
+        single = op.apply(u)
+        assert np.max(np.abs(out - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(L=4.0, M=16, dim=1),
+                                  GridSpec(L=5.0, M=12, dim=2),
+                                  GridSpec(L=3.0, M=8, dim=3)],
+                         ids=["1d", "2d", "3d"])
+def test_fft_rowsums_match_literal_pair_sums(grid):
+    # row sums sum_j k(x_i - x_j) over the cut ball, by FFT, against the pairs
+    s = 0.6
+    A = random_smooth_A(grid.dim, grid.L, 0.4, seed=17)
+    for op in (QuadratureOperator(grid, s, None), QuadratureOperator(grid, s, A)):
+        pts = grid.points()
+        rr = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        K = np.zeros_like(rr)
+        near = (rr > 0) & (rr <= op.cutoff)
+        K[near] = rr[near] ** (-grid.dim - 2 * s)
+        expected = K.sum(axis=1).reshape(grid.shape)
+        got = op._pair_data(np.zeros(grid.shape, dtype=complex))[0]
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
 
 
 # ------------------------------------------------------------ Riesz potential

@@ -6,6 +6,8 @@ from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
                       clipped_quadratic_V, constant_A, constant_V, energy_value,
                       rescale_field, solve_limit, solve_penalized, sweep_epsilon)
 
+from choquard.nonlinearity import PenalizationParams
+
 from conftest import align_phase
 
 
@@ -193,3 +195,51 @@ def test_sweep_records_failures_and_continues():
     assert not reports[1].converged and reports[1].error
     assert len(reports) == 3
 
+    assert np.isnan(reports[1].c_eps) and reports[1].eps == 0.05
+    assert reports[1].iterations == 0 and not reports[1].valid_penalization
+
+
+def test_magnetic_2d_one_pair_pass_per_trial(monkeypatch):
+    # the operator image of each trial serves its projection, its energy and
+    # the next gradient; set-up: the calibration bump, one stacked pass per
+    # group of shell samples, the start and the final Nehari residual
+    from choquard import QuadratureOperator, sine_A
+    from choquard.energy import SAMPLE_GROUP_BYTES
+    grid = GridSpec(L=6.0, M=16, dim=2)
+    cfg = ProblemConfig(dim=2, s=0.75, mu=0.5, q=4.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=sine_A(0.5, 4.0, 2),
+                        region=BallRegion((0.0, 0.0), 1.0), V0=1.0)
+    passes = []
+    pair_data = QuadratureOperator._pair_data
+
+    def counted(self, u):
+        passes.append(u.shape)
+        return pair_data(self, u)
+    monkeypatch.setattr(QuadratureOperator, "_pair_data", counted)
+    _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=0))
+    assert rep.converged and rep.backend == "quadrature"
+    assert rep.line_search_trials >= rep.iterations
+    per_group = SAMPLE_GROUP_BYTES // (16 * grid.size)
+    groups = -(-50 // per_group)
+    assert 1 < per_group < 50
+    assert len(passes) == rep.line_search_trials + 3 + groups
+    assert passes.count((per_group,) + grid.shape) == 50 // per_group
+
+
+def test_report_keeps_calibration_inputs():
+    grid = GridSpec(L=10.0, M=96, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0,), 1.0), V0=1.0)
+    _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
+                             calibration_samples=20)
+    assert rep.C0 > 0 and rep.ell0 == pytest.approx(4 * rep.C0, rel=1e-15)
+    assert rep.calibration_samples_used + rep.calibration_samples_skipped == 20
+    assert rep.calibration_samples_used > 0
+    assert rep.spectrum_clip == 0.0
+    assert rep.line_search_trials >= rep.iterations
+    assert rep.nehari_projections <= rep.line_search_trials + 1
+    # a given penalization is not calibrated: no calibration inputs
+    _, rep2 = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
+                              pen=PenalizationParams(rep.ell0, rep.a, cfg.V0))
+    assert rep2.C0 is None and rep2.calibration_samples_used is None
