@@ -7,7 +7,7 @@ from .config import (ConfigError, PotentialSpec, ProblemConfig, RescaledGrid,
 from .diagnostics import (CheckResult, check_concentration, check_decay,
                           check_diamagnetic, check_hartree_bound, check_hls,
                           fit_decay, hls_sharp_constant, mpg_shell_radius)
-from .energy import (Calibration, EnergyContext, EnergyReport, NehariError, NehariScalar,
+from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
                      build_limit_context, build_penalized_context,
                      calibrate_penalization, energy, energy_value, gradient,
                      nehari_project, nehari_residual)

@@ -10,9 +10,10 @@ import numpy as np
 from scipy.special import gamma
 
 from .config import ProblemConfig, PotentialSpec, boundary_mask
-from .energy import EnergyContext, shell_samples
+from .energy import EnergyContext, bisect_decreasing, shell_samples
 from .grids import Field, GridSpec
 from .operators import build_hartree_cache, gagliardo_form, riesz_convolve
+from .sampling import band_limited_field
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,10 @@ def check_decay(u: Field, eps: float, x_max_index, s: float, *,
 
 # --------------------------------------------------------------- diamagnetic
 
-def check_diamagnetic(u: Field, A, s: float, *, n_pairs: int = 10_000,
-                      seed: int = 0) -> CheckResult:
-    """Seminorm and pointwise diamagnetic inequalities; never fails, since the
-    pointwise bound holds term by term in the quadrature sums."""
+def check_diamagnetic(u: Field, A, s: float, *, seed: int = 0) -> CheckResult:
+    """Seminorm and pointwise diamagnetic inequalities, the latter on 10^4
+    random pairs; never fails, since the pointwise bound holds term by term
+    in the quadrature sums."""
     sem_A, sem_mod = gagliardo_form(u, A, s, with_modulus=True)
     slack = 1e-12 * max(1.0, sem_A)
     sem_ok = sem_mod <= sem_A + slack
@@ -131,8 +132,8 @@ def check_diamagnetic(u: Field, A, s: float, *, n_pairs: int = 10_000,
     pts = u.grid.points()
     vals = u.values.reshape(-1)
     n = len(vals)
-    i = rng.integers(0, n, size=n_pairs)
-    j = rng.integers(0, n, size=n_pairs)
+    i = rng.integers(0, n, size=10_000)
+    j = rng.integers(0, n, size=10_000)
     keep = i != j
     i, j = i[keep], j[keep]
     z = pts[i] - pts[j]
@@ -205,12 +206,11 @@ def check_hartree_bound(ctx: EnergyContext, *, n_samples: int = 50,
 
 # ----------------------------------------------------- mountain-pass geometry
 
-def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7,
-                     safety: float = 5.0):
+def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7):
     """Shell radius rho from the quadratic-vs-superquadratic crossover.
 
     Estimates the constant C in  quarter-Hartree(u) <= C(||u||^4 + ||u||^2q)
-    by sampled suprema over normalized rays (inflated by `safety`, since a
+    by sampled suprema over normalized rays (inflated fivefold, since a
     sampled sup underestimates the true one), then solves
     C(rho^4 + rho^(2q)) = rho^2/4, so the energy on the shell ||u|| = rho is
     at least rho^2/4 > 0.  Returns (rho, C)."""
@@ -219,7 +219,6 @@ def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7,
     hV = ctx.grid.cell_volume()
     ts = np.logspace(-2, 1.5, 15)
     C_emp = 0.0
-    from .sampling import band_limited_field
     for _ in range(n_samples):
         f = band_limited_field(ctx.grid, rng, complex_valued=False)
         n2 = ctx.norm_eps_sq(f.values)
@@ -232,21 +231,16 @@ def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7,
             C_emp = max(C_emp, 0.25 * har / (t ** 4 + t ** (2 * q)))
     if C_emp == 0:
         raise ValueError("could not estimate the superquadratic constant")
-    C_emp *= safety
+    C_emp *= 5.0
 
-    def excess(rho):
-        return C_emp * (rho ** 4 + rho ** (2 * q)) - 0.25 * rho ** 2
+    # rho solves C (rho^2 + rho^(2q-2)) = 1/4; it lies below the first rho at
+    # which either term reaches 1/4, and above the first at which one reaches 1/8
+    def bound(quarter):
+        return min((quarter / C_emp) ** 0.5, (quarter / C_emp) ** (1.0 / (2 * q - 2)))
 
-    lo, hi = 1e-8, 1.0
-    while excess(hi) < 0:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), C_emp
+    rho = bisect_decreasing(lambda r: 0.25 - C_emp * (r ** 2 + r ** (2 * q - 2)),
+                            bound(0.125), bound(0.25))
+    return rho, C_emp
 
 
 # -------------------------------------------------------------- concentration

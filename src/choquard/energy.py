@@ -173,53 +173,66 @@ def nehari_residual(u: Field, ctx: EnergyContext) -> float:
 
 # ------------------------------------------------------------------ Nehari
 
-@dataclass(frozen=True)
-class NehariScalar:
-    t_star: float
+# Relative bracket width at which a bisection stops.
+BISECT_REL_TOL = 1e-12
 
 
-def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None,
-                   rel_tol: float = 1e-12, max_expansions: int = 60) -> NehariScalar:
-    """Unique ray parameter with <J'(t u), t u> = 0, by bracketed bisection.
+def bisect_decreasing(fn, lo: float, hi: float) -> float:
+    """Root of a decreasing `fn` between bounds lo < hi. An end where fn has
+    already crossed zero (roundoff at a bound that is the root) is returned."""
+    if fn(lo) <= 0:
+        return lo
+    if fn(hi) >= 0:
+        return hi
+    while hi - lo > BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
-    phi(t)/t^2 is strictly decreasing from ||u||_eps^2 under the model
-    monotonicity, so a sign change bracket is expanded from t = 1 upward.
-    `Lu`, the operator image of u when it is already known, saves the pass.
+
+def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None) -> float:
+    """The unique t > 0 with <J'(t u), t u> = 0.
+
+    Where the truncation is inactive, the power model makes the pairing over
+    t^2 equal ||u||_eps^2 - t^(2q-2) X with X = sum (|x|^-mu * F(|u|^2))
+    f(|u|^2) |u|^2 h^N, so t = (||u||_eps^2 / X)^(1/(2q-2)). That is the
+    answer when `ctx.pen` is None or t^2 |u|^2 <= a outside the region.
+    Otherwise it is a lower bound (the truncation only lowers G and g), the
+    same formula with F and f cut to the region an upper bound, and the root
+    is bisected between them. `Lu`, the operator image of u when it is
+    already known, saves the operator pass.
     """
     v = u.values
-    n2 = ctx.norm_eps_sq(v, Lu)
-    if n2 <= 0:
-        raise NehariError("cannot project the zero field")
+    n2 = float(ctx.norm_eps_sq(v, Lu))
+    if not 0 < n2 < np.inf:
+        raise NehariError(f"cannot project a field of norm^2 {n2}")
     density = np.abs(v) ** 2
     hV = ctx.grid.cell_volume()
+
+    def closed_form(keep) -> float:
+        """t of the pure power model on the points `keep` selects (1.0: all)."""
+        X = float(np.sum(riesz_convolve(keep * ctx.nl.F(density), ctx.hartree)
+                         * keep * ctx.nl.f(density) * density) * hV)
+        t = (n2 / X) ** (1.0 / (2.0 * ctx.cfg.q - 2.0)) if X > 0 else np.inf
+        if not 0 < t < np.inf:
+            raise NehariError("ray has no Nehari point")
+        return t
 
     def phi_over_t2(t: float) -> float:
         w = (t * t) * density
         K = riesz_convolve(ctx.G_of(w), ctx.hartree)
-        return n2 - float(np.sum(K * ctx.g_of(w) * density) * hV)
+        val = n2 - float(np.sum(K * ctx.g_of(w) * density) * hV)
+        if not np.isfinite(val):
+            raise NehariError(f"ray has no Nehari point: non-finite pairing at t={t:g}")
+        return val
 
-    hi = 1.0
-    n_exp = 0
-    while phi_over_t2(hi) > 0:
-        hi *= 2.0
-        n_exp += 1
-        if n_exp > max_expansions:
-            raise NehariError("ray has no Nehari point")
-    lo = min(1.0, hi / 2)
-    while phi_over_t2(lo) < 0:
-        lo *= 0.5
-        n_exp += 1
-        if n_exp > 2 * max_expansions:
-            raise NehariError("ray has no Nehari point")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi_over_t2(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return NehariScalar(0.5 * (lo + hi))
+    t_lo = closed_form(1.0)
+    if ctx.pen is None or not np.any(t_lo * t_lo * density[~ctx.lambda_mask] > ctx.pen.a):
+        return t_lo
+    return bisect_decreasing(phi_over_t2, t_lo, closed_form(ctx.lambda_mask))
 
 
 # ------------------------------------------------------------- calibration
@@ -276,11 +289,10 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
     bound ratio at 1/4; the threshold a = (V0/ell0)^(2/(q-2)) is closed form.
     """
     base = replace(ctx, pen=None)
-    rng = np.random.default_rng(seed)
-    u0 = bump_in_region(ctx.grid, ctx.lambda_mask, rng)
+    u0 = bump_in_region(ctx.grid, ctx.lambda_mask)
     u0 = Field(ctx.a0_plane_wave(u0.values), ctx.grid)
     Lu0 = base.apply_op(u0.values)
-    t_star = nehari_project(u0, base, Lu=Lu0).t_star
+    t_star = nehari_project(u0, base, Lu=Lu0)
     kappa = 2.0 * energy_value(Field(t_star * u0.values, ctx.grid), base, t_star * Lu0)
     shell = 4.0 * (kappa + 1.0)
     used = 0

@@ -71,6 +71,10 @@ class GridSpec:
         return self.h ** self.dim
 
 
+class NonFiniteFieldError(ValueError):
+    """A field was built from values that are not all finite."""
+
+
 @dataclass(frozen=True)
 class Field:
     """Complex- or real-valued function sampled on a GridSpec."""
@@ -83,15 +87,12 @@ class Field:
         if v.shape != self.grid.shape:
             raise ValueError(f"field shape {v.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
+            raise NonFiniteFieldError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
-
-    def modulus(self) -> "Field":
-        return Field(np.abs(self.values), self.grid)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume()))
@@ -103,6 +104,3 @@ class Field:
         """Grid index of the global maximum of |u|, first index on ties."""
         flat = int(np.argmax(np.abs(self.values)))
         return tuple(int(i) for i in np.unravel_index(flat, self.grid.shape))
-
-    def argmax_point(self) -> np.ndarray:
-        return self.grid.index_to_point(self.argmax_index())

@@ -71,8 +71,8 @@ def threshold_for(ell0: float, V0: float, q: float) -> float:
 
 
 def calibrate_ell0(samples: Iterable, hartree_sup: Callable[[object], float], *,
-                   V0: float, q: float, shell: float | None = None,
-                   safety: float = 4.0) -> tuple[PenalizationParams, float]:
+                   V0: float, q: float, shell: float | None = None
+                   ) -> tuple[PenalizationParams, float]:
     """Estimate the convolution bound C0 over sampled fields and fix ell0 = 4*C0.
 
     `samples` yields fields inside the bounded set B (norm^2 <= shell when a
@@ -92,5 +92,5 @@ def calibrate_ell0(samples: Iterable, hartree_sup: Callable[[object], float], *,
         raise ValueError("calibration sampler produced no field inside B")
     if C0 <= 0:
         raise ValueError("calibration sampler produced only zero fields")
-    ell0 = safety * C0
+    ell0 = 4.0 * C0
     return PenalizationParams(ell0=ell0, a=threshold_for(ell0, V0, q), V0=V0), C0

@@ -164,7 +164,6 @@ class QuadratureOperator:
     A: object | None = None  # vector potential callable, or None for A == 0
     mode: str = "free"
     near_radius: int | None = None
-    cutoff: float | None = None
     dense_limit: int = 768  # magnetic pair matrix kept dense up to this size
     _state: dict = field(default_factory=dict, repr=False)
 
@@ -189,8 +188,7 @@ class QuadratureOperator:
             self._state["kernel_fft"] = fftn(ker)
             self._state["rowsum"] = float(np.sum(ker))
         else:
-            rc = self.cutoff if self.cutoff is not None else g.L - g.h / 2
-            self.cutoff = float(min(rc, g.L - g.h / 2))
+            self.cutoff = g.L - g.h / 2
             self.tail = sphere_area(g.dim) / (2 * self.s * self.cutoff ** (2 * self.s))
             M = g.M
             d = np.arange(2 * M)
@@ -382,34 +380,29 @@ class SpectralOperator:
 # ------------------------------------------------------------ public wrappers
 
 def magnetic_frac_laplacian(u: Field, A, s: float, *, mode: str = "free",
-                            near_radius: int | None = None,
-                            cutoff: float | None = None) -> Field:
+                            near_radius: int | None = None) -> Field:
     """Apply the fractional magnetic Laplacian by singular-integral quadrature.
 
     `A` is a vector-potential callable, or None for the plain fractional
     Laplacian; see the module docstring for the two kernel modes.
     """
-    op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius,
-                            cutoff=cutoff)
+    op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius)
     vals = op.apply(u.values.astype(complex) if A is not None else u.values)
     return Field(vals, u.grid)
 
 
 def gagliardo_form(u: Field, A, s: float, *, mode: str = "free",
-                   near_radius: int | None = None, cutoff: float | None = None,
-                   with_modulus: bool = False):
+                   near_radius: int | None = None, with_modulus: bool = False):
     """Quadrature of the (magnetic) Gagliardo seminorm squared.
 
     With `with_modulus=True` also returns the real seminorm of |u| under the
     same quadrature rule, the two sides of the diamagnetic inequality.
     """
-    op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius,
-                            cutoff=cutoff)
+    op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius)
     val = op.seminorm_sq(u.values)
     if not with_modulus:
         return val
-    op0 = QuadratureOperator(u.grid, s, None, mode=mode, near_radius=near_radius,
-                             cutoff=cutoff)
+    op0 = QuadratureOperator(u.grid, s, None, mode=mode, near_radius=near_radius)
     return val, op0.seminorm_sq(np.abs(u.values))
 
 

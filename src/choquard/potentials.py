@@ -94,8 +94,10 @@ def sine_A(amplitude: float, wavelength: float, dim: int):
     return A
 
 
-def random_smooth_A(dim: int, L: float, amplitude: float, seed: int, n_modes: int = 3):
-    """Band-limited random vector potential, periodic over [-L, L]^dim."""
+def random_smooth_A(dim: int, L: float, amplitude: float, seed: int):
+    """Band-limited random vector potential (three modes per component),
+    periodic over [-L, L]^dim."""
+    n_modes = 3
     rng = np.random.default_rng(seed)
     ks = rng.integers(1, 4, size=(dim, n_modes, dim))
     phases = rng.uniform(0, 2 * np.pi, size=(dim, n_modes))

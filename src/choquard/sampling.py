@@ -9,31 +9,29 @@ from .grids import Field, GridSpec
 
 
 def band_limited_field(grid: GridSpec, rng: np.random.Generator, *,
-                       complex_valued: bool = True, n_modes: int = 12,
-                       max_mode: int | None = None, window: bool = True) -> Field:
-    """Random superposition of low Fourier modes, optionally windowed so the
-    samples vanish toward the box boundary (smooth decaying test fields)."""
-    if max_mode is None:
-        max_mode = max(2, grid.M // 8)
+                       complex_valued: bool = True) -> Field:
+    """Random superposition of 12 Fourier modes up to max(2, M/8), windowed
+    so the samples vanish toward the box boundary (smooth decaying test
+    fields)."""
+    max_mode = max(2, grid.M // 8)
     coeffs = np.zeros(grid.shape, dtype=complex)
-    for _ in range(n_modes):
+    for _ in range(12):
         idx = tuple(int(rng.integers(-max_mode, max_mode + 1)) % grid.M
                     for _ in range(grid.dim))
         coeffs[idx] += rng.normal() + 1j * rng.normal()
     vals = ifftn(coeffs) * grid.size
     if not complex_valued:
         vals = np.real(vals)
-    if window:
-        mesh = grid.mesh()
-        w = np.exp(-np.sum((mesh / (0.6 * grid.L)) ** 8, axis=-1))
-        # exact zeros on the outermost layer keep zero-extension identities exact
-        for a in range(grid.dim):
-            sl = [slice(None)] * grid.dim
-            sl[a] = 0
-            w[tuple(sl)] = 0.0
-            sl[a] = grid.M - 1
-            w[tuple(sl)] = 0.0
-        vals = vals * w
+    mesh = grid.mesh()
+    w = np.exp(-np.sum((mesh / (0.6 * grid.L)) ** 8, axis=-1))
+    # exact zeros on the outermost layer keep zero-extension identities exact
+    for a in range(grid.dim):
+        sl = [slice(None)] * grid.dim
+        sl[a] = 0
+        w[tuple(sl)] = 0.0
+        sl[a] = grid.M - 1
+        w[tuple(sl)] = 0.0
+    vals = vals * w
     nrm = np.max(np.abs(vals))
     if nrm > 0:
         vals = vals / nrm
@@ -51,8 +49,7 @@ def gaussian_bump(grid: GridSpec, center=None, width: float = 1.0,
     return Field(vals, grid)
 
 
-def bump_in_region(grid: GridSpec, mask: np.ndarray, rng: np.random.Generator | None = None,
-                   jitter: float = 0.0) -> Field:
+def bump_in_region(grid: GridSpec, mask: np.ndarray) -> Field:
     """Gaussian bump supported (to machine precision) inside the masked region:
     centered at the region centroid, hard-masked to the region."""
     mesh = grid.mesh()
@@ -62,8 +59,5 @@ def bump_in_region(grid: GridSpec, mask: np.ndarray, rng: np.random.Generator | 
     extent = pts[inside].max(axis=0) - pts[inside].min(axis=0)
     width = max(float(np.min(extent)) / 6.0, 2 * grid.h)
     vals = np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width ** 2))
-    if rng is not None and jitter > 0:
-        vals = vals * (1.0 + jitter * rng.normal(size=grid.shape)
-                       * np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width ** 2)))
     vals = np.where(mask, vals, 0.0)
     return Field(vals, grid)

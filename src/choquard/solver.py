@@ -9,13 +9,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .config import (OUTSIDE_THEORY_WARNING, ProblemConfig, PotentialSpec,
-                     validate_config)
+from .config import (OUTSIDE_THEORY_WARNING, ConfigError, ProblemConfig,
+                     PotentialSpec, validate_config)
 from .diagnostics import fit_decay, outer_layer_max
 from .energy import (Calibration, EnergyContext, NehariError, build_limit_context,
                      build_penalized_context, calibrate_penalization, energy_value,
                      gradient, nehari_project, nehari_residual)
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, NonFiniteFieldError
 from .operators import fourier_multiply
 from .sampling import band_limited_field, gaussian_bump
 
@@ -128,10 +128,6 @@ def _boundary_ratio(u: Field) -> float:
     return outer_layer_max(u) / sup if sup > 0 else 0.0
 
 
-def _l2(vals: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell_volume()))
-
-
 def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) -> Descent:
     """Barzilai-Borwein projected gradient descent restricted to the Nehari
     manifold, with Armijo backtracking on the restricted energy.
@@ -140,7 +136,10 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     from it, the energy of t w uses t Lw, and so does the next gradient."""
     hV = ctx.grid.cell_volume()
     Lu = ctx.apply_op(start.values)
-    t0 = nehari_project(start, ctx, Lu=Lu).t_star
+    try:
+        t0 = nehari_project(start, ctx, Lu=Lu)
+    except NehariError as exc:
+        raise SolverError(f"start: {exc}", start) from None
     u = Field(t0 * start.values, ctx.grid)
     Lu *= t0
     J = energy_value(u, ctx, Lu)
@@ -153,11 +152,12 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     gn = np.inf
     trials, projections = 0, 1
     for it in range(opts.max_iters):
-        g = gradient(u, ctx, Lu)
-        if not np.all(np.isfinite(g.values)):
-            raise SolverError("quadrature blow-up", u)
+        try:
+            g = gradient(u, ctx, Lu)
+        except NonFiniteFieldError:
+            raise SolverError("quadrature blow-up", u) from None
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
-        gn = _l2(d.values, ctx.grid)
+        gn = d.l2_norm()
         if gn < opts.grad_tol:
             return Descent(u, J, it, gn, history, trials, projections)
         if u_prev is not None:
@@ -176,7 +176,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             trials += 1
             Lw = ctx.apply_op(w)
             try:
-                t = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw).t_star
+                t = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
             except NehariError:
                 tau *= 0.5
                 continue
@@ -289,7 +289,10 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     kappa = cfg.kappa
     cal = None
     if pen is None:
-        cal = calibrate_penalization(ctx, n_samples=calibration_samples, seed=opts.seed)
+        try:
+            cal = calibrate_penalization(ctx, n_samples=calibration_samples, seed=opts.seed)
+        except NehariError as exc:
+            raise SolverError(f"calibration: {exc}") from None
         pen, kappa = cal.pen, cal.kappa
     ctx = ctx.with_penalization(pen, kappa)
     start = initial if initial is not None else _default_start(ctx, opts)
@@ -335,7 +338,9 @@ def sweep_epsilon(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     """Solve the penalized problem along a descending eps list, warm-starting
     each solve from the previous solution rescaled by eps_new/eps_old.
 
-    Single-eps failures are recorded in their report and the sweep continues.
+    A solve that fails (SolverError, or ConfigError when the blown-up region
+    leaves the box) is recorded in its report and the sweep continues; any
+    other exception propagates.
     """
     opts = opts or SolverOptions()
     eps_list = [float(e) for e in eps_list]
@@ -357,6 +362,6 @@ def sweep_epsilon(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
             prev_field, prev_eps = u, eps
             if on_solution is not None:
                 on_solution(eps, u, rep)
-        except (SolverError, NehariError, ValueError) as exc:
+        except (SolverError, ConfigError) as exc:
             reports.append(SolveReport.failed(eps, opts.seed, str(exc)))
     return reports

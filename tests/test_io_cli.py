@@ -327,3 +327,18 @@ def test_report_to_dict_json_safe():
     assert doc["c_eps"] == "nan" and doc["V_at_max"] == "inf"
     assert doc["decay_exponent"] == "-inf"
     json.dumps(doc)
+
+
+def test_cli_solve_blow_up_exits_2(tmp_path, capsys, monkeypatch):
+    # an operator image with an inf fails the calibration's projection
+    from choquard import SpectralOperator
+    apply = SpectralOperator.apply
+
+    def blown(self, u):
+        out = apply(self, u)
+        out[np.unravel_index(np.argmax(np.abs(u)), u.shape)] = np.inf
+        return out
+    monkeypatch.setattr(SpectralOperator, "apply", blown)
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "solver failed: calibration" in capsys.readouterr().err

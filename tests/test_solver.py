@@ -243,3 +243,74 @@ def test_report_keeps_calibration_inputs():
     _, rep2 = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
                               pen=PenalizationParams(rep.ell0, rep.a, cfg.V0))
     assert rep2.C0 is None and rep2.calibration_samples_used is None
+
+
+def test_sweep_propagates_other_errors(monkeypatch):
+    # only solver and config failures become failed entries; anything else
+    # is a fault of the program and leaves the sweep
+    import choquard.solver as solver_mod
+    grid = GridSpec(L=10.0, M=96, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0,), 1.0), V0=1.0)
+    for exc_type in (ValueError, TypeError):
+        def broken(*args, **kwargs):
+            raise exc_type("fault inside one solve")
+        monkeypatch.setattr(solver_mod, "solve_penalized", broken)
+        with pytest.raises(exc_type, match="fault inside one solve"):
+            sweep_epsilon(cfg, pot, grid, [0.5, 0.25])
+
+
+class BlowUpOperator:
+    """The context's operator, with an inf in its image from pass
+    `finite_passes + 1` on."""
+
+    backend = "blow-up"
+
+    def __init__(self, op, finite_passes):
+        self.op, self.finite_passes, self.passes = op, finite_passes, 0
+
+    def apply(self, u):
+        self.passes += 1
+        out = self.op.apply(u)
+        if self.passes > self.finite_passes:
+            out[np.unravel_index(np.argmax(np.abs(u)), u.shape)] = np.inf
+        return out
+
+
+@pytest.mark.parametrize("finite_passes", [0, 1])
+def test_operator_blow_up_is_solver_error(plain_ctx, finite_passes):
+    from dataclasses import replace
+    from choquard.solver import minimize_on_nehari
+    ctx, _, u0 = plain_ctx
+    ctx = replace(ctx, op=BlowUpOperator(ctx.op, finite_passes))
+    with pytest.raises(SolverError) as exc:
+        minimize_on_nehari(ctx, u0, SolverOptions())
+    assert exc.value.field is not None
+
+
+def test_non_finite_gradient_is_solver_error(plain_ctx, monkeypatch):
+    import choquard.solver as solver_mod
+    from choquard.solver import minimize_on_nehari
+    ctx, _, u0 = plain_ctx
+
+    def blown(u, ctx, Lu=None):
+        return Field(np.full(u.grid.shape, np.inf), u.grid)
+    monkeypatch.setattr(solver_mod, "gradient", blown)
+    with pytest.raises(SolverError, match="quadrature blow-up") as exc:
+        minimize_on_nehari(ctx, u0, SolverOptions())
+    assert exc.value.field is not None
+
+
+def test_cli_imports_no_scipy_optimize():
+    # scipy.optimize would add ~21 MB of RSS and 0.3-0.5 s to every CLI process
+    import os
+    import subprocess
+    import sys
+    code = "import sys, choquard.cli; assert 'scipy.optimize' not in sys.modules"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
