@@ -17,7 +17,8 @@ from .diagnostics import check_decay, check_diamagnetic, check_hls
 from .io import (ParsedConfig, load_field, parse_config, report_to_dict,
                  sanitize_json, save_field, write_report, write_run, _atomic_write_bytes,
                  _atomic_write_json)
-from .solver import SolverError, solve_limit, solve_penalized, sweep_epsilon
+from .solver import (SolveReport, SolverError, phase_gauge, solve_limit,
+                     solve_penalized, sweep_epsilon)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -59,17 +60,37 @@ def _print_solve_warnings(reports, validation) -> None:
                 print(f"warning: eps={r.eps:g}: {w}", file=sys.stderr)
 
 
-def _cmd_solve(args) -> int:
-    parsed = _load_parsed(args)
-    validation = _validated(parsed)
+def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
+    """Run `solve` and write its field, report and run files under `out`. A
+    SolverError that carries the last iterate writes that iterate with a
+    `converged: false` report before it propagates (exit 2)."""
     started = datetime.now(timezone.utc)
-    u, rep = solve_penalized(parsed.cfg, parsed.pot, parsed.grid, parsed.opts)
-    _print_solve_warnings([rep], validation)
-    out = Path(args.out)
-    save_field(out / "u.f64", u, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=parsed.cfg.eps)
+    try:
+        u, rep = solve()
+    except SolverError as exc:
+        if exc.field is None:
+            raise
+        u = phase_gauge(exc.field)
+        rep = SolveReport.failed(eps, parsed.opts.seed, str(exc))
+        _write_solution(out, parsed, u, rep, eps, started)
+        raise
+    _write_solution(out, parsed, u, rep, eps, started)
+    return rep
+
+
+def _write_solution(out: Path, parsed: ParsedConfig, u, rep, eps: float, started):
+    save_field(out / "u.f64", u, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=eps)
     write_report(out / "report.json", rep)
     write_run(out, parsed, {"u.f64": None, "u.f64.meta.json": None,
                             "report.json": None}, started)
+
+
+def _cmd_solve(args) -> int:
+    parsed = _load_parsed(args)
+    validation = _validated(parsed)
+    rep = _solve_into(Path(args.out), parsed, lambda: solve_penalized(
+        parsed.cfg, parsed.pot, parsed.grid, parsed.opts), parsed.cfg.eps)
+    _print_solve_warnings([rep], validation)
     print(json.dumps({"c_eps": rep.c_eps, "V_at_max": rep.V_at_max,
                       "valid_penalization": rep.valid_penalization,
                       "iterations": rep.iterations}))
@@ -79,13 +100,8 @@ def _cmd_solve(args) -> int:
 def _cmd_limit(args) -> int:
     parsed = _load_parsed(args)
     _validated(parsed)
-    started = datetime.now(timezone.utc)
-    u, rep = solve_limit(parsed.cfg, parsed.grid, parsed.opts)
-    out = Path(args.out)
-    save_field(out / "u.f64", u, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=1.0)
-    write_report(out / "report.json", rep)
-    write_run(out, parsed, {"u.f64": None, "u.f64.meta.json": None,
-                            "report.json": None}, started)
+    rep = _solve_into(Path(args.out), parsed, lambda: solve_limit(
+        parsed.cfg, parsed.grid, parsed.opts), 1.0)
     print(json.dumps({"c_V0": rep.c_eps, "decay_exponent": rep.decay_exponent,
                       "iterations": rep.iterations}))
     return EXIT_OK

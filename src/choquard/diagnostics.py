@@ -5,9 +5,9 @@ tail decay, and concentration trends."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma
 
 from .config import ProblemConfig, PotentialSpec, boundary_mask
 from .energy import EnergyContext, bisect_decreasing, shell_samples

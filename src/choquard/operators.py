@@ -39,9 +39,9 @@ so one pass serves a whole group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma, zeta
 
 from ._fft import fftn, ifftn
 from .grids import Field, GridSpec
@@ -65,12 +65,21 @@ def _check_s(s: float):
 
 def fourier_multiply(mult: np.ndarray, u: np.ndarray) -> np.ndarray:
     """ifft(mult * fft(u)) over the trailing `mult.ndim` axes of u (leading
-    axes stack fields): real in gives real out (the imaginary part is
-    dropped), complex in gives complex out."""
-    # explicit axes only for a stack: scipy's all-axes path is the faster one
-    axes = tuple(range(-mult.ndim, 0)) if u.ndim > mult.ndim else None
-    out = ifftn(mult * fftn(u, axes), axes)
-    return out if np.iscomplexobj(u) else np.real(out)
+    axes stack fields), for a real multiplier on the full spectrum that is
+    even in each axis. Complex in gives complex out; real in takes the real
+    transforms with the half multiplier mult[..., :M//2+1] and gives real
+    out, the real part of the complex route."""
+    axes = tuple(range(-mult.ndim, 0))
+    if np.iscomplexobj(u):
+        return ifftn(mult * fftn(u, axes), axes)
+    M = u.shape[-1]
+    return ifftn(mult[..., :M // 2 + 1] * fftn(u, axes), axes, M)
+
+
+def even_spectrum(k: np.ndarray) -> np.ndarray:
+    """The full spectrum of a real kernel that is even in each axis: real,
+    and a multiplier for `fourier_multiply`."""
+    return np.real(fftn(k.astype(complex)))
 
 
 def _shift_zero(u: np.ndarray, axis: int, step: int) -> np.ndarray:
@@ -107,6 +116,8 @@ def near_zone_weight(N: int, s: float, h: float, r0: int) -> float:
 
 def _torus_kernel(grid: GridSpec, s: float) -> np.ndarray:
     """Periodized |z|^(-N-2s) on nearest-image displacements; zero at z = 0."""
+    from scipy.special import zeta  # the torus mode alone needs scipy
+
     M, h, L, N = grid.M, grid.h, grid.L, grid.dim
     zi = ((np.arange(M) + M // 2) % M) - M // 2
     if N == 1:
@@ -185,7 +196,7 @@ class QuadratureOperator:
                 raise ValueError("the periodized kernel requires A == 0")
             self.tail = 0.0
             ker = _torus_kernel(g, self.s)
-            self._state["kernel_fft"] = fftn(ker)
+            self._state["kernel_fft"] = even_spectrum(ker)
             self._state["rowsum"] = float(np.sum(ker))
         else:
             self.cutoff = g.L - g.h / 2
@@ -193,7 +204,7 @@ class QuadratureOperator:
             M = g.M
             d = np.arange(2 * M)
             d = np.where(d < M, d, d - 2 * M)  # offsets -M..M-1; |offset| M unused
-            kernel_fft = fftn(_free_kernel(g, self.s, self.cutoff, d))
+            kernel_fft = even_spectrum(_free_kernel(g, self.s, self.cutoff, d))
             box = (Ellipsis,) + (slice(0, M),) * g.dim
             pad = np.zeros((2 * M,) * g.dim)
             pad[box] = 1.0
@@ -371,10 +382,16 @@ class SpectralOperator:
         return fourier_multiply(self.mult, u)
 
     def seminorm_sq(self, u: np.ndarray) -> float:
-        """[u]^2 via the Fourier symbol; equals <apply(u), u> on the grid."""
-        uf = fftn(u)
-        return float(np.sum(self.mult * np.abs(uf) ** 2)
-                     * self.grid.cell_volume() / self.grid.size)
+        """[u]^2 via the Fourier symbol; equals <apply(u), u> on the grid.
+        A real u sums its half spectrum: weight 2, but 1 on the planes 0
+        and M/2 of the last axis, which are their own mirror images."""
+        M = self.grid.M
+        power = np.abs(fftn(u)) ** 2
+        mult = self.mult
+        if not np.iscomplexobj(u):
+            mult = mult[..., :M // 2 + 1]
+            power[..., 1:M // 2] *= 2
+        return float(np.sum(mult * power) * self.grid.cell_volume() / self.grid.size)
 
 
 # ------------------------------------------------------------ public wrappers
@@ -444,7 +461,7 @@ def build_hartree_cache(grid: GridSpec, mu: float) -> HartreeCache:
     omega = np.pi ** (N / 2) / gamma(N / 2 + 1)  # unit-ball volume
     r_eq = h / omega ** (1.0 / N)
     k[(0,) * N] = sphere_area(N) * r_eq ** (N - mu) / ((N - mu) * h ** N)
-    spec = np.real(fftn(k)) * grid.cell_volume()
+    spec = even_spectrum(k) * grid.cell_volume()
     clip = float(max(0.0, -spec.min()))
     if clip > 1e-2 * spec.max():
         raise ValueError("Riesz kernel spectrum is grossly indefinite on this grid")

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ._fft import ifftn
 from .grids import Field, GridSpec
+
+
+@lru_cache(maxsize=4)
+def _window(grid: GridSpec) -> np.ndarray:
+    """exp(-sum (x/0.6L)^8) on the grid, built once per grid and read-only."""
+    w = np.exp(-np.sum((grid.mesh() / (0.6 * grid.L)) ** 8, axis=-1))
+    # exact zeros on the outermost layer keep zero-extension identities exact
+    for a in range(grid.dim):
+        sl = [slice(None)] * grid.dim
+        sl[a] = 0
+        w[tuple(sl)] = 0.0
+        sl[a] = grid.M - 1
+        w[tuple(sl)] = 0.0
+    w.setflags(write=False)
+    return w
 
 
 def band_limited_field(grid: GridSpec, rng: np.random.Generator, *,
@@ -22,16 +39,7 @@ def band_limited_field(grid: GridSpec, rng: np.random.Generator, *,
     vals = ifftn(coeffs) * grid.size
     if not complex_valued:
         vals = np.real(vals)
-    mesh = grid.mesh()
-    w = np.exp(-np.sum((mesh / (0.6 * grid.L)) ** 8, axis=-1))
-    # exact zeros on the outermost layer keep zero-extension identities exact
-    for a in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[a] = 0
-        w[tuple(sl)] = 0.0
-        sl[a] = grid.M - 1
-        w[tuple(sl)] = 0.0
-    vals = vals * w
+    vals = vals * _window(grid)
     nrm = np.max(np.abs(vals))
     if nrm > 0:
         vals = vals / nrm

@@ -342,3 +342,21 @@ def test_cli_solve_blow_up_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert "solver failed: calibration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["solve", "limit"])
+def test_cli_unconverged_solve_writes_iterate(tmp_path, capsys, verb):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["solver"]["max_iters"] = 1
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "solver failed: no convergence in 1 iterations" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert report["error"].startswith("no convergence")
+    u, meta = load_field(out / "u.f64")  # the checksum of the sidecar holds
+    assert u.sup_norm() > 0
+    assert meta["eps"] == (BASE_CONFIG["problem"]["eps"] if verb == "solve" else 1.0)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) >= {"u.f64", "u.f64.meta.json", "report.json"}

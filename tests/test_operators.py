@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from choquard import (Field, GridSpec, QuadratureOperator, SpectralOperator,
-                      build_hartree_cache, constant_A, frac_lap_constant, gagliardo_form,
+from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
+                      SpectralOperator, build_hartree_cache, build_limit_context,
+                      constant_A, frac_lap_constant, gagliardo_form,
                       magnetic_frac_laplacian, random_smooth_A, riesz_convolve,
                       spectral_frac_laplacian, spectral_seminorm_sq)
+from choquard.operators import fourier_multiply
 
 from conftest import brute_force_riesz
 
@@ -252,6 +254,42 @@ def test_fft_rowsums_match_literal_pair_sums(grid):
         expected = K.sum(axis=1).reshape(grid.shape)
         got = op._pair_data(np.zeros(grid.shape, dtype=complex))[0]
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+
+
+# ------------------------------------------------- real transforms, real fields
+
+def _multipliers(grid):
+    """The three multipliers of a solve: the spectral symbol, the Riesz
+    kernel spectrum and the preconditioner."""
+    cfg = ProblemConfig(dim=grid.dim, s=0.75, mu=0.5, q=4.0, eps=1.0, V0=1.0)
+    ctx = build_limit_context(cfg, grid)
+    return {"symbol": ctx.op.mult, "riesz": ctx.hartree.kernel_spectrum,
+            "precond": ctx.precond_multiplier()}
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_real_route_matches_complex_transform(dim, M, stack):
+    # oracle: the full complex transform, real part kept
+    grid = GridSpec(L=6.0, M=M, dim=dim)
+    u = np.random.default_rng(dim).normal(size=stack + grid.shape)
+    axes = tuple(range(-dim, 0))
+    for name, mult in _multipliers(grid).items():
+        ref = np.real(np.fft.ifftn(mult * np.fft.fftn(u, axes=axes), axes=axes))
+        out = fourier_multiply(mult, u)
+        assert out.dtype == np.float64 and out.shape == u.shape, name
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)])
+def test_real_seminorm_matches_complex_route(dim, M):
+    grid = GridSpec(L=6.0, M=M, dim=dim)
+    op = SpectralOperator(grid, 0.75)
+    u = random_complex_field(grid, 3).values.real
+    real = op.seminorm_sq(u)
+    assert real == pytest.approx(op.seminorm_sq(u.astype(complex)), rel=1e-13)
+    hV = grid.cell_volume()
+    assert real == pytest.approx(float(np.sum(op.apply(u) * u) * hV), rel=1e-12)
 
 
 # ------------------------------------------------------------ Riesz potential

@@ -131,6 +131,26 @@ def test_rescale_identity_and_shrink():
     assert np.max(np.abs(half.values - ref)) < 5e-3
 
 
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 12)])
+@pytest.mark.parametrize("ratio", [0.5, 0.7])
+def test_rescale_matches_scipy_spline(dim, M, ratio):
+    # oracle: scipy's cubic spline map, which the warm start reimplements
+    from scipy import ndimage
+    grid = GridSpec(L=5.0, M=M, dim=dim)
+    rng = np.random.default_rng(M)
+    vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    ax = np.arange(M) * ratio + (1 - ratio) * (grid.L / grid.h)
+    coords = np.stack([c.reshape(-1) for c in np.meshgrid(*([ax] * dim), indexing="ij")])
+
+    def ref(arr):
+        return ndimage.map_coordinates(arr, coords, order=3,
+                                       mode="nearest").reshape(grid.shape)
+    for u, want in ((vals.real, ref(vals.real)),
+                    (vals, ref(vals.real) + 1j * ref(vals.imag))):
+        got = rescale_field(Field(u, grid), ratio).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_solve_penalized_2d():
     grid = GridSpec(L=10.0, M=48, dim=2)
     cfg = ProblemConfig(dim=2, s=0.6, mu=0.8, q=2.5, eps=0.5, V0=1.0)
@@ -300,6 +320,22 @@ def test_non_finite_gradient_is_solver_error(plain_ctx, monkeypatch):
     with pytest.raises(SolverError, match="quadrature blow-up") as exc:
         minimize_on_nehari(ctx, u0, SolverOptions())
     assert exc.value.field is not None
+
+
+def test_cli_imports_no_scipy():
+    # scipy's fft, special and ndimage cost a CLI process ~0.5 s of imports
+    import os
+    import subprocess
+    import sys
+    code = ("import sys, choquard.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_imports_no_scipy_optimize():
