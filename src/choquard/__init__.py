@@ -15,7 +15,7 @@ from .grids import Field, GridSpec
 from .io import (ParsedConfig, RunManifest, load_field, parse_config,
                  report_to_dict, save_field)
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, F_truncated,
-                           G_eval, calibrate_ell0, f_truncated, g_eval)
+                           G_eval, f_truncated, g_eval)
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
                         build_hartree_cache, frac_lap_constant, gagliardo_form,
                         magnetic_frac_laplacian, near_zone_weight, riesz_convolve,

@@ -21,11 +21,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Scalar problem data.
-
-    ell0, a and kappa are produced by penalization calibration and are None
-    until then; a satisfies f(a) = V0/ell0 in closed form for the power model.
-    """
+    """Scalar problem data; the penalization lives in `EnergyContext.pen`."""
 
     dim: int
     s: float
@@ -33,12 +29,6 @@ class ProblemConfig:
     q: float
     eps: float
     V0: float
-    ell0: float | None = None
-    a: float | None = None
-    kappa: float | None = None
-
-    def with_penalization(self, ell0: float, a: float, kappa: float) -> "ProblemConfig":
-        return replace(self, ell0=ell0, a=a, kappa=kappa)
 
     def with_eps(self, eps: float) -> "ProblemConfig":
         return replace(self, eps=eps)
@@ -187,14 +177,6 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
 
     if region_leaves_domain(cfg, grid, pot):
         bad.append(REGION_LEAVES_DOMAIN)
-
-    if (cfg.ell0 is None) != (cfg.a is None):
-        bad.append("ell0 and a must be calibrated together")
-    if cfg.ell0 is not None and cfg.a is not None:
-        fa = max(cfg.a, 0.0) ** ((cfg.q - 2.0) / 2.0)
-        target = cfg.V0 / cfg.ell0
-        if abs(fa - target) > 1e-10 * max(1.0, abs(target)):
-            bad.append("penalization threshold a does not satisfy f(a) = V0/ell0")
 
     return ValidationReport(tuple(bad), tuple(warn))
 

@@ -10,10 +10,21 @@ from math import gamma
 import numpy as np
 
 from .config import ProblemConfig, PotentialSpec, boundary_mask
-from .energy import EnergyContext, bisect_decreasing, shell_samples
+from .energy import EnergyContext, bisect_decreasing, sampled_hartree_sup, shell_samples
 from .grids import Field, GridSpec
 from .operators import build_hartree_cache, gagliardo_form, riesz_convolve
-from .sampling import band_limited_field
+
+
+# check_decay: the largest |u| / (fitted envelope) beyond L/8, and how far the
+# tail's log-log slope may sit from -(N+2s)
+DECAY_ENVELOPE_FACTOR = 1.5
+DECAY_SLOPE_TOL = 0.3
+# check_hls: allowed ratio of the pairing to the sharp-constant estimate
+HLS_SLACK_FACTOR = 2.0
+# check_concentration: allowed rise of V(x_eps) - V0 between sweep steps, and
+# the final gap's allowed fraction of the boundary barrier
+CONCENTRATION_STEP_SLACK = 1e-2
+CONCENTRATION_GAP_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -93,26 +104,25 @@ def fit_decay(u: Field, s: float, x_max_index) -> tuple[float, float, str]:
     return slope, C, status
 
 
-def check_decay(u: Field, eps: float, x_max_index, s: float, *,
-                envelope_factor: float = 1.5, slope_tol: float = 0.3) -> CheckResult:
+def check_decay(u: Field, eps: float, x_max_index, s: float) -> CheckResult:
     """Verify the polynomial decay envelope and its exponent on a converged
     field (rescaled coordinates, where the bound reads C/(1 + r^(N+2s)))."""
     g = u.grid
     power = g.dim + 2 * s
     slope, C, status = fit_decay(u, s, x_max_index)
     if status == "inconclusive" or np.isnan(slope) or C <= 0:
-        return CheckResult("decay", False, float("nan"), envelope_factor, 0.0,
+        return CheckResult("decay", False, float("nan"), DECAY_ENVELOPE_FACTOR, 0.0,
                            {"status": "inconclusive", "eps": eps})
     r = _tail_radii(u, x_max_index)
     envp = _periodized_envelope(u, x_max_index, power)
     region = r >= g.L / 8
     max_ratio = float(np.max(np.abs(u.values[region]) / (C * envp[region])))
-    envelope_ok = max_ratio <= envelope_factor
+    envelope_ok = max_ratio <= DECAY_ENVELOPE_FACTOR
     target = -power
-    slope_ok = abs(slope - target) <= slope_tol
-    steeper = slope < target - slope_tol
+    slope_ok = abs(slope - target) <= DECAY_SLOPE_TOL
+    steeper = slope < target - DECAY_SLOPE_TOL
     passed = envelope_ok and (slope_ok or steeper)
-    return CheckResult("decay", passed, max_ratio, envelope_factor, 0.0,
+    return CheckResult("decay", passed, max_ratio, DECAY_ENVELOPE_FACTOR, 0.0,
                        {"status": status, "slope": slope, "slope_target": target,
                         "slope_ok": slope_ok, "steeper": steeper, "C_fit": C,
                         "eps": eps})
@@ -157,7 +167,7 @@ def hls_sharp_constant(N: int, mu: float) -> float:
                  * (gamma(N / 2) / gamma(N)) ** (-1 + mu / N))
 
 
-def check_hls(u: Field, cfg: ProblemConfig, *, slack_factor: float = 2.0) -> CheckResult:
+def check_hls(u: Field, cfg: ProblemConfig) -> CheckResult:
     """Empirical pairing ratio against the sharp-constant estimate, for the
     density |u|^2 + |u|^q controlling the Hartree term."""
     g = u.grid
@@ -170,38 +180,25 @@ def check_hls(u: Field, cfg: ProblemConfig, *, slack_factor: float = 2.0) -> Che
     if norm_t == 0:
         return CheckResult("hls", True, 0.0, 0.0, 0.0, {"empty": True})
     ratio = D / norm_t ** 2
-    bound = slack_factor * hls_sharp_constant(cfg.dim, cfg.mu)
+    bound = HLS_SLACK_FACTOR * hls_sharp_constant(cfg.dim, cfg.mu)
     return CheckResult("hls", ratio <= bound, ratio, bound, 0.0,
-                       {"t": t, "sharp": bound / slack_factor})
+                       {"t": t, "sharp": bound / HLS_SLACK_FACTOR})
 
 
 # ---------------------------------------------------------- convolution bound
 
 def check_hartree_bound(ctx: EnergyContext, *, n_samples: int = 50,
-                        seed: int = 1234, extra_fields=None) -> CheckResult:
+                        seed: int = 1234) -> CheckResult:
     """Fresh-sample estimate of sup ||K(u)||_inf / ell0 over the bounded set B;
     the calibration keeps it at 1/4, the requirement is < 1/2."""
-    if ctx.pen is None or ctx.cfg.kappa is None:
+    pen = ctx.pen
+    if pen is None or pen.kappa is None:
         raise ValueError("check_hartree_bound needs a calibrated context")
-    shell = 4.0 * (ctx.cfg.kappa + 1.0)
-    sup = 0.0
-    n_used = 0
-    excluded = 0
-    fields = list(shell_samples(ctx, shell, n_samples, seed))
-    if extra_fields:
-        for f in extra_fields:
-            fields.append((f, ctx.norm_eps_sq(f.values)))
-    for f, n2 in fields:
-        if n2 > shell * (1 + 1e-9):
-            excluded += 1
-            continue
-        K = ctx.hartree_potential(np.abs(f.values) ** 2)
-        sup = max(sup, float(np.max(np.abs(K))))
-        n_used += 1
-    ratio = sup / ctx.pen.ell0
+    shell = 4.0 * (pen.kappa + 1.0)
+    sup, used = sampled_hartree_sup(ctx, shell, n_samples, seed)
+    ratio = sup / pen.ell0
     return CheckResult("hartree_bound", ratio < 0.5, ratio, 0.5, 0.0,
-                       {"samples": n_used, "excluded": excluded, "seed": seed,
-                        "shell": shell})
+                       {"samples": used, "seed": seed, "shell": shell})
 
 
 # ----------------------------------------------------- mountain-pass geometry
@@ -214,19 +211,13 @@ def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7):
     sampled sup underestimates the true one), then solves
     C(rho^4 + rho^(2q)) = rho^2/4, so the energy on the shell ||u|| = rho is
     at least rho^2/4 > 0.  Returns (rho, C)."""
-    rng = np.random.default_rng(seed)
     q = ctx.cfg.q
     hV = ctx.grid.cell_volume()
     ts = np.logspace(-2, 1.5, 15)
     C_emp = 0.0
-    for _ in range(n_samples):
-        f = band_limited_field(ctx.grid, rng, complex_valued=False)
-        n2 = ctx.norm_eps_sq(f.values)
-        if n2 <= 0:
-            continue
-        v = f.values / np.sqrt(n2)
+    for u in shell_samples(ctx, 1.0, n_samples, seed):
         for t in ts:
-            Gv = ctx.G_of((t * np.abs(v)) ** 2)
+            Gv = ctx.G_of((t * np.abs(u.values)) ** 2)
             har = float(np.sum(riesz_convolve(Gv, ctx.hartree) * Gv) * hV)
             C_emp = max(C_emp, 0.25 * har / (t ** 4 + t ** (2 * q)))
     if C_emp == 0:
@@ -246,8 +237,7 @@ def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7):
 # -------------------------------------------------------------- concentration
 
 def check_concentration(reports, pot: PotentialSpec, cfg: ProblemConfig,
-                        grid: GridSpec, *, step_slack: float = 1e-2,
-                        gap_factor: float = 0.1) -> CheckResult:
+                        grid: GridSpec) -> CheckResult:
     """Trends over a sweep: V at the maxima drifts down to the floor, the final
     gap closes relative to the boundary barrier, and the smallest-eps maximum
     sits inside the region. Diverged entries are skipped and flagged."""
@@ -259,7 +249,7 @@ def check_concentration(reports, pot: PotentialSpec, cfg: ProblemConfig,
         return CheckResult("concentration", False, float("nan"), float("nan"), 0.0,
                            {"partial_coverage": True, "converged": len(good)})
     gaps = [r.V_at_max - cfg.V0 for r in good]
-    monotone = all(b <= a + step_slack for a, b in zip(gaps, gaps[1:]))
+    monotone = all(b <= a + CONCENTRATION_STEP_SLACK for a, b in zip(gaps, gaps[1:]))
 
     smallest = good[-1]
     pts = grid.points()
@@ -268,11 +258,11 @@ def check_concentration(reports, pot: PotentialSpec, cfg: ProblemConfig,
     vvals = np.asarray(pot.V(smallest.eps * pts)).reshape(grid.shape)
     barrier = float(np.min(vvals[bnd])) - cfg.V0 if bnd.any() else float("nan")
     final_gap = gaps[-1]
-    gap_ok = final_gap < gap_factor * barrier
+    gap_ok = final_gap < CONCENTRATION_GAP_FACTOR * barrier
     x_in = bool(pot.region.contains(
         (smallest.eps * np.asarray(smallest.x_eps))[None, :])[0])
     passed = monotone and gap_ok and x_in and not any(np.isnan(gaps))
-    return CheckResult("concentration", passed, final_gap, gap_factor * barrier,
-                       step_slack,
+    return CheckResult("concentration", passed, final_gap,
+                       CONCENTRATION_GAP_FACTOR * barrier, CONCENTRATION_STEP_SLACK,
                        {"gaps": gaps, "monotone": monotone, "argmax_inside": x_in,
                         "partial_coverage": partial, "barrier": barrier})

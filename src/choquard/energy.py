@@ -9,8 +9,8 @@ import numpy as np
 
 from .config import ProblemConfig, PotentialSpec, rescaled_grid
 from .grids import Field, GridSpec
-from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval,
-                           calibrate_ell0, g_eval)
+from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval, g_eval,
+                           threshold_for)
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
                         build_hartree_cache, riesz_convolve)
 from .sampling import band_limited_field, bump_in_region
@@ -84,11 +84,6 @@ class EnergyContext:
     def hartree_potential(self, density: np.ndarray) -> np.ndarray:
         """K(u) = |x|^(-mu) * G(eps x, |u|^2)."""
         return riesz_convolve(self.G_of(density), self.hartree)
-
-    def with_penalization(self, pen: PenalizationParams, kappa: float | None = None) -> "EnergyContext":
-        cfg = self.cfg.with_penalization(pen.ell0, pen.a, kappa if kappa is not None
-                                         else self.cfg.kappa)
-        return replace(self, cfg=cfg, pen=pen)
 
 
 def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
@@ -167,8 +162,8 @@ def gradient(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> Fiel
     return Field(out, u.grid)
 
 
-def nehari_residual(u: Field, ctx: EnergyContext) -> float:
-    return energy(u, ctx).nehari_residual
+def nehari_residual(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> float:
+    return energy(u, ctx, Lu).nehari_residual
 
 
 # ------------------------------------------------------------------ Nehari
@@ -247,7 +242,8 @@ SAMPLE_GROUP_BYTES = 1 << 17
 
 def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
     """Random band-limited fields projected to ||u||_eps^2 = shell (the extreme
-    shell of the bounded set B), as (field, norm_sq) pairs.
+    shell of the bounded set B); zero-norm draws are skipped. Complex draws
+    when the operator is magnetic.
 
     The fields and their order are those of drawing one at a time; only the
     norms are computed a group at a time."""
@@ -258,20 +254,28 @@ def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
         U = np.stack([band_limited_field(ctx.grid, rng, complex_valued=complex_valued).values
                       for _ in range(min(per_group, n - lo))])
         for v, n2 in zip(U, ctx.norm_eps_sq(U, ctx.apply_op(U))):
-            if n2 <= 0:
-                continue
-            yield Field(v * np.sqrt(shell / n2), ctx.grid), shell
+            if n2 > 0:
+                yield Field(v * np.sqrt(shell / n2), ctx.grid)
+
+
+def sampled_hartree_sup(ctx: EnergyContext, shell: float, n: int, seed: int
+                        ) -> tuple[float, int]:
+    """The largest sup |K(u)| over the shell samples of `shell_samples`, and
+    how many samples entered it."""
+    sup, used = 0.0, 0
+    for u in shell_samples(ctx, shell, n, seed):
+        sup = max(sup, float(np.max(np.abs(ctx.hartree_potential(np.abs(u.values) ** 2)))))
+        used += 1
+    return sup, used
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """The calibrated penalization and the inputs a report keeps: the cap
-    kappa, the sampled bound C0, how many shell samples entered the supremum
-    (`samples_used`) and how many did not (`samples_skipped`: zero-norm
-    draws and fields outside B), and the canonical bump."""
+    """The calibrated penalization and the inputs a report keeps: the sampled
+    bound C0, how many shell samples entered the supremum (`samples_used`) and
+    how many did not (`samples_skipped`: zero-norm draws), and the canonical bump."""
 
     pen: PenalizationParams
-    kappa: float
     C0: float
     samples_used: int
     samples_skipped: int
@@ -285,8 +289,9 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
     kappa is twice the ray maximum of the energy of the canonical bump
     supported in the blown-up region (where the truncation is inactive, so the
     value does not depend on it); C0 is the sampled supremum of the Hartree
-    sup norm over the shell ||u||^2 = 4(kappa+1); ell0 = 4*C0 keeps the
-    bound ratio at 1/4; the threshold a = (V0/ell0)^(2/(q-2)) is closed form.
+    sup norm over the shell ||u||^2 = 4(kappa+1), taken with the un-truncated
+    F; ell0 = 4*C0 keeps the bound ratio at 1/4; the threshold
+    a = (V0/ell0)^(2/(q-2)) is closed form.
     """
     base = replace(ctx, pen=None)
     u0 = bump_in_region(ctx.grid, ctx.lambda_mask)
@@ -294,15 +299,9 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
     Lu0 = base.apply_op(u0.values)
     t_star = nehari_project(u0, base, Lu=Lu0)
     kappa = 2.0 * energy_value(Field(t_star * u0.values, ctx.grid), base, t_star * Lu0)
-    shell = 4.0 * (kappa + 1.0)
-    used = 0
-
-    def hartree_sup(fld: Field) -> float:
-        nonlocal used
-        used += 1
-        Fv = base.nl.F(np.abs(fld.values) ** 2)
-        return float(np.max(np.abs(riesz_convolve(Fv, base.hartree))))
-
-    pen, C0 = calibrate_ell0(shell_samples(base, shell, n_samples, seed),
-                             hartree_sup, V0=ctx.cfg.V0, q=ctx.cfg.q, shell=shell)
-    return Calibration(pen, kappa, C0, used, n_samples - used, u0)
+    C0, used = sampled_hartree_sup(base, 4.0 * (kappa + 1.0), n_samples, seed)
+    if not C0 > 0:
+        raise ValueError("calibration drew no nonzero field on the shell of B")
+    ell0, V0 = 4.0 * C0, ctx.cfg.V0
+    pen = PenalizationParams(ell0, threshold_for(ell0, V0, ctx.cfg.q), V0, kappa)
+    return Calibration(pen, C0, used, n_samples - used, u0)

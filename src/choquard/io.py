@@ -27,6 +27,8 @@ from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
 from .solver import SolverOptions
 
 TOOL_VERSION = "0.1.0"
+# the sidecar's name for the global phase of a stored field (solver.phase_gauge)
+PHASE_GAUGE = "argmax-real-positive"
 
 
 # ---------------------------------------------------------------- atomic io
@@ -51,8 +53,7 @@ def _atomic_write_json(path: Path, doc):
 
 # ------------------------------------------------------------ field storage
 
-def save_field(path, u: Field, *, s: float, mu: float, eps: float,
-               phase_gauge: str = "argmax-real-positive") -> dict:
+def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> dict:
     """Write the field payload and its sidecar; returns the sidecar document."""
     path = Path(path)
     vals = np.ascontiguousarray(u.values, dtype=complex)
@@ -66,7 +67,7 @@ def save_field(path, u: Field, *, s: float, mu: float, eps: float,
         "s": s,
         "mu": mu,
         "eps": eps,
-        "phase_gauge": phase_gauge,
+        "phase_gauge": PHASE_GAUGE,
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     _atomic_write_bytes(path, payload)

@@ -8,7 +8,6 @@ has the closed form a = (V0/ell0)^(2/(q-2)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,11 +31,14 @@ class PowerNonlinearity:
 
 @dataclass(frozen=True)
 class PenalizationParams:
-    """Calibrated truncation data: cap value f(a) = V0/ell0 at threshold a."""
+    """Calibrated truncation data: cap value f(a) = V0/ell0 at threshold a,
+    and the mountain-pass cap kappa that sets the bounded set B (None when
+    the penalization was given rather than calibrated)."""
 
     ell0: float
     a: float
     V0: float
+    kappa: float | None = None
 
     @property
     def cap(self) -> float:
@@ -68,29 +70,3 @@ def G_eval(t, inside, nl: PowerNonlinearity, pen: PenalizationParams | None):
 
 def threshold_for(ell0: float, V0: float, q: float) -> float:
     return (V0 / ell0) ** (2.0 / (q - 2.0))
-
-
-def calibrate_ell0(samples: Iterable, hartree_sup: Callable[[object], float], *,
-                   V0: float, q: float, shell: float | None = None
-                   ) -> tuple[PenalizationParams, float]:
-    """Estimate the convolution bound C0 over sampled fields and fix ell0 = 4*C0.
-
-    `samples` yields fields inside the bounded set B (norm^2 <= shell when a
-    shell is given; others are skipped); `hartree_sup` maps a field to the
-    sup norm of its Riesz-convolved Hartree factor. Returns the calibrated
-    params together with the estimated C0.
-    """
-    C0 = 0.0
-    used = 0
-    for item in samples:
-        u, norm_sq = item if isinstance(item, tuple) else (item, None)
-        if shell is not None and norm_sq is not None and norm_sq > shell * (1 + 1e-9):
-            continue
-        C0 = max(C0, float(hartree_sup(u)))
-        used += 1
-    if used == 0:
-        raise ValueError("calibration sampler produced no field inside B")
-    if C0 <= 0:
-        raise ValueError("calibration sampler produced only zero fields")
-    ell0 = 4.0 * C0
-    return PenalizationParams(ell0=ell0, a=threshold_for(ell0, V0, q), V0=V0), C0

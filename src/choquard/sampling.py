@@ -46,15 +46,10 @@ def band_limited_field(grid: GridSpec, rng: np.random.Generator, *,
     return Field(vals, grid)
 
 
-def gaussian_bump(grid: GridSpec, center=None, width: float = 1.0,
-                  amplitude: float = 1.0, complex_valued: bool = False) -> Field:
-    mesh = grid.mesh()
-    c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
-    r2 = np.sum((mesh - c) ** 2, axis=-1)
-    vals = amplitude * np.exp(-r2 / (2.0 * width ** 2))
-    if complex_valued:
-        vals = vals.astype(complex)
-    return Field(vals, grid)
+def gaussian_bump(grid: GridSpec, width: float = 1.0) -> Field:
+    """Real Gaussian of unit height centred at the origin."""
+    r2 = np.sum(grid.mesh() ** 2, axis=-1)
+    return Field(np.exp(-r2 / (2.0 * width ** 2)), grid)
 
 
 def bump_in_region(grid: GridSpec, mask: np.ndarray) -> Field:

@@ -3,7 +3,7 @@ manifold, and the epsilon-sweep concentration experiment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +81,9 @@ class SolveReport:
     kappa: float | None = None
     ell0: float | None = None
     a: float | None = None
+    # sup |u| outside the region over min(a, sqrt(a)); the solve is a valid
+    # penalization exactly when it is below 1 (None without a penalization)
+    penalization_margin: float | None = None
     # calibration inputs; None when the penalization was given, not calibrated
     C0: float | None = None
     calibration_samples_used: int | None = None
@@ -107,7 +110,8 @@ class SolveReport:
 
 
 class Descent(NamedTuple):
-    """Result of `minimize_on_nehari`."""
+    """Result of `minimize_on_nehari`; `Lu` is the operator image of u.
+    The benchmark's trace reads `iterations` by position, as index 2."""
 
     u: Field
     J: float
@@ -116,6 +120,7 @@ class Descent(NamedTuple):
     history: list
     line_search_trials: int
     nehari_projections: int
+    Lu: np.ndarray
 
 
 def phase_gauge(u: Field) -> Field:
@@ -166,7 +171,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = d.l2_norm()
         if gn < opts.grad_tol:
-            return Descent(u, J, it, gn, history, trials, projections)
+            return Descent(u, J, it, gn, history, trials, projections, Lu)
         if u_prev is not None:
             sv = u.values - u_prev.values
             yv = d.values - d_prev.values
@@ -247,13 +252,13 @@ def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
         V_at_max = float(np.asarray(pot.V((eps * x_eps)[None, :]))[0])
     else:
         V_at_max = ctx.cfg.V0
-    outside = ~ctx.lambda_mask
-    if ctx.pen is not None and outside.any():
-        sup_out = float(np.max(np.abs(u.values[outside])))
-        thresh = min(ctx.pen.a, np.sqrt(ctx.pen.a))
+    pen = ctx.pen
+    valid, margin = True, None
+    if pen is not None:
+        sup_out = float(np.max(np.abs(u.values[~ctx.lambda_mask]), initial=0.0))
+        thresh = min(pen.a, np.sqrt(pen.a))
         valid = bool(sup_out < thresh)
-    else:
-        valid = True
+        margin = sup_out / thresh
     if not valid:
         warnings = warnings + (INVALID_PENALIZATION_WARNING,)
     slope, Cfit, status = fit_decay(u, ctx.cfg.s, idx)
@@ -262,10 +267,12 @@ def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
         V_at_max=V_at_max, valid_penalization=valid,
         decay_exponent=slope, Cfit=Cfit, iterations=run.iterations,
         residual=run.grad_norm, converged=True,
-        nehari_residual=nehari_residual(u, ctx),
+        nehari_residual=nehari_residual(run.u, ctx, run.Lu),
         sup_norm=u.sup_norm(), boundary_ratio=_boundary_ratio(u),
         eps=eps, seed=opts.seed, backend=ctx.op.backend,
-        kappa=ctx.cfg.kappa, ell0=ctx.cfg.ell0, a=ctx.cfg.a,
+        kappa=pen.kappa if pen else None, ell0=pen.ell0 if pen else None,
+        a=pen.a if pen else None,
+        penalization_margin=margin,
         C0=cal.C0 if cal else None,
         calibration_samples_used=cal.samples_used if cal else None,
         calibration_samples_skipped=cal.samples_skipped if cal else None,
@@ -293,15 +300,14 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
         raise SolverError("configuration violates admissibility: "
                           + "; ".join(report.violations))
     ctx = build_penalized_context(cfg, pot, grid)
-    kappa = cfg.kappa
     cal = None
     if pen is None:
         try:
             cal = calibrate_penalization(ctx, n_samples=calibration_samples, seed=opts.seed)
         except NehariError as exc:
             raise SolverError(f"calibration: {exc}") from None
-        pen, kappa = cal.pen, cal.kappa
-    ctx = ctx.with_penalization(pen, kappa)
+        pen = cal.pen
+    ctx = replace(ctx, pen=pen)
     start = initial if initial is not None else _default_start(ctx, opts)
     run = minimize_on_nehari(ctx, start, opts)
     return _finish_report(run, ctx, pot, opts, report.warnings, cal)

@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def magnetic_ctx(grid1d):
                         region=BallRegion((0.0,), 1.0), V0=1.0)
     ctx = build_penalized_context(cfg, pot, grid1d)
     cal = calibrate_penalization(ctx, n_samples=20, seed=3)
-    return ctx.with_penalization(cal.pen, cal.kappa), pot, cal.u0
+    return replace(ctx, pen=cal.pen), pot, cal.u0
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +82,7 @@ def plain_ctx(grid1d):
                         A=None, region=BallRegion((0.0,), 1.0), V0=1.0)
     ctx = build_penalized_context(cfg, pot, grid1d)
     cal = calibrate_penalization(ctx, n_samples=20, seed=3)
-    return ctx.with_penalization(cal.pen, cal.kappa), pot, cal.u0
+    return replace(ctx, pen=cal.pen), pot, cal.u0
 
 
 @pytest.fixture(scope="session")

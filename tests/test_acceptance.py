@@ -1,14 +1,12 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion. The optional 3-D coarse sweep runs only when CHOQUARD_N3=1.
+criterion.
 """
 
-import os
 import time
 
 import numpy as np
-import pytest
 
 from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
                       SolverOptions, build_hartree_cache,
@@ -227,8 +225,6 @@ def test_criterion_10_concentration_sweep():
            f"c_eps/c_V0 = {ratio:.4f}, penalization valid", t0)
 
 
-@pytest.mark.skipif(os.environ.get("CHOQUARD_N3") != "1",
-                    reason="optional 3-D coarse sweep; set CHOQUARD_N3=1 to run")
 def test_criterion_10b_sweep_3d_coarse():
     t0 = time.time()
     cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)

@@ -23,3 +23,7 @@ def test_traced_names_resolve():
     for mod_name, cls_name, method, _ in spans.METHODS:
         cls = getattr(importlib.import_module(mod_name), cls_name)
         assert callable(getattr(cls, method)), (mod_name, cls_name, method)
+    # spans._count_iters reads the iterations of `minimize_on_nehari`'s result
+    # by position
+    from choquard.solver import Descent
+    assert Descent._fields[2] == "iterations"

@@ -44,17 +44,6 @@ def test_desk_scale_warning_flags():
     assert any("outside theory hypotheses" in w for w in rep.warnings)
 
 
-def test_calibration_consistency_check():
-    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0,
-                        ell0=4.0, a=(1.0 / 4.0) ** 2, kappa=1.0)
-    grid = GridSpec(L=8.0, M=64, dim=1)
-    assert validate_config(cfg, make_pot(1), grid).ok
-    bad = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0,
-                        ell0=4.0, a=0.9, kappa=1.0)
-    rep = validate_config(bad, make_pot(1), grid)
-    assert any("f(a) = V0/ell0" in v for v in rep.violations)
-
-
 def test_rescaled_grid_ball_blowup():
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     grid = GridSpec(L=8.0, M=64, dim=1)

@@ -120,17 +120,6 @@ def test_hartree_bound_fresh_samples(plain_ctx):
     assert res.lhs <= 0.25 + 0.1  # calibration ratio plus sampling slack
 
 
-def test_hartree_bound_excludes_outside_B(plain_ctx):
-    ctx, _, _ = plain_ctx
-    shell = 4.0 * (ctx.cfg.kappa + 1.0)
-    big = Field(np.exp(-ctx.grid.axis() ** 2 / 9), ctx.grid)
-    n2 = ctx.norm_eps_sq(big.values)
-    big = Field(big.values * np.sqrt(10 * shell / n2), ctx.grid)  # 10x the shell
-    res = check_hartree_bound(ctx, n_samples=10, seed=5, extra_fields=[big])
-    assert res.passed
-    assert res.context["excluded"] == 1
-
-
 def test_hartree_bound_requires_calibration(plain_ctx):
     ctx, _, _ = plain_ctx
     from dataclasses import replace

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from choquard import (Field, GridSpec, PenalizationParams, PowerNonlinearity,
-                      G_eval, build_hartree_cache, calibrate_ell0,
+                      G_eval, build_hartree_cache, calibrate_penalization,
                       f_truncated, g_eval, riesz_convolve)
+from choquard.energy import sampled_hartree_sup, shell_samples
 from choquard.nonlinearity import threshold_for
 
 from conftest import brute_force_riesz
@@ -90,24 +93,7 @@ def test_g4_finite_differences_on_log_grid():
         assert np.all(np.diff(Gt) >= -1e-12)
 
 
-def test_calibrate_ell0_zero_field_and_ratio():
-    grid = GridSpec(L=10.0, M=64, dim=1)
-    cache = build_hartree_cache(grid, 0.5)
-    nl = PowerNonlinearity(3.0)
-
-    def hartree_sup(u):
-        return float(np.max(np.abs(riesz_convolve(nl.F(np.abs(u.values) ** 2), cache))))
-
-    zero = Field(np.zeros(64), grid)
-    bump = Field(np.exp(-grid.axis() ** 2), grid)
-    with pytest.raises(ValueError):
-        calibrate_ell0([zero], hartree_sup, V0=1.0, q=3.0)
-    pen, C0 = calibrate_ell0([zero, bump], hartree_sup, V0=1.0, q=3.0)
-    assert C0 / pen.ell0 == pytest.approx(0.25)
-    assert pen.a == pytest.approx((1.0 / pen.ell0) ** 2)
-
-
-def test_calibrate_C0_matches_brute_force():
+def test_calibrate_C0_matches_brute_force(plain_ctx):
     # single Gaussian bump, N=1, mu=0.5, q=3
     grid = GridSpec(L=10.0, M=128, dim=1)
     cache = build_hartree_cache(grid, 0.5)
@@ -118,13 +104,17 @@ def test_calibrate_C0_matches_brute_force():
     direct = brute_force_riesz(Fv, cache.kernel, grid.cell_volume())
     assert np.max(np.abs(fast - direct)) < 1e-6 * np.max(np.abs(direct))
 
-    def hartree_sup(f):
-        return float(np.max(np.abs(riesz_convolve(nl.F(np.abs(f.values) ** 2), cache))))
+    # the sampled supremum that sets C0, against direct sums on the same draws
+    ctx = replace(plain_ctx[0], pen=None)
+    shell = 5.0
+    sup, used = sampled_hartree_sup(ctx, shell, 6, seed=3)
+    sups = [np.max(np.abs(brute_force_riesz(ctx.nl.F(np.abs(f.values) ** 2),
+                                            ctx.hartree.kernel, ctx.grid.cell_volume())))
+            for f in shell_samples(ctx, shell, 6, seed=3)]
+    assert used == len(sups) == 6
+    assert sup == pytest.approx(max(sups), rel=1e-6)
 
-    pen, C0 = calibrate_ell0([u], hartree_sup, V0=1.0, q=3.0)
-    assert C0 == pytest.approx(np.max(np.abs(direct)), rel=1e-6)
 
-
-def test_empty_sampler_errors():
-    with pytest.raises(ValueError, match="no field inside B"):
-        calibrate_ell0([], lambda u: 1.0, V0=1.0, q=3.0)
+def test_empty_sampler_errors(plain_ctx):
+    with pytest.raises(ValueError, match="no nonzero field"):
+        calibrate_penalization(plain_ctx[0], n_samples=0)

@@ -6,7 +6,7 @@ from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
                       clipped_quadratic_V, constant_A, constant_V, energy_value,
                       rescale_field, solve_limit, solve_penalized, sweep_epsilon)
 
-from choquard.nonlinearity import PenalizationParams
+from choquard.nonlinearity import PenalizationParams, threshold_for
 
 from conftest import align_phase
 
@@ -221,8 +221,9 @@ def test_sweep_records_failures_and_continues():
 
 def test_magnetic_2d_one_pair_pass_per_trial(monkeypatch):
     # the operator image of each trial serves its projection, its energy and
-    # the next gradient; set-up: the calibration bump, one stacked pass per
-    # group of shell samples, the start and the final Nehari residual
+    # the next gradient, and the last one the final Nehari residual; set-up:
+    # the calibration bump, one stacked pass per group of shell samples and
+    # the start
     from choquard import QuadratureOperator, sine_A
     from choquard.energy import SAMPLE_GROUP_BYTES
     grid = GridSpec(L=6.0, M=16, dim=2)
@@ -242,7 +243,7 @@ def test_magnetic_2d_one_pair_pass_per_trial(monkeypatch):
     per_group = SAMPLE_GROUP_BYTES // (16 * grid.size)
     groups = -(-50 // per_group)
     assert 1 < per_group < 50
-    assert len(passes) == rep.line_search_trials + 3 + groups
+    assert len(passes) == rep.line_search_trials + 2 + groups
     assert passes.count((per_group,) + grid.shape) == 50 // per_group
 
 
@@ -254,6 +255,7 @@ def test_report_keeps_calibration_inputs():
     _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
                              calibration_samples=20)
     assert rep.C0 > 0 and rep.ell0 == pytest.approx(4 * rep.C0, rel=1e-15)
+    assert rep.a == threshold_for(rep.ell0, cfg.V0, cfg.q)
     assert rep.calibration_samples_used + rep.calibration_samples_skipped == 20
     assert rep.calibration_samples_used > 0
     assert rep.spectrum_clip == 0.0
@@ -263,6 +265,25 @@ def test_report_keeps_calibration_inputs():
     _, rep2 = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
                               pen=PenalizationParams(rep.ell0, rep.a, cfg.V0))
     assert rep2.C0 is None and rep2.calibration_samples_used is None
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0])
+def test_penalization_margin_decides_validity(q):
+    # sine A on a small 1-D config: q = 3 ends with |u| outside the region
+    # above the threshold (margin ~4), q = 4 below it (margin ~0.36)
+    from choquard import sine_A
+    grid = GridSpec(L=12.0, M=96, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=q, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
+                        A=sine_A(0.5, 4.0, 1), region=BallRegion((0.0,), 1.0), V0=1.0)
+    u, rep = solve_penalized(cfg, pot, grid, SolverOptions(seed=7))
+    outside = ~pot.region.contains(cfg.eps * grid.points()).reshape(grid.shape)
+    want = np.max(np.abs(u.values[outside])) / min(rep.a, np.sqrt(rep.a))
+    assert rep.penalization_margin == pytest.approx(want, rel=1e-12)
+    assert (rep.penalization_margin < 1) == rep.valid_penalization
+    assert rep.valid_penalization == (q == 4.0)
+    _, rep_lim = solve_limit(cfg, grid)
+    assert rep_lim.penalization_margin is None and rep_lim.valid_penalization
 
 
 def test_sweep_propagates_other_errors(monkeypatch):
