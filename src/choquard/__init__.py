@@ -2,8 +2,8 @@
 grids: penalized energy minimization on the Nehari manifold, with diagnostics
 for decay and concentration."""
 
-from .config import (ConfigError, PotentialSpec, ProblemConfig, RescaledGrid,
-                     ValidationReport, rescaled_grid, validate_config)
+from .config import (ConfigError, PotentialSpec, ProblemConfig, ValidationReport,
+                     region_mask, validate_config)
 from .diagnostics import (CheckResult, check_concentration, check_decay,
                           check_diamagnetic, check_hartree_bound, check_hls,
                           fit_decay, hls_sharp_constant, mpg_shell_radius)
@@ -17,9 +17,8 @@ from .io import (ParsedConfig, RunManifest, load_field, parse_config,
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, F_truncated,
                            G_eval, f_truncated, g_eval)
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
-                        build_hartree_cache, frac_lap_constant, gagliardo_form,
-                        magnetic_frac_laplacian, near_zone_weight, riesz_convolve,
-                        spectral_frac_laplacian, spectral_seminorm_sq, sphere_area)
+                        build_hartree_cache, frac_lap_constant, near_zone_weight,
+                        quadratic_form, riesz_convolve, sphere_area)
 from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
                          constant_V, random_smooth_A, sine_A, zero_A)
 from .solver import (SolveReport, SolverError, SolverOptions, phase_gauge,

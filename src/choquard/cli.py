@@ -26,16 +26,27 @@ EXIT_SOLVER = 2
 
 
 def _load_parsed(args) -> ParsedConfig:
-    doc = json.loads(Path(args.config).read_text())
-    if args.grid is not None:
-        doc.setdefault("grid", {})["M"] = args.grid
-    if args.tol is not None:
-        doc.setdefault("solver", {})["grad_tol"] = args.tol
-    if args.seed is not None:
-        doc.setdefault("solver", {})["seed"] = args.seed
+    """The config file with the command-line overrides applied. A file that
+    is not a JSON object and an --eps-list that is not numbers are
+    ConfigErrors; an override into a section that is not an object is left
+    for `parse_config` to reject."""
+    try:
+        doc = json.loads(Path(args.config).read_bytes())
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    overrides = [("grid", "M", args.grid), ("solver", "grad_tol", args.tol),
+                 ("solver", "seed", args.seed)]
     if getattr(args, "eps_list", None):
-        doc.setdefault("sweep", {})["eps_list"] = [float(x) for x
-                                                   in args.eps_list.split(",")]
+        try:
+            eps_list = [float(x) for x in args.eps_list.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad --eps-list: {exc}") from exc
+        overrides.append(("sweep", "eps_list", eps_list))
+    for section, key, value in overrides:
+        if value is not None and isinstance(doc.setdefault(section, {}), dict):
+            doc[section][key] = value
     raw = json.dumps(doc, sort_keys=True, indent=1).encode()
     return parse_config(raw)
 
@@ -176,8 +187,7 @@ def _cmd_check(args) -> int:
             print("check 'hls' requires --config for the growth exponent",
                   file=sys.stderr)
             return EXIT_CONFIG
-        parsed = _load_parsed(args)
-        result = check_hls(u, parsed.cfg)
+        result = check_hls(u, parse_config(args.config).cfg)
     elif name == "decay":
         result = check_decay(u, float(meta["eps"]), u.argmax_index(),
                              float(meta["s"]))
@@ -251,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("export", help="export |u| to CSV")

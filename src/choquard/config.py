@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,19 +79,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class RescaledGrid:
-    """Grid for the rescaled equation, with the blown-up region marked."""
-
-    grid: GridSpec
-    lambda_mask: np.ndarray = field(repr=False)
-    eps: float
-
-    def __post_init__(self):
-        if self.lambda_mask.shape != self.grid.shape:
-            raise ValueError("lambda mask does not match grid shape")
 
 
 def boundary_mask(inside: np.ndarray) -> np.ndarray:
@@ -181,12 +168,12 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
     return ValidationReport(tuple(bad), tuple(warn))
 
 
-def rescaled_grid(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> RescaledGrid:
-    """Grid for the rescaled equation x -> eps*x, with the region mask attached.
+def region_mask(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> np.ndarray:
+    """The blown-up region Lambda/eps of the rescaled equation x -> eps*x,
+    as a mask on the grid.
 
     Raises ConfigError when the blown-up region does not fit the box.
     """
     if region_leaves_domain(cfg, grid, pot):
         raise ConfigError(REGION_LEAVES_DOMAIN)
-    mask = pot.region.contains(cfg.eps * grid.points()).reshape(grid.shape)
-    return RescaledGrid(grid, mask, cfg.eps)
+    return pot.region.contains(cfg.eps * grid.points()).reshape(grid.shape)

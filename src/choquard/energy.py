@@ -7,12 +7,12 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .config import ProblemConfig, PotentialSpec, rescaled_grid
+from .config import ProblemConfig, PotentialSpec, region_mask
 from .grids import Field, GridSpec
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval, g_eval,
                            threshold_for)
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
-                        build_hartree_cache, riesz_convolve)
+                        build_hartree_cache, quadratic_form, riesz_convolve)
 from .sampling import band_limited_field, bump_in_region
 
 
@@ -47,22 +47,15 @@ class EnergyContext:
         return self.op.apply(u)
 
     def seminorm_sq(self, u: np.ndarray, Lu: np.ndarray | None = None):
-        """[u]^2. Given the image Lu = apply_op(u) it is Re<Lu, u> h^N (the
-        operators' `seminorm_sq` contract) and takes no operator pass; then
-        leading axes of u may stack fields, each getting its own value."""
-        if Lu is None:
-            return self.op.seminorm_sq(u)
-        return self._grid_sum(np.real(np.conj(u) * Lu))
+        """[u]^2 = Re<Lu, u> h^N; the image Lu = apply_op(u), when already
+        known, saves the operator pass. Leading axes of u stack fields."""
+        return quadratic_form(self.grid, u, self.apply_op(u) if Lu is None else Lu)
 
     def potential_sq(self, u: np.ndarray):
-        return self._grid_sum(self.V_eps * np.abs(u) ** 2)
+        return self.grid.integrate(self.V_eps * np.abs(u) ** 2)
 
     def norm_eps_sq(self, u: np.ndarray, Lu: np.ndarray | None = None):
         return self.seminorm_sq(u, Lu) + self.potential_sq(u)
-
-    def _grid_sum(self, a: np.ndarray):
-        """h^N times the sum over the grid axes; leading axes are kept."""
-        return np.sum(a, axis=tuple(range(-self.grid.dim, 0))) * self.grid.cell_volume()
 
     def precond_multiplier(self) -> np.ndarray:
         return 1.0 / (1.0 + SpectralOperator(self.grid, self.cfg.s).mult + self.cfg.V0)
@@ -93,7 +86,7 @@ def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSp
     The operator is the singular-integral quadrature when the magnetic
     potential is nonzero on the grid, else the faster spectral operator.
     """
-    rg = rescaled_grid(cfg, grid, pot)
+    lambda_mask = region_mask(cfg, grid, pot)
     V_eps = np.asarray(pot.V(cfg.eps * grid.mesh()))
     if pot.magnetic(grid):
         def A_eps(points):
@@ -102,7 +95,7 @@ def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSp
     else:
         op = SpectralOperator(grid, cfg.s)
     return EnergyContext(
-        cfg=cfg, grid=grid, V_eps=V_eps, lambda_mask=rg.lambda_mask,
+        cfg=cfg, grid=grid, V_eps=V_eps, lambda_mask=lambda_mask,
         nl=PowerNonlinearity(cfg.q), hartree=build_hartree_cache(grid, cfg.mu),
         op=op, pen=pen, A0=pot.A0(grid.dim))
 

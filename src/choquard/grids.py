@@ -70,6 +70,10 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
+    def integrate(self, a: np.ndarray):
+        """h^N times the sum over the grid axes; leading axes are kept."""
+        return np.sum(a, axis=tuple(range(-self.dim, 0))) * self.cell_volume()
+
 
 class NonFiniteFieldError(ValueError):
     """A field was built from values that are not all finite."""

@@ -193,7 +193,7 @@ def parse_config(source) -> ParsedConfig:
         raw = json.dumps(source).encode()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes, or not JSON
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     top = _take(doc, "config", {"problem": dict, "grid": dict, "potential": dict},
                 {"solver": dict, "sweep": dict})
@@ -228,6 +228,9 @@ def parse_config(source) -> ParsedConfig:
 
     sdoc = _take(top.get("sweep", {}), "sweep", {}, {"eps_list": _floats})
     eps_list = sdoc.get("eps_list", ())
+    if not all(0 < e < math.inf for e in eps_list) \
+            or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError("sweep.eps_list must be positive, finite and strictly descending")
     return ParsedConfig(cfg, pot, grid, opts, eps_list, raw)
 
 

@@ -1,9 +1,10 @@
-"""Nonlocal operators: fractional (magnetic) Laplacian, Gagliardo forms, and
-the Riesz-potential convolution.
+"""Nonlocal operators: fractional (magnetic) Laplacian, its quadratic form,
+and the Riesz-potential convolution.
 
 Normalization: the singular-integral constant is fixed so the A == 0 operator
-has Fourier symbol |xi|^(2s); the quadratic forms carry the matching factor,
-i.e. the discrete [u]^2 approximates the squared L2 norm of (-Delta)^(s/2) u.
+has Fourier symbol |xi|^(2s). Both operators have one primitive, `apply`; the
+discrete [u]^2 = Re<Lu, u> h^N (`quadratic_form`) then approximates the
+squared L2 norm of (-Delta)^(s/2) u.
 
 Two quadrature modes are provided:
 
@@ -44,7 +45,7 @@ from math import gamma
 import numpy as np
 
 from ._fft import fftn, ifftn
-from .grids import Field, GridSpec
+from .grids import GridSpec
 
 
 def frac_lap_constant(N: int, s: float) -> float:
@@ -74,6 +75,13 @@ def fourier_multiply(mult: np.ndarray, u: np.ndarray) -> np.ndarray:
         return ifftn(mult * fftn(u, axes), axes)
     M = u.shape[-1]
     return ifftn(mult[..., :M // 2 + 1] * fftn(u, axes), axes, M)
+
+
+def quadratic_form(grid: GridSpec, u: np.ndarray, Lu: np.ndarray):
+    """[u]^2 = Re<Lu, u> h^N from the image Lu of u under a self-adjoint
+    operator, the one form of both operators; leading axes of u stack
+    fields, each getting its own value."""
+    return grid.integrate(np.real(np.conj(u) * Lu))
 
 
 def even_spectrum(k: np.ndarray) -> np.ndarray:
@@ -336,26 +344,9 @@ class QuadratureOperator:
             out = out + self.c * self.tail * u
         return out
 
-    def seminorm_sq(self, u: np.ndarray) -> float:
-        """Gagliardo quadratic form matching `apply` exactly:
-        seminorm_sq(u) == Re <apply(u), u>_{L2,h}."""
-        g = self.grid
-        hV = g.cell_volume()
-        rowsums, Wu = self._pair_data(u)
-        val = self.c * hV * hV * float(np.sum(rowsums * np.abs(u) ** 2)
-                                       - np.real(np.sum(np.conj(u) * Wu)))
-        corr = 0.0
-        for a in range(g.dim):
-            up, _ = self._transported_neighbors(u, a)
-            corr += float(np.sum(np.abs(up - u) ** 2))
-            if self.mode == "free":
-                first = [slice(None)] * g.dim
-                first[a] = 0
-                corr += float(np.sum(np.abs(u[tuple(first)]) ** 2))
-        val += self.c * (self.W2 / (2 * g.dim)) * corr / g.h ** 2 * hV
-        if self.mode == "free":
-            val += self.c * self.tail * float(np.sum(np.abs(u) ** 2)) * hV
-        return val
+    def seminorm_sq(self, u: np.ndarray):
+        """[u]^2 = Re<apply(u), u> h^N; leading axes of u stack fields."""
+        return quadratic_form(self.grid, u, self.apply(u))
 
 
 @dataclass
@@ -381,56 +372,9 @@ class SpectralOperator:
         """The multiplier on u; leading axes of u stack fields."""
         return fourier_multiply(self.mult, u)
 
-    def seminorm_sq(self, u: np.ndarray) -> float:
-        """[u]^2 via the Fourier symbol; equals <apply(u), u> on the grid.
-        A real u sums its half spectrum: weight 2, but 1 on the planes 0
-        and M/2 of the last axis, which are their own mirror images."""
-        M = self.grid.M
-        power = np.abs(fftn(u)) ** 2
-        mult = self.mult
-        if not np.iscomplexobj(u):
-            mult = mult[..., :M // 2 + 1]
-            power[..., 1:M // 2] *= 2
-        return float(np.sum(mult * power) * self.grid.cell_volume() / self.grid.size)
-
-
-# ------------------------------------------------------------ public wrappers
-
-def magnetic_frac_laplacian(u: Field, A, s: float, *, mode: str = "free",
-                            near_radius: int | None = None) -> Field:
-    """Apply the fractional magnetic Laplacian by singular-integral quadrature.
-
-    `A` is a vector-potential callable, or None for the plain fractional
-    Laplacian; see the module docstring for the two kernel modes.
-    """
-    op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius)
-    vals = op.apply(u.values.astype(complex) if A is not None else u.values)
-    return Field(vals, u.grid)
-
-
-def gagliardo_form(u: Field, A, s: float, *, mode: str = "free",
-                   near_radius: int | None = None, with_modulus: bool = False):
-    """Quadrature of the (magnetic) Gagliardo seminorm squared.
-
-    With `with_modulus=True` also returns the real seminorm of |u| under the
-    same quadrature rule, the two sides of the diamagnetic inequality.
-    """
-    op = QuadratureOperator(u.grid, s, A, mode=mode, near_radius=near_radius)
-    val = op.seminorm_sq(u.values)
-    if not with_modulus:
-        return val
-    op0 = QuadratureOperator(u.grid, s, None, mode=mode, near_radius=near_radius)
-    return val, op0.seminorm_sq(np.abs(u.values))
-
-
-def spectral_frac_laplacian(u: Field, s: float) -> Field:
-    """`SpectralOperator(u.grid, s).apply` on a Field; s in (0, 1]."""
-    return Field(SpectralOperator(u.grid, s).apply(u.values), u.grid)
-
-
-def spectral_seminorm_sq(u: Field, s: float) -> float:
-    """`SpectralOperator(u.grid, s).seminorm_sq` on a Field."""
-    return SpectralOperator(u.grid, s).seminorm_sq(u.values)
+    def seminorm_sq(self, u: np.ndarray):
+        """[u]^2 = Re<apply(u), u> h^N; leading axes of u stack fields."""
+        return quadratic_form(self.grid, u, self.apply(u))
 
 
 # ------------------------------------------------------------ Riesz potential
@@ -470,11 +414,6 @@ def build_hartree_cache(grid: GridSpec, mu: float) -> HartreeCache:
     return HartreeCache(grid, mu, k, spec, clip)
 
 
-def riesz_convolve(h, cache: HartreeCache):
-    """Circular convolution |x|^(-mu) * h on the grid (real in, real out).
-
-    Arrays map to arrays; a Field maps to a Field on the same grid.
-    """
-    if isinstance(h, Field):
-        return Field(fourier_multiply(cache.kernel_spectrum, h.values), h.grid)
-    return fourier_multiply(cache.kernel_spectrum, np.asarray(h))
+def riesz_convolve(h: np.ndarray, cache: HartreeCache) -> np.ndarray:
+    """Circular convolution |x|^(-mu) * h on the grid (real in, real out)."""
+    return fourier_multiply(cache.kernel_spectrum, h)

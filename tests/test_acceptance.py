@@ -9,13 +9,12 @@ import time
 import numpy as np
 
 from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
-                      SolverOptions, build_hartree_cache,
-                      check_concentration, check_diamagnetic, check_hartree_bound,
-                      clipped_quadratic_V, energy_value, gradient, gagliardo_form,
-                      load_field, magnetic_frac_laplacian, mpg_shell_radius,
-                      nehari_project, parse_config, random_smooth_A, riesz_convolve,
-                      save_field, solve_limit, solve_penalized,
-                      spectral_frac_laplacian, sweep_epsilon)
+                      QuadratureOperator, SolverOptions, SpectralOperator,
+                      build_hartree_cache, check_concentration, check_diamagnetic,
+                      check_hartree_bound, clipped_quadratic_V, energy_value, gradient,
+                      load_field, mpg_shell_radius, nehari_project, parse_config,
+                      random_smooth_A, riesz_convolve, save_field, solve_limit,
+                      solve_penalized, sweep_epsilon)
 from choquard.io import config_hash
 from choquard.sampling import band_limited_field, bump_in_region
 
@@ -35,11 +34,10 @@ def test_criterion_01_operator_vs_spectral():
         errs = []
         for M in (256, 512):
             grid = GridSpec(L=L, M=M, dim=1)
-            u = Field(np.exp(-grid.axis() ** 2 / 4), grid)
-            quad = magnetic_frac_laplacian(u, None, s, mode="torus")
-            spec = spectral_frac_laplacian(u, s)
-            errs.append(np.max(np.abs(quad.values - spec.values))
-                        / np.max(np.abs(spec.values)))
+            u = np.exp(-grid.axis() ** 2 / 4)
+            quad = QuadratureOperator(grid, s, None, mode="torus").apply(u)
+            spec = SpectralOperator(grid, s).apply(u)
+            errs.append(np.max(np.abs(quad - spec)) / np.max(np.abs(spec)))
         assert errs[0] < 1e-3, f"s={s}: rel Linf {errs[0]:.2e} >= 1e-3"
         assert errs[1] < errs[0], f"s={s}: error did not decrease under M->2M"
         worst[s] = errs[0]
@@ -56,12 +54,13 @@ def test_criterion_02_gauge_covariance():
     rng = np.random.default_rng(22)
     x = grid.axis()
     worst = 0.0
+    op = QuadratureOperator(grid, 0.6, A)
     for k in range(20):
-        u = Field(rng.normal(size=128) + 1j * rng.normal(size=128), grid)
+        u = rng.normal(size=128) + 1j * rng.normal(size=128)
         c = float(rng.normal())
-        base = gagliardo_form(u, A, 0.6)
-        moved = gagliardo_form(Field(np.exp(1j * c * x) * u.values, grid),
-                               lambda p, A=A, c=c: A(p) + np.array([c]), 0.6)
+        base = op.seminorm_sq(u)
+        moved = QuadratureOperator(grid, 0.6, lambda p, A=A, c=c: A(p) + np.array([c])
+                                   ).seminorm_sq(np.exp(1j * c * x) * u)
         worst = max(worst, abs(moved - base) / base)
     assert worst <= 1e-12
     assert time.time() - t0 < 5.0

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from choquard import (BallRegion, BoxRegion, ConfigError, GridSpec, PotentialSpec,
                       ProblemConfig, clipped_quadratic_V, constant_V,
-                      rescaled_grid, validate_config)
+                      region_mask, validate_config)
 
 
 def make_pot(dim, V=None, radius=1.0):
@@ -47,24 +47,24 @@ def test_desk_scale_warning_flags():
 def test_rescaled_grid_ball_blowup():
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     grid = GridSpec(L=8.0, M=64, dim=1)
-    rg = rescaled_grid(cfg, grid, make_pot(1))
+    mask = region_mask(cfg, grid, make_pot(1))
     x = grid.axis()
     # Lambda_eps = ball of radius 1/eps = 2
-    assert np.array_equal(rg.lambda_mask, np.abs(x) < 2.0)
+    assert np.array_equal(mask, np.abs(x) < 2.0)
 
 
 def test_rescaled_grid_identity_at_eps_one():
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=1.0, V0=1.0)
     grid = GridSpec(L=8.0, M=64, dim=1)
-    rg = rescaled_grid(cfg, grid, make_pot(1))
-    assert np.array_equal(rg.lambda_mask, np.abs(grid.axis()) < 1.0)
+    mask = region_mask(cfg, grid, make_pot(1))
+    assert np.array_equal(mask, np.abs(grid.axis()) < 1.0)
 
 
 def test_rescaled_grid_region_leaves_domain():
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.1, V0=1.0)
     grid = GridSpec(L=5.0, M=64, dim=1)
     with pytest.raises(ConfigError, match="penalization region leaves domain"):
-        rescaled_grid(cfg, grid, make_pot(1))
+        region_mask(cfg, grid, make_pot(1))
 
 
 def test_box_region_and_origin_requirement():
@@ -132,6 +132,6 @@ def test_region_leaves_domain_one_predicate():
         assert flagged is leaves
         if leaves:
             with pytest.raises(ConfigError, match="leaves domain"):
-                rescaled_grid(cfg, grid, pot)
+                region_mask(cfg, grid, pot)
         else:
-            assert rescaled_grid(cfg, grid, pot).lambda_mask.any()
+            assert region_mask(cfg, grid, pot).any()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choquard import (ConfigError, Field, GridSpec, gagliardo_form, load_field,
+from choquard import (ConfigError, Field, GridSpec, QuadratureOperator, load_field,
                       parse_config, save_field, sine_A)
 from choquard.cli import main
 from choquard.io import report_to_dict, sanitize_json
@@ -250,10 +250,12 @@ def test_cli_check_diamagnetic_uses_run_potential(tmp_path, capsys):
                  "--name", "diamagnetic"]) == 0
     out = json.loads(capsys.readouterr().out)
     A = sine_A(0.8, 3.0, 1)
-    expected = gagliardo_form(u, lambda p: A(eps * np.asarray(p)), 0.6)
+    expected = QuadratureOperator(grid, 0.6, lambda p: A(eps * np.asarray(p))
+                                  ).seminorm_sq(u.values)
     assert out["passed"] is True and out["context"]["A"] == "sine"
     assert out["rhs"] == expected
-    assert abs(out["rhs"] - gagliardo_form(u, None, 0.6)) > 1e-6 * expected
+    assert abs(out["rhs"] - QuadratureOperator(grid, 0.6, None).seminorm_sq(u.values)) \
+        > 1e-6 * expected
 
 
 def test_cli_check_unknown_name(tmp_path, capsys):
@@ -306,6 +308,25 @@ def test_cli_malformed_override_exits_1(tmp_path, capsys, flag, value):
     cfg = write_config(tmp_path)
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  flag, value])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config invalid:")
+
+
+@pytest.mark.parametrize("verb, payload, extra", [
+    ("solve", b'{"problem": ', ()),
+    ("solve", b"\xff{}", ()),
+    ("solve", b"[1, 2]", ("--grid", "64")),
+    ("sweep", None, ("--eps-list", "a,b")),
+    ("sweep", None, ("--eps-list", "0.25,0.5")),
+    ("sweep", None, ("--eps-list", "0.5,0.5")),
+    ("sweep", None, ("--eps-list", "0.5,-0.25")),
+], ids=["malformed_json", "not_utf8", "list_with_grid", "eps_text", "eps_ascending",
+        "eps_repeated", "eps_negative"])
+def test_cli_input_errors_exit_1(tmp_path, capsys, verb, payload, extra):
+    cfg = write_config(tmp_path)
+    if payload is not None:
+        cfg.write_bytes(payload)
+    code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
     assert code == 1
     assert capsys.readouterr().err.startswith("config invalid:")
 

@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
                       SpectralOperator, build_hartree_cache, build_limit_context,
-                      constant_A, frac_lap_constant, gagliardo_form,
-                      magnetic_frac_laplacian, random_smooth_A, riesz_convolve,
-                      spectral_frac_laplacian, spectral_seminorm_sq)
+                      constant_A, frac_lap_constant, random_smooth_A, riesz_convolve)
 from choquard.operators import fourier_multiply
 
 from conftest import brute_force_riesz
@@ -30,20 +30,20 @@ def random_complex_field(grid, seed, decay=True):
 def test_spectral_plane_wave_exact(g128):
     xi0 = g128.wavenumbers()[5]
     u = Field(np.exp(1j * xi0 * g128.axis()), g128)
-    out = spectral_frac_laplacian(u, 0.6)
-    assert np.allclose(out.values, np.abs(xi0) ** 1.2 * u.values, rtol=1e-12)
+    out = SpectralOperator(g128, 0.6).apply(u.values)
+    assert np.allclose(out, np.abs(xi0) ** 1.2 * u.values, rtol=1e-12)
 
 
 def test_spectral_constant_is_zero(g128):
-    out = spectral_frac_laplacian(Field(np.ones(g128.M), g128), 0.7)
-    assert np.max(np.abs(out.values)) < 1e-12
+    out = SpectralOperator(g128, 0.7).apply(np.ones(g128.M))
+    assert np.max(np.abs(out)) < 1e-12
 
 
 def test_spectral_s1_matches_five_point():
     grid = GridSpec(L=16.0, M=256, dim=1)
     x = grid.axis()
     u = np.exp(-x ** 2 / 2)
-    spec = spectral_frac_laplacian(Field(u, grid), 1.0).values
+    spec = SpectralOperator(grid, 1.0).apply(u)
     fd = -(np.roll(u, -1) - 2 * u + np.roll(u, 1)) / grid.h ** 2
     assert np.max(np.abs(spec - fd)) / np.max(np.abs(spec)) < 1e-2
 
@@ -52,75 +52,74 @@ def test_spectral_s1_matches_five_point():
 
 def test_torus_quadrature_vs_spectral(g128):
     grid = GridSpec(L=20.0, M=256, dim=1)
-    u = Field(np.exp(-grid.axis() ** 2 / 4), grid)
-    q = magnetic_frac_laplacian(u, None, 0.5, mode="torus")
-    sp = spectral_frac_laplacian(u, 0.5)
-    assert np.max(np.abs(q.values - sp.values)) / np.max(np.abs(sp.values)) < 1e-3
+    u = np.exp(-grid.axis() ** 2 / 4)
+    q = QuadratureOperator(grid, 0.5, None, mode="torus").apply(u)
+    sp = SpectralOperator(grid, 0.5).apply(u)
+    assert np.max(np.abs(q - sp)) / np.max(np.abs(sp)) < 1e-3
 
 
 def test_torus_annihilates_constants(g128):
     for s in (0.3, 0.7):
-        out = magnetic_frac_laplacian(Field(np.ones(g128.M), g128), None, s,
-                                      mode="torus")
-        assert np.max(np.abs(out.values)) < 1e-8
+        out = QuadratureOperator(g128, s, None, mode="torus").apply(np.ones(g128.M))
+        assert np.max(np.abs(out)) < 1e-8
 
 
 def test_constant_A_plane_wave_factorization(g128):
     # u = e^{i c x} v with A == c: the midpoint phase cancels exactly
     c = 0.8
     x = g128.axis()
-    v = Field(np.exp(-x ** 2 / 3) * (1 + 0.2 * np.cos(x)), g128)
-    w = Field(np.exp(1j * c * x) * v.values, g128)
-    lhs = magnetic_frac_laplacian(w, constant_A([c]), 0.55)
-    rhs = magnetic_frac_laplacian(v, None, 0.55, mode="free")
-    assert np.max(np.abs(lhs.values - np.exp(1j * c * x) * rhs.values)) \
-        < 1e-12 * np.max(np.abs(rhs.values))
+    v = np.exp(-x ** 2 / 3) * (1 + 0.2 * np.cos(x))
+    w = np.exp(1j * c * x) * v
+    lhs = QuadratureOperator(g128, 0.55, constant_A([c])).apply(w)
+    rhs = QuadratureOperator(g128, 0.55, None, mode="free").apply(v)
+    assert np.max(np.abs(lhs - np.exp(1j * c * x) * rhs)) \
+        < 1e-12 * np.max(np.abs(rhs))
 
 
 def test_s_out_of_range_rejected(g128):
-    u = Field(np.ones(g128.M), g128)
     with pytest.raises(ValueError):
-        magnetic_frac_laplacian(u, None, 1.0)
+        QuadratureOperator(g128, 1.0, None)
     with pytest.raises(ValueError):
-        magnetic_frac_laplacian(u, None, 0.0)
+        QuadratureOperator(g128, 0.0, None)
 
 
 def test_torus_mode_refuses_magnetic(g128):
-    u = random_complex_field(g128, 0)
     with pytest.raises(ValueError):
-        magnetic_frac_laplacian(u, random_smooth_A(1, g128.L, 0.3, seed=1), 0.5,
-                                mode="torus")
+        QuadratureOperator(g128, 0.5, random_smooth_A(1, g128.L, 0.3, seed=1),
+                           mode="torus")
 
 
 # ----------------------------------------------------------- gagliardo forms
 
 def test_gagliardo_zero_field(g128):
-    assert gagliardo_form(Field(np.zeros(g128.M), g128), None, 0.5) == 0.0
+    assert QuadratureOperator(g128, 0.5, None).seminorm_sq(np.zeros(g128.M)) == 0.0
 
 
 def test_gagliardo_real_field_A_zero_equals_plain(g128):
-    u = Field(np.exp(-g128.axis() ** 2 / 4), g128)
-    val_A = gagliardo_form(Field(u.values.astype(complex), g128),
-                           random_smooth_A(1, g128.L, 0.0, seed=0), 0.6)
-    val_0 = gagliardo_form(u, None, 0.6)
+    u = np.exp(-g128.axis() ** 2 / 4)
+    val_A = QuadratureOperator(g128, 0.6, random_smooth_A(1, g128.L, 0.0, seed=0)
+                               ).seminorm_sq(u.astype(complex))
+    val_0 = QuadratureOperator(g128, 0.6, None).seminorm_sq(u)
     assert val_A == pytest.approx(val_0, rel=1e-14)
 
 
 def test_diamagnetic_inequality_random_fields(g128):
-    A = random_smooth_A(1, g128.L, 0.5, seed=4)
+    op_A = QuadratureOperator(g128, 0.6, random_smooth_A(1, g128.L, 0.5, seed=4))
+    op_0 = QuadratureOperator(g128, 0.6, None)
     for seed in range(8):
-        u = random_complex_field(g128, seed)
-        sem_A, sem_mod = gagliardo_form(u, A, 0.6, with_modulus=True)
+        u = random_complex_field(g128, seed).values
+        sem_A, sem_mod = op_A.seminorm_sq(u), op_0.seminorm_sq(np.abs(u))
         assert sem_mod <= sem_A * (1 + 1e-10)
 
 
 def test_gauge_covariance_constant_shift(g128):
     A = random_smooth_A(1, g128.L, 0.5, seed=5)
-    u = random_complex_field(g128, 3, decay=False)
+    u = random_complex_field(g128, 3, decay=False).values
     c = 0.73
-    shifted = Field(np.exp(1j * c * g128.axis()) * u.values, g128)
-    base = gagliardo_form(u, A, 0.6)
-    moved = gagliardo_form(shifted, lambda p, A=A: A(p) + np.array([c]), 0.6)
+    shifted = np.exp(1j * c * g128.axis()) * u
+    base = QuadratureOperator(g128, 0.6, A).seminorm_sq(u)
+    moved = QuadratureOperator(g128, 0.6, lambda p, A=A: A(p) + np.array([c])
+                               ).seminorm_sq(shifted)
     assert abs(base - moved) <= 1e-12 * base
 
 
@@ -137,27 +136,18 @@ def test_quadratic_form_consistency_and_self_adjointness(g128, make_op):
     h = g128.cell_volume()
     opu = op.apply(u.values)
     opv = op.apply(v.values)
-    qf = float(np.real(np.sum(opu * np.conj(u.values))) * h)
-    assert qf == pytest.approx(op.seminorm_sq(u.values), rel=1e-8)
     lhs = float(np.real(np.sum(opu * np.conj(v.values))) * h)
     rhs = float(np.real(np.sum(u.values * np.conj(opv))) * h)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_spectral_seminorm_matches_operator_pairing(g128):
-    u = Field(np.exp(-g128.axis() ** 2 / 5), g128)
-    qf = float(np.sum(spectral_frac_laplacian(u, 0.6).values * u.values)
-               * g128.cell_volume())
-    assert qf == pytest.approx(spectral_seminorm_sq(u, 0.6), rel=1e-12)
-
-
 def test_torus_quadrature_tracks_spectral_seminorm():
     # same normalization on both paths: values agree to quadrature accuracy
     grid = GridSpec(L=20.0, M=256, dim=1)
-    u = Field(np.exp(-grid.axis() ** 2 / 4), grid)
+    u = np.exp(-grid.axis() ** 2 / 4)
     op = QuadratureOperator(grid, 0.5, None, mode="torus")
-    assert op.seminorm_sq(u.values) == pytest.approx(
-        spectral_seminorm_sq(u, 0.5), rel=1e-3)
+    assert op.seminorm_sq(u) == pytest.approx(
+        SpectralOperator(grid, 0.5).seminorm_sq(u), rel=1e-3)
 
 
 # ------------------------------------------------------------------ 2D / 3D
@@ -166,39 +156,34 @@ def test_2d_identities_small():
     grid = GridSpec(L=6.0, M=16, dim=2)
     rng = np.random.default_rng(2)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    u = Field(vals, grid)
     A = random_smooth_A(2, grid.L, 0.4, seed=9)
     op = QuadratureOperator(grid, 0.6, A, mode="free")
-    h = grid.cell_volume()
-    opu = op.apply(u.values)
-    qf = float(np.real(np.sum(opu * np.conj(u.values))) * h)
-    sn = op.seminorm_sq(u.values)
-    assert qf == pytest.approx(sn, rel=1e-10)
+    sn = op.seminorm_sq(vals)
     c = np.array([0.5, -0.3])
     mesh = grid.mesh()
     phase = np.exp(1j * np.tensordot(mesh, c, axes=([-1], [0])))
-    moved = gagliardo_form(Field(phase * vals, grid),
-                           lambda p, A=A: A(p) + c, 0.6)
+    moved = QuadratureOperator(grid, 0.6, lambda p, A=A: A(p) + c
+                               ).seminorm_sq(phase * vals)
     assert abs(moved - sn) <= 1e-12 * sn
 
 
 def test_2d_torus_vs_spectral_coarse():
     grid = GridSpec(L=10.0, M=48, dim=2)
     mesh = grid.mesh()
-    u = Field(np.exp(-np.sum(mesh ** 2, axis=-1) / 4), grid)
-    q = magnetic_frac_laplacian(u, None, 0.5, mode="torus")
-    sp = spectral_frac_laplacian(u, 0.5)
-    rel = np.max(np.abs(q.values - sp.values)) / np.max(np.abs(sp.values))
+    u = np.exp(-np.sum(mesh ** 2, axis=-1) / 4)
+    q = QuadratureOperator(grid, 0.5, None, mode="torus").apply(u)
+    sp = SpectralOperator(grid, 0.5).apply(u)
+    rel = np.max(np.abs(q - sp)) / np.max(np.abs(sp))
     assert rel < 5e-2
 
 
 def test_3d_torus_vs_spectral_coarse():
     grid = GridSpec(L=6.0, M=16, dim=3)
     mesh = grid.mesh()
-    u = Field(np.exp(-np.sum(mesh ** 2, axis=-1)), grid)
-    q = magnetic_frac_laplacian(u, None, 0.5, mode="torus")
-    sp = spectral_frac_laplacian(u, 0.5)
-    rel = np.max(np.abs(q.values - sp.values)) / np.max(np.abs(sp.values))
+    u = np.exp(-np.sum(mesh ** 2, axis=-1))
+    q = QuadratureOperator(grid, 0.5, None, mode="torus").apply(u)
+    sp = SpectralOperator(grid, 0.5).apply(u)
+    rel = np.max(np.abs(q - sp)) / np.max(np.abs(sp))
     assert rel < 0.15  # M=16 per axis is very coarse
 
 
@@ -235,6 +220,13 @@ def test_stacked_pass_matches_one_pass_per_field(make_op):
     for u, out in zip(U, stacked):
         single = op.apply(u)
         assert np.max(np.abs(out - single)) <= 1e-12 * np.max(np.abs(single))
+    # the quadratic form keeps the stack axis: one value per field
+    cfg = ProblemConfig(dim=2, s=0.6, mu=0.5, q=4.0, eps=1.0, V0=1.0)
+    ctx = replace(build_limit_context(cfg, grid), op=op)
+    for forms in (op.seminorm_sq(U), ctx.seminorm_sq(U), ctx.seminorm_sq(U, stacked)):
+        assert np.shape(forms) == (3,)
+        for u, form in zip(U, forms):
+            assert form == pytest.approx(op.seminorm_sq(u), rel=1e-12)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(L=4.0, M=16, dim=1),
@@ -279,17 +271,6 @@ def test_real_route_matches_complex_transform(dim, M, stack):
         out = fourier_multiply(mult, u)
         assert out.dtype == np.float64 and out.shape == u.shape, name
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-
-
-@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)])
-def test_real_seminorm_matches_complex_route(dim, M):
-    grid = GridSpec(L=6.0, M=M, dim=dim)
-    op = SpectralOperator(grid, 0.75)
-    u = random_complex_field(grid, 3).values.real
-    real = op.seminorm_sq(u)
-    assert real == pytest.approx(op.seminorm_sq(u.astype(complex)), rel=1e-13)
-    hV = grid.cell_volume()
-    assert real == pytest.approx(float(np.sum(op.apply(u) * u) * hV), rel=1e-12)
 
 
 # ------------------------------------------------------------ Riesz potential
@@ -382,31 +363,43 @@ def test_free_mode_matches_literal_formula():
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
-def test_gagliardo_matches_literal_double_sum():
+@pytest.mark.parametrize("A", [None, random_smooth_A(1, 4.0, 0.5, seed=44)],
+                         ids=["A0", "magnetic"])
+def test_gagliardo_matches_literal_double_sum(A):
+    # independent oracle for [u]^2 = Re<Lu, u> h: the Gagliardo double sum
     grid = GridSpec(L=4.0, M=16, dim=1)
     s = 0.55
     rng = np.random.default_rng(46)
     u = rng.normal(size=16) + 1j * rng.normal(size=16)
-    u[0] = 0.0  # zero boundary keeps the hand formula short
+    if A is None:
+        u[0] = 0.0  # a zero boundary; the magnetic case has none
     x = grid.axis()
     h = grid.h
     c = frac_lap_constant(1, s)
     rc = grid.L - h / 2
+
+    def phase(a, b):
+        """e^{i A((a+b)/2).(a-b)}, the midpoint phase of the pair (a, b)."""
+        if A is None:
+            return 1.0
+        return np.exp(1j * float(A(np.array([[(a + b) / 2]]))[0, 0]) * (a - b))
+
     total = 0.0
     for i in range(16):
         for j in range(16):
             z = x[i] - x[j]
             if j == i or abs(z) > rc:
                 continue
-            total += abs(u[i] - u[j]) ** 2 * abs(z) ** (-1 - 2 * s)
+            total += abs(u[i] - phase(x[i], x[j]) * u[j]) ** 2 * abs(z) ** (-1 - 2 * s)
     val = 0.5 * c * h * h * total
     from choquard.operators import near_zone_weight
     W2 = near_zone_weight(1, s, h, 8)
-    links = sum(abs((u[i + 1] if i + 1 < 16 else 0.0) - u[i]) ** 2
+    # link i -> i+1 carries e^{-i phi_i}, phi_i = A(x_i + h/2) h
+    links = sum(abs((phase(x[i], x[i] + h) * u[i + 1] if i + 1 < 16 else 0.0) - u[i]) ** 2
                 for i in range(16)) + abs(u[0]) ** 2
     val += c * (W2 / 2) * links / h ** 2 * h
     val += c * (2.0 / (2 * s * rc ** (2 * s))) * np.sum(np.abs(u) ** 2) * h
-    got = gagliardo_form(Field(u, grid), None, s, mode="free", near_radius=8)
+    got = QuadratureOperator(grid, s, A, mode="free", near_radius=8).seminorm_sq(u)
     assert got == pytest.approx(val, rel=1e-12)
 
 
