@@ -14,8 +14,7 @@ from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
 from .grids import Field, GridSpec
 from .io import (ParsedConfig, RunManifest, load_field, parse_config,
                  report_to_dict, save_field)
-from .nonlinearity import (PenalizationParams, PowerNonlinearity, F_truncated,
-                           G_eval, f_truncated, g_eval)
+from .nonlinearity import PenalizationParams, PowerNonlinearity, G_eval, g_eval
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
                         build_hartree_cache, frac_lap_constant, near_zone_weight,
                         quadratic_form, riesz_convolve, sphere_area)

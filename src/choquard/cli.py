@@ -179,8 +179,8 @@ def _cmd_check(args) -> int:
     u, meta = load_field(args.field)
     name = args.name
     if name == "diamagnetic":
-        A, kind = _run_potential(Path(args.field), u, float(meta["eps"]))
-        result = check_diamagnetic(u, A, float(meta["s"]), seed=args.seed or 0)
+        A, kind = _run_potential(Path(args.field), u, meta["eps"])
+        result = check_diamagnetic(u, A, meta["s"], seed=args.seed or 0)
         result.context["A"] = kind
     elif name == "hls":
         if not args.config:
@@ -189,8 +189,7 @@ def _cmd_check(args) -> int:
             return EXIT_CONFIG
         result = check_hls(u, parse_config(args.config).cfg)
     elif name == "decay":
-        result = check_decay(u, float(meta["eps"]), u.argmax_index(),
-                             float(meta["s"]))
+        result = check_decay(u, meta["eps"], u.argmax_index(), meta["s"])
     else:
         print(f"unknown check '{name}'", file=sys.stderr)
         return EXIT_CONFIG

@@ -76,17 +76,29 @@ def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> dict:
 
 
 def load_field(path) -> tuple[Field, dict]:
-    """Round-trip loader; verifies payload length and checksum."""
+    """Round-trip loader; verifies the sidecar's keys and values, the payload
+    length and its checksum, raising ConfigError for any fault."""
     path = Path(path)
     meta_path = path.with_name(path.name + ".meta.json")
     if not meta_path.exists():
         raise ConfigError(f"missing field sidecar {meta_path.name}")
-    meta = json.loads(meta_path.read_text())
+    where = f"field sidecar {meta_path.name}"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+    meta = _take(meta, where, {"dims": lambda v: [int(n) for n in v], "L": float,
+                               "s": float, "mu": float, "eps": float, "sha256": str},
+                 {"phase_gauge": str})
     dims = meta["dims"]
     if len(set(dims)) != 1:
         raise ConfigError("field sidecar dims must be equal per axis")
+    try:
+        grid = GridSpec(L=meta["L"], M=dims[0], dim=len(dims))
+    except ValueError as exc:
+        raise ConfigError(f"bad grid in {where}: {exc}") from exc
     payload = path.read_bytes()
-    expected = 16 * int(np.prod(dims))
+    expected = 16 * grid.size
     if len(payload) < expected:
         raise ConfigError("unexpected end of field data")
     if len(payload) > expected:
@@ -94,8 +106,7 @@ def load_field(path) -> tuple[Field, dict]:
     if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
         raise ConfigError("checksum mismatch in field payload")
     inter = np.frombuffer(payload, dtype="<f8")
-    vals = (inter[0::2] + 1j * inter[1::2]).reshape(tuple(dims))
-    grid = GridSpec(L=float(meta["L"]), M=int(dims[0]), dim=len(dims))
+    vals = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
     return Field(vals, grid), meta
 
 

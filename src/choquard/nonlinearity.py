@@ -45,27 +45,22 @@ class PenalizationParams:
         return self.V0 / self.ell0
 
 
-def f_truncated(t, nl: PowerNonlinearity, pen: PenalizationParams):
-    return np.minimum(nl.f(t), pen.cap)
-
-
-def F_truncated(t, nl: PowerNonlinearity, pen: PenalizationParams):
-    t = np.asarray(t, dtype=float)
-    return np.where(t <= pen.a, nl.F(t), nl.F(pen.a) + pen.cap * (t - pen.a))
-
-
 def g_eval(t, inside, nl: PowerNonlinearity, pen: PenalizationParams | None):
-    """g(x, t): f inside the region, truncated f outside."""
+    """g(x, t): f inside the region, f capped at f(a) outside."""
+    f = nl.f(t)
     if pen is None:
-        return nl.f(t)
-    return np.where(inside, nl.f(t), f_truncated(t, nl, pen))
+        return f
+    return np.where(inside, f, np.minimum(f, pen.cap))
 
 
 def G_eval(t, inside, nl: PowerNonlinearity, pen: PenalizationParams | None):
-    """G(x, t) = integral of g(x, .) from 0 to t."""
+    """G(x, t) = integral of g(x, .) from 0 to t: F inside the region and up
+    to the threshold a, continued linearly with slope f(a) past it."""
+    t = np.asarray(t, dtype=float)
+    F = nl.F(t)
     if pen is None:
-        return nl.F(t)
-    return np.where(inside, nl.F(t), F_truncated(t, nl, pen))
+        return F
+    return np.where(inside | (t <= pen.a), F, nl.F(pen.a) + pen.cap * (t - pen.a))
 
 
 def threshold_for(ell0: float, V0: float, q: float) -> float:

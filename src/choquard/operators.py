@@ -20,18 +20,26 @@ Two quadrature modes are provided:
 
 Both modes exclude the singular cell from the pair sum and restore accuracy
 with the analytic integral of the second-order Taylor model over a near zone
-of `near_radius` cells; the model derivatives are formed with link-phase
+of `NEAR_RADIUS` cells; the model derivatives are formed with link-phase
 covariant differences so the correction is also exactly gauge covariant.
+Every constant part is assembled once, so `apply` is one expression,
+
+    Lu = diag u - c h^N W u - beta sum_a (l_a u(i+e_a) + conj l_a u(i-e_a)),
+
+with diag = c (h^N rowsums + tail) + 2N beta, beta = c W2 / (2N h^2) and the
+link factor l_a = e^{-i A_a(x_i + (h/2) e_a) h}; neighbours are zero outside
+the box in free mode and periodic on the torus.
 
 The free mode's row sums sum_j k(x_i - x_j) do not depend on A and come from
 one FFT convolution of the kernel block with the box indicator.  With A, the
-pair weights k(x_i - x_j) e^{i A((x_i+x_j)/2).(x_i - x_j)} are gathered from
-two tables built once per operator: the kernel on every displacement
-d in [-(M-1), M-1]^N, and A on the half-step lattice -L + m h/2,
-m in [0, 2M-2]^N, which holds every pair midpoint.  With flat multi-indices
-S of stride 2M-1, a pair reads the kernel at S_i - S_j and A at S_i + S_j.
+pair weights W_ij = k(x_i - x_j) e^{i A((x_i+x_j)/2).(x_i - x_j)} are
+gathered from two tables built once per operator: the kernel on every
+displacement d in [-(M-1), M-1]^N, and A on the half-step lattice
+-L + m h/2, m in [0, 2M-2]^N, which holds every pair midpoint and every link
+midpoint.  With flat multi-indices S of stride 2M-1, a pair reads the kernel
+at S_i - S_j and A at S_i + S_j, a link i -> i+e_a reads A at 2 S_i + stride_a.
 The weight matrix is Hermitian (the phase is odd under i <-> j), so only
-row blocks on and above the diagonal are generated.  Up to `dense_limit`
+row blocks on and above the diagonal are generated.  Up to `DENSE_LIMIT`
 points the weights are stored as one dense matrix; above it each pair pass
 regenerates them.  A pass acts on a stack of fields at once (leading axes),
 so one pass serves a whole group.
@@ -88,21 +96,6 @@ def even_spectrum(k: np.ndarray) -> np.ndarray:
     """The full spectrum of a real kernel that is even in each axis: real,
     and a multiplier for `fourier_multiply`."""
     return np.real(fftn(k.astype(complex)))
-
-
-def _shift_zero(u: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """Shift by one cell with zero fill (zero extension outside the box)."""
-    v = np.zeros_like(u)
-    src = [slice(None)] * u.ndim
-    dst = [slice(None)] * u.ndim
-    if step > 0:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(0, -1)
-    else:
-        src[axis] = slice(0, -1)
-        dst[axis] = slice(1, None)
-    v[tuple(dst)] = u[tuple(src)]
-    return v
 
 
 def near_zone_weight(N: int, s: float, h: float, r0: int) -> float:
@@ -171,10 +164,24 @@ def _free_kernel(grid: GridSpec, s: float, cutoff: float, offsets: np.ndarray) -
 
 # ----------------------------------------------------------- the quadrature
 
+# cells in the near zone of the second-order correction, by dimension
+NEAR_RADIUS = {1: 8, 2: 2, 3: 2}
+# the magnetic pair matrix is kept dense up to this many points
+DENSE_LIMIT = 768
+
+
+def _layers(N: int, a: int) -> tuple[tuple, tuple]:
+    """Index tuples selecting all but the last and all but the first layer
+    along grid axis a of N (counted from the end, so leading axes may stack
+    fields): the tails and the heads of the links i -> i+e_a."""
+    rest = (slice(None),) * (N - 1 - a)
+    return (Ellipsis, slice(None, -1)) + rest, (Ellipsis, slice(1, None)) + rest
+
+
 @dataclass
 class QuadratureOperator:
     """Assembled singular-integral quadrature of the fractional magnetic
-    Laplacian on one grid, reusable across applications."""
+    Laplacian on one grid; every constant part of `apply` is built here."""
 
     backend = "quadrature"
 
@@ -182,71 +189,70 @@ class QuadratureOperator:
     s: float
     A: object | None = None  # vector potential callable, or None for A == 0
     mode: str = "free"
-    near_radius: int | None = None
-    dense_limit: int = 768  # magnetic pair matrix kept dense up to this size
-    _state: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         _check_s(self.s)
         if self.mode not in ("free", "torus"):
             raise ValueError("mode must be 'free' or 'torus'")
         g = self.grid
-        if self.near_radius is None:
-            self.near_radius = 8 if g.dim == 1 else 2
-        self.c = frac_lap_constant(g.dim, self.s)
-        self.W2 = near_zone_weight(g.dim, self.s, g.h, self.near_radius)
+        N = g.dim
+        self.c = frac_lap_constant(N, self.s)
         if self.A is not None:
             amax = float(np.max(np.abs(np.asarray(self.A(g.points())))))
             if amax == 0.0:
                 self.A = None
+        self.W = self.links = None
         if self.mode == "torus":
             if self.A is not None:
                 raise ValueError("the periodized kernel requires A == 0")
-            self.tail = 0.0
+            tail = 0.0
             ker = _torus_kernel(g, self.s)
-            self._state["kernel_fft"] = even_spectrum(ker)
-            self._state["rowsum"] = float(np.sum(ker))
+            self.kernel_fft = even_spectrum(ker)
+            self.rowsums = float(np.sum(ker))
         else:
             self.cutoff = g.L - g.h / 2
-            self.tail = sphere_area(g.dim) / (2 * self.s * self.cutoff ** (2 * self.s))
+            tail = sphere_area(N) / (2 * self.s * self.cutoff ** (2 * self.s))
             M = g.M
             d = np.arange(2 * M)
             d = np.where(d < M, d, d - 2 * M)  # offsets -M..M-1; |offset| M unused
-            kernel_fft = even_spectrum(_free_kernel(g, self.s, self.cutoff, d))
-            box = (Ellipsis,) + (slice(0, M),) * g.dim
-            pad = np.zeros((2 * M,) * g.dim)
+            self.kernel_fft = even_spectrum(_free_kernel(g, self.s, self.cutoff, d))
+            box = (Ellipsis,) + (slice(0, M),) * N
+            pad = np.zeros((2 * M,) * N)
             pad[box] = 1.0
-            self._state["rowsums"] = fourier_multiply(kernel_fft, pad)[box].copy()
-            if self.A is None:
-                self._state["kernel_fft"] = kernel_fft
-            else:
+            self.rowsums = fourier_multiply(self.kernel_fft, pad)[box].copy()
+            if self.A is not None:
                 self._build_pair_tables()
-                if g.size <= self.dense_limit:
-                    W = np.empty((g.size, g.size), dtype=complex)
+                if g.size <= DENSE_LIMIT:
+                    self.W = np.empty((g.size, g.size), dtype=complex)
                     for rows in self._row_blocks():
                         B = self._pair_block(rows)
-                        W[rows, rows.start:] = B
-                        W[rows.start:, rows] = B.conj().T
-                    self._state["W"] = W
-        self._link_phases = self._build_link_phases()
+                        self.W[rows, rows.start:] = B
+                        self.W[rows.start:, rows] = B.conj().T
+        W2 = near_zone_weight(N, self.s, g.h, NEAR_RADIUS[N])
+        self.beta = self.c * W2 / (2 * N * g.h ** 2)
+        self.diag = self.c * (g.cell_volume() * self.rowsums + tail) + 2 * N * self.beta
 
-    # ---------------- magnetic pair weights
+    # ---------------- magnetic tables
 
     def _build_pair_tables(self):
         """The kernel by displacement and A on the half-step lattice, indexed
-        by the flat multi-indices S_i - S_j + S_off and S_i + S_j."""
+        by the flat multi-indices S_i - S_j + S_off and S_i + S_j; the link
+        i -> i+e_a has its midpoint at 2 S_i + stride_a, so its factor
+        l_a = e^{-i A_a h} reads the same table."""
         g = self.grid
         M, N = g.M, g.dim
         n = 2 * M - 1
-        self._state["ktab"] = _free_kernel(g, self.s, self.cutoff,
-                                           np.arange(-(M - 1), M)).reshape(-1)
+        self.ktab = _free_kernel(g, self.s, self.cutoff, np.arange(-(M - 1), M)).reshape(-1)
         half = -g.L + 0.5 * g.h * np.arange(n)
         lattice = np.stack(np.meshgrid(*([half] * N), indexing="ij"), axis=-1)
-        self._state["Atab"] = np.asarray(self.A(lattice.reshape(-1, N))).T.copy()
+        self.Atab = np.asarray(self.A(lattice.reshape(-1, N))).T.copy()
         strides = n ** np.arange(N - 1, -1, -1)
-        self._state["S"] = strides @ np.indices(g.shape).reshape(N, -1)
-        self._state["S_off"] = int((M - 1) * strides.sum())
-        self._state["xT"] = g.points().T.copy()
+        self.S = strides @ np.indices(g.shape).reshape(N, -1)
+        self.S_off = int((M - 1) * strides.sum())
+        self.xT = g.points().T.copy()
+        S = self.S.reshape(g.shape)
+        self.links = [np.exp(-1j * g.h * self.Atab[a, 2 * S[_layers(N, a)[0]] + strides[a]])
+                      for a in range(N)]
 
     def _row_blocks(self, rows: int = 64) -> list[slice]:
         size = self.grid.size
@@ -256,46 +262,31 @@ class QuadratureOperator:
         """Rows `rows`, columns from `rows.start` on, of the pair weights
         W_ij = k(x_i - x_j) e^{i A(mid).(x_i - x_j)}; W is Hermitian (the
         phase is odd under i <-> j), so these blocks determine it."""
-        st = self._state
         cols = slice(rows.start, None)
-        S, xT = st["S"][cols], st["xT"]
-        Si = st["S"][rows, None]
-        K = st["ktab"][Si - S + st["S_off"]]
-        A_mid = st["Atab"][:, Si + S]
+        S, xT = self.S[cols], self.xT
+        Si = self.S[rows, None]
+        K = self.ktab[Si - S + self.S_off]
+        A_mid = self.Atab[:, Si + S]
         th = np.einsum("aij,aij->ij", A_mid, xT[:, rows, None] - xT[:, None, cols])
         return K * np.exp(1j * th)
 
-    def _build_link_phases(self):
-        """Per-axis phases on the links i -> i+e_a, from midpoints of the links."""
-        g = self.grid
-        if self.A is None:
-            return None
-        mesh = g.mesh()
-        phases = []
-        for a in range(g.dim):
-            shifted = mesh.copy()
-            shifted[..., a] += g.h / 2
-            Avals = np.asarray(self.A(shifted.reshape(-1, g.dim))).reshape(g.shape + (g.dim,))
-            phases.append(Avals[..., a] * g.h)
-        return phases
+    # ---------------- the two sums of apply
 
-    # ---------------- pair sums
-
-    def _pair_data(self, u: np.ndarray):
-        """Return (rowsums, W @ u) for the pair quadrature; leading axes of u
-        stack fields, all served by one pass over the pair weights."""
+    def _pair_data(self, u: np.ndarray) -> np.ndarray:
+        """W u for the pair quadrature; leading axes of u stack fields, all
+        served by one pass over the pair weights."""
         g = self.grid
         if self.mode == "torus":
-            return self._state["rowsum"], fourier_multiply(self._state["kernel_fft"], u)
+            return fourier_multiply(self.kernel_fft, u)
         if self.A is None:
             box = (Ellipsis,) + (slice(0, g.M),) * g.dim
             pad = np.zeros(u.shape[:u.ndim - g.dim] + (2 * g.M,) * g.dim,
                            dtype=complex if np.iscomplexobj(u) else float)
             pad[box] = u
-            return self._state["rowsums"], fourier_multiply(self._state["kernel_fft"], pad)[box]
+            return fourier_multiply(self.kernel_fft, pad)[box]
         flat = u.reshape(-1, g.size).T
-        if "W" in self._state:
-            Wu = self._state["W"] @ flat
+        if self.W is not None:
+            Wu = self.W @ flat
         else:
             Wu = np.zeros(flat.shape, dtype=complex)
             for rows in self._row_blocks():
@@ -304,45 +295,31 @@ class QuadratureOperator:
                 # the rows below the block take its conjugate transpose
                 below = B[:, rows.stop - rows.start:]
                 Wu[rows.stop:] += (flat[rows].conj().T @ below).conj().T
-        return self._state["rowsums"], Wu.T.reshape(u.shape)
+        return Wu.T.reshape(u.shape)
 
-    # ---------------- covariant differences
-
-    def _transported_neighbors(self, u: np.ndarray, a: int):
-        """(u+ transported to i, u- transported to i) along grid axis a
-        (counted from the end, so leading axes of u may stack fields)."""
-        ax = a - self.grid.dim
-        periodic = self.mode == "torus"
-        if self._link_phases is None:
-            if periodic:
-                return np.roll(u, -1, axis=ax), np.roll(u, 1, axis=ax)
-            return _shift_zero(u, ax, +1), _shift_zero(u, ax, -1)
-        phi = self._link_phases[a]
-        up = _shift_zero(u, ax, +1) * np.exp(-1j * phi)
-        phim = _shift_zero(phi, ax, -1)
-        um = _shift_zero(u, ax, -1) * np.exp(1j * phim)
-        return up, um
-
-    def _covariant_lap(self, u: np.ndarray) -> np.ndarray:
-        g = self.grid
-        out = np.zeros_like(u, dtype=complex if (np.iscomplexobj(u) or self.A is not None)
-                            else float)
-        for a in range(g.dim):
-            up, um = self._transported_neighbors(u, a)
-            out += (up - 2 * u + um) / g.h ** 2
+    def _neighbour_sum(self, u: np.ndarray) -> np.ndarray:
+        """sum_a l_a u(i+e_a) + conj l_a(i-e_a) u(i-e_a): periodic on the
+        torus, zero outside the box in free mode."""
+        N = self.grid.dim
+        if self.mode == "torus":
+            return sum(np.roll(u, -1, a - N) + np.roll(u, 1, a - N) for a in range(N))
+        out = np.zeros(u.shape, dtype=complex if self.links or np.iscomplexobj(u)
+                       else float)
+        for a in range(N):
+            lo, hi = _layers(N, a)
+            up, down = u[hi], u[lo]
+            if self.links is not None:
+                up, down = self.links[a] * up, self.links[a].conj() * down
+            out[lo] += up
+            out[hi] += down
         return out
 
     # ---------------- public evaluations
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The operator on u; leading axes of u stack fields, one pair pass."""
-        g = self.grid
-        rowsums, Wu = self._pair_data(u)
-        out = self.c * g.cell_volume() * (rowsums * u - Wu)
-        out = out - self.c * (self.W2 / (2 * g.dim)) * self._covariant_lap(u)
-        if self.mode == "free":
-            out = out + self.c * self.tail * u
-        return out
+        return (self.diag * u - self.c * self.grid.cell_volume() * self._pair_data(u)
+                - self.beta * self._neighbour_sum(u))
 
     def seminorm_sq(self, u: np.ndarray):
         """[u]^2 = Re<apply(u), u> h^N; leading axes of u stack fields."""

@@ -331,6 +331,23 @@ def test_cli_input_errors_exit_1(tmp_path, capsys, verb, payload, extra):
     assert capsys.readouterr().err.startswith("config invalid:")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda meta: "{not json",
+    lambda meta: "[1, 2]",
+    lambda meta: json.dumps({k: v for k, v in meta.items() if k != "eps"}),
+    lambda meta: json.dumps({k: v for k, v in meta.items() if k != "dims"}),
+    lambda meta: json.dumps({**meta, "L": -1}),
+], ids=["not_json", "list", "no_eps", "no_dims", "L_negative"])
+def test_cli_check_malformed_sidecar_exits_1(tmp_path, capsys, edit):
+    grid = GridSpec(L=8.0, M=16, dim=1)
+    path = tmp_path / "u.f64"
+    save_field(path, Field(np.exp(-grid.axis() ** 2), grid), s=0.6, mu=0.5, eps=0.5)
+    meta_path = tmp_path / "u.f64.meta.json"
+    meta_path.write_text(edit(json.loads(meta_path.read_text())))
+    assert main(["check", "--field", str(path), "--name", "decay"]) == 1
+    assert capsys.readouterr().err.startswith("config invalid:")
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

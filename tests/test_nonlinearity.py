@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from choquard import (Field, GridSpec, PenalizationParams, PowerNonlinearity,
                       G_eval, build_hartree_cache, calibrate_penalization,
-                      f_truncated, g_eval, riesz_convolve)
+                      g_eval, riesz_convolve)
 from choquard.energy import sampled_hartree_sup, shell_samples
 from choquard.nonlinearity import threshold_for
 
@@ -46,10 +46,10 @@ def test_g_continuous_at_threshold():
     nl = PowerNonlinearity(3.5)
     pen = PenalizationParams(ell0=5.0, a=threshold_for(5.0, 2.0, 3.5), V0=2.0)
     eps = 1e-9
-    below = f_truncated(pen.a - eps, nl, pen)
-    above = f_truncated(pen.a + eps, nl, pen)
+    below = g_eval(pen.a - eps, False, nl, pen)
+    above = g_eval(pen.a + eps, False, nl, pen)
     assert abs(below - above) < 1e-7
-    assert f_truncated(pen.a, nl, pen) == pytest.approx(pen.cap)
+    assert g_eval(pen.a, False, nl, pen) == pytest.approx(pen.cap)
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
                       SpectralOperator, build_hartree_cache, build_limit_context,
                       constant_A, frac_lap_constant, random_smooth_A, riesz_convolve)
+from choquard import operators
 from choquard.operators import fourier_multiply
 
 from conftest import brute_force_riesz
@@ -190,12 +191,14 @@ def test_3d_torus_vs_spectral_coarse():
 @pytest.mark.parametrize("grid", [GridSpec(L=6.0, M=24, dim=2),  # 576 points
                                   GridSpec(L=4.0, M=8, dim=3)],  # 512 points
                          ids=["2d", "3d"])
-def test_chunked_magnetic_apply_matches_dense(grid):
+def test_chunked_magnetic_apply_matches_dense(grid, monkeypatch):
     A = random_smooth_A(grid.dim, grid.L, 0.4, seed=14)
     rng = np.random.default_rng(15)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    dense = QuadratureOperator(grid, 0.6, A, mode="free", dense_limit=1024)
-    chunked = QuadratureOperator(grid, 0.6, A, mode="free", dense_limit=1)
+    monkeypatch.setattr(operators, "DENSE_LIMIT", 1024)
+    dense = QuadratureOperator(grid, 0.6, A, mode="free")
+    monkeypatch.setattr(operators, "DENSE_LIMIT", 1)
+    chunked = QuadratureOperator(grid, 0.6, A, mode="free")
     out_d = dense.apply(vals)
     out_c = chunked.apply(vals)
     assert np.max(np.abs(out_d - out_c)) < 1e-12 * np.max(np.abs(out_d))
@@ -203,9 +206,15 @@ def test_chunked_magnetic_apply_matches_dense(grid):
                                                       rel=1e-12)
 
 
+def _chunked(g):
+    """The magnetic operator that regenerates its pair blocks every pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "DENSE_LIMIT", 1)
+        return QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3))
+
+
 @pytest.mark.parametrize("make_op", [
-    lambda g: QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3),
-                                 dense_limit=1),
+    _chunked,
     lambda g: QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3)),
     lambda g: QuadratureOperator(g, 0.6, None),
     lambda g: QuadratureOperator(g, 0.6, None, mode="torus"),
@@ -229,6 +238,28 @@ def test_stacked_pass_matches_one_pass_per_field(make_op):
             assert form == pytest.approx(op.seminorm_sq(u), rel=1e-12)
 
 
+def test_apply_builds_nothing(monkeypatch):
+    # every constant part is assembled once: applying the dense magnetic
+    # operator takes no exponential, the chunked one one per pair block
+    grid = GridSpec(L=6.0, M=16, dim=2)
+    A = random_smooth_A(2, grid.L, 0.4, seed=3)
+    dense = QuadratureOperator(grid, 0.6, A)
+    monkeypatch.setattr(operators, "DENSE_LIMIT", 1)
+    chunked = QuadratureOperator(grid, 0.6, A)
+    calls = []
+    exp = np.exp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+    monkeypatch.setattr(np, "exp", counted)
+    u = np.random.default_rng(18).normal(size=grid.shape) + 0j
+    for op, expected in ((dense, 0), (chunked, len(chunked._row_blocks()))):
+        calls.clear()
+        op.apply(u)
+        assert len(calls) == expected
+
+
 @pytest.mark.parametrize("grid", [GridSpec(L=4.0, M=16, dim=1),
                                   GridSpec(L=5.0, M=12, dim=2),
                                   GridSpec(L=3.0, M=8, dim=3)],
@@ -244,7 +275,7 @@ def test_fft_rowsums_match_literal_pair_sums(grid):
         near = (rr > 0) & (rr <= op.cutoff)
         K[near] = rr[near] ** (-grid.dim - 2 * s)
         expected = K.sum(axis=1).reshape(grid.shape)
-        got = op._pair_data(np.zeros(grid.shape, dtype=complex))[0]
+        got = op.rowsums
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
 
 
@@ -325,41 +356,55 @@ def test_frac_lap_constant_limits():
     assert frac_lap_constant(1, 0.5) == pytest.approx(1 / np.pi, rel=1e-12)
 
 
-def test_free_mode_matches_literal_formula():
+@pytest.mark.parametrize("grid, A", [
+    (GridSpec(L=4.0, M=16, dim=1), random_smooth_A(1, 4.0, 0.5, seed=44)),
+    (GridSpec(L=3.0, M=8, dim=2), random_smooth_A(2, 3.0, 0.5, seed=47)),
+], ids=["1d", "2d"])
+def test_free_mode_matches_literal_formula(grid, A):
     # independent oracle: evaluate the quadrature definition point by point
-    grid = GridSpec(L=4.0, M=16, dim=1)
+    N, M, h = grid.dim, grid.M, grid.h
     s = 0.6
-    A = random_smooth_A(1, grid.L, 0.5, seed=44)
     rng = np.random.default_rng(45)
-    u = rng.normal(size=16) + 1j * rng.normal(size=16)
-    x = grid.axis()
-    h = grid.h
-    c = frac_lap_constant(1, s)
+    u = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    c = frac_lap_constant(N, s)
     rc = grid.L - h / 2
-    r0 = 8
-    expected = np.zeros(16, dtype=complex)
-    for i in range(16):
+
+    def A_at(x):
+        return np.asarray(A(np.asarray(x, dtype=float).reshape(1, N)))[0]
+
+    idx = list(np.ndindex(grid.shape))
+    pts = [grid.index_to_point(i) for i in idx]
+    expected = np.zeros(grid.shape, dtype=complex)
+    for i, xi in zip(idx, pts):
         acc = 0.0 + 0.0j
-        for j in range(16):
-            z = x[i] - x[j]
-            if j == i or abs(z) > rc:
+        for j, xj in zip(idx, pts):
+            z = xi - xj
+            r = np.sqrt(np.sum(z ** 2))
+            if j == i or r > rc:
                 continue
-            theta = float(A(np.array([[(x[i] + x[j]) / 2]]))[0, 0]) * z
-            acc += (u[i] - u[j] * np.exp(1j * theta)) * abs(z) ** (-1 - 2 * s)
-        expected[i] = c * h * acc
-    # far tail under zero extension
-    expected += c * (2.0 / (2 * s * rc ** (2 * s))) * u
-    # covariant second-difference correction over the near zone
+            theta = float(A_at((xi + xj) / 2) @ z)
+            acc += (u[i] - u[j] * np.exp(1j * theta)) * r ** (-N - 2 * s)
+        expected[i] = c * h ** N * acc
+    # far tail under zero extension; the unit sphere has area 2 (N=1), 2 pi (N=2)
+    expected += c * ({1: 2.0, 2: 2 * np.pi}[N] / (2 * s * rc ** (2 * s))) * u
+    # covariant second-difference correction over the near zone; the link
+    # x -> x + h e_a carries e^{-i A_a(x + (h/2) e_a) h}
     from choquard.operators import near_zone_weight
-    W2 = near_zone_weight(1, s, h, r0)
-    phi = np.array([float(A(np.array([[xx + h / 2]]))[0, 0]) * h for xx in x])
-    lap = np.zeros(16, dtype=complex)
-    for i in range(16):
-        up = u[i + 1] * np.exp(-1j * phi[i]) if i + 1 < 16 else 0.0
-        um = u[i - 1] * np.exp(1j * phi[i - 1]) if i - 1 >= 0 else 0.0
-        lap[i] = (up - 2 * u[i] + um) / h ** 2
-    expected += -c * (W2 / 2) * lap
-    got = QuadratureOperator(grid, s, A, mode="free", near_radius=r0).apply(u)
+    W2 = near_zone_weight(N, s, h, {1: 8, 2: 2}[N])
+    lap = np.zeros(grid.shape, dtype=complex)
+    for i, xi in zip(idx, pts):
+        for a in range(N):
+            e = np.eye(N, dtype=int)[a]
+            up = tuple(np.add(i, e))
+            dn = tuple(np.subtract(i, e))
+            if i[a] + 1 < M:
+                lap[i] += u[up] * np.exp(-1j * A_at(xi + h / 2 * e)[a] * h)
+            if i[a] >= 1:
+                x_dn = grid.index_to_point(dn)
+                lap[i] += u[dn] * np.exp(1j * A_at(x_dn + h / 2 * e)[a] * h)
+            lap[i] -= 2 * u[i]
+    expected += -c * (W2 / (2 * N)) * lap / h ** 2
+    got = QuadratureOperator(grid, s, A, mode="free").apply(u)
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
@@ -399,7 +444,7 @@ def test_gagliardo_matches_literal_double_sum(A):
                 for i in range(16)) + abs(u[0]) ** 2
     val += c * (W2 / 2) * links / h ** 2 * h
     val += c * (2.0 / (2 * s * rc ** (2 * s))) * np.sum(np.abs(u) ** 2) * h
-    got = QuadratureOperator(grid, s, A, mode="free", near_radius=8).seminorm_sq(u)
+    got = QuadratureOperator(grid, s, A, mode="free").seminorm_sq(u)
     assert got == pytest.approx(val, rel=1e-12)
 
 
