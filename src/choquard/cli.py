@@ -180,7 +180,7 @@ def _cmd_check(args) -> int:
     name = args.name
     if name == "diamagnetic":
         A, kind = _run_potential(Path(args.field), u, meta["eps"])
-        result = check_diamagnetic(u, A, meta["s"], seed=args.seed or 0)
+        result = check_diamagnetic(u, A, meta["s"])
         result.context["A"] = kind
     elif name == "hls":
         if not args.config:
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--name", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("export", help="export |u| to CSV")

@@ -130,33 +130,14 @@ def check_decay(u: Field, eps: float, x_max_index, s: float) -> CheckResult:
 
 # --------------------------------------------------------------- diamagnetic
 
-def check_diamagnetic(u: Field, A, s: float, *, seed: int = 0) -> CheckResult:
-    """Seminorm and pointwise diamagnetic inequalities, the latter on 10^4
-    random pairs; never fails, since the pointwise bound holds term by term
-    in the quadrature sums."""
+def check_diamagnetic(u: Field, A, s: float) -> CheckResult:
+    """Seminorm diamagnetic inequality [|u|]^2 <= [u]_A^2 between the
+    quadrature with A and the one with A == 0."""
     sem_A = QuadratureOperator(u.grid, s, A).seminorm_sq(u.values)
     sem_mod = QuadratureOperator(u.grid, s, None).seminorm_sq(np.abs(u.values))
     slack = 1e-12 * max(1.0, sem_A)
-    sem_ok = sem_mod <= sem_A + slack
-
-    rng = np.random.default_rng(seed)
-    pts = u.grid.points()
-    vals = u.values.reshape(-1)
-    n = len(vals)
-    i = rng.integers(0, n, size=10_000)
-    j = rng.integers(0, n, size=10_000)
-    keep = i != j
-    i, j = i[keep], j[keep]
-    z = pts[i] - pts[j]
-    if A is None:
-        th = np.zeros(len(i))
-    else:
-        th = np.sum(np.asarray(A((pts[i] + pts[j]) / 2)) * z, axis=-1)
-    lhs = np.abs(np.abs(vals[i]) - np.abs(vals[j]))
-    rhs = np.abs(vals[i] - vals[j] * np.exp(1j * th))
-    pw_ok = bool(np.all(lhs <= rhs + 1e-12 * (1 + rhs)))
-    return CheckResult("diamagnetic", sem_ok and pw_ok, sem_mod, sem_A, slack,
-                       {"pointwise_ok": pw_ok, "pairs": int(len(i)), "seed": seed})
+    return CheckResult("diamagnetic", bool(sem_mod <= sem_A + slack), sem_mod, sem_A,
+                       slack)
 
 
 # ----------------------------------------------------------------------- HLS

@@ -91,7 +91,7 @@ def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSp
     if pot.magnetic(grid):
         def A_eps(points):
             return np.asarray(pot.A(cfg.eps * np.asarray(points)))
-        op = QuadratureOperator(grid, cfg.s, A_eps, mode="free")
+        op = QuadratureOperator(grid, cfg.s, A_eps)
     else:
         op = SpectralOperator(grid, cfg.s)
     return EnergyContext(

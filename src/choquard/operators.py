@@ -6,31 +6,25 @@ has Fourier symbol |xi|^(2s). Both operators have one primitive, `apply`; the
 discrete [u]^2 = Re<Lu, u> h^N (`quadratic_form`) then approximates the
 squared L2 norm of (-Delta)^(s/2) u.
 
-Two quadrature modes are provided:
-
-* "free"  - true displacements inside the box, kernel cut at a ball of radius
-  R_cut, with the far tail approximated under zero extension of the field by
-  c_{N,s} * u(x) * |S^{N-1}| / (2s * R_cut^{2s}).  Midpoint phases use the
-  literal arithmetic midpoint, which makes gauge covariance under constant
-  shifts exact in floating point.  This is the default and the only mode that
-  accepts a magnetic potential.
-* "torus" - periodized kernel (lattice image sums), no tail term.  This is
-  the operator whose A == 0 action is comparable with the spectral
-  Fourier-multiplier path, and it annihilates constants exactly.
-
-Both modes exclude the singular cell from the pair sum and restore accuracy
-with the analytic integral of the second-order Taylor model over a near zone
-of `NEAR_RADIUS` cells; the model derivatives are formed with link-phase
-covariant differences so the correction is also exactly gauge covariant.
-Every constant part is assembled once, so `apply` is one expression,
+The quadrature approximates the whole-space operator on R^N: true
+displacements inside the box, the kernel cut at a ball of radius R_cut, and
+the far tail approximated under zero extension of the field by
+c_{N,s} * u(x) * |S^{N-1}| / (2s * R_cut^{2s}).  Midpoint phases use the
+literal arithmetic midpoint, which makes gauge covariance under constant
+shifts exact in floating point.  The singular cell is excluded from the pair
+sum and accuracy restored with the analytic integral of the second-order
+Taylor model over a near zone of `NEAR_RADIUS` cells; the model derivatives
+are formed with link-phase covariant differences so the correction is also
+exactly gauge covariant.  Every constant part is assembled once, so `apply`
+is one expression,
 
     Lu = diag u - c h^N W u - beta sum_a (l_a u(i+e_a) + conj l_a u(i-e_a)),
 
 with diag = c (h^N rowsums + tail) + 2N beta, beta = c W2 / (2N h^2) and the
 link factor l_a = e^{-i A_a(x_i + (h/2) e_a) h}; neighbours are zero outside
-the box in free mode and periodic on the torus.
+the box.
 
-The free mode's row sums sum_j k(x_i - x_j) do not depend on A and come from
+The row sums sum_j k(x_i - x_j) do not depend on A and come from
 one FFT convolution of the kernel block with the box indicator.  With A, the
 pair weights W_ij = k(x_i - x_j) e^{i A((x_i+x_j)/2).(x_i - x_j)} are
 gathered from two tables built once per operator: the kernel on every
@@ -115,42 +109,6 @@ def near_zone_weight(N: int, s: float, h: float, r0: int) -> float:
     return w_int - w_sum
 
 
-def _torus_kernel(grid: GridSpec, s: float) -> np.ndarray:
-    """Periodized |z|^(-N-2s) on nearest-image displacements; zero at z = 0."""
-    from scipy.special import zeta  # the torus mode alone needs scipy
-
-    M, h, L, N = grid.M, grid.h, grid.L, grid.dim
-    zi = ((np.arange(M) + M // 2) % M) - M // 2
-    if N == 1:
-        z = zi * h
-        az = np.abs(z)
-        k = np.zeros(M)
-        nz = zi != 0
-        k[nz] = az[nz] ** (-1 - 2 * s)
-        P = 2 * L
-        k[nz] += P ** (-1 - 2 * s) * (zeta(1 + 2 * s, 1 + az[nz] / P)
-                                      + zeta(1 + 2 * s, 1 - az[nz] / P))
-        return k
-    Z = np.stack(np.meshgrid(*([zi * h] * N), indexing="ij"), axis=-1)
-    rr = np.linalg.norm(Z, axis=-1)
-    k = np.zeros(grid.shape)
-    nz = rr > 0
-    k[nz] = rr[nz] ** (-N - 2 * s)
-    # lattice image sums, then a density-approximated remainder
-    K_img = 6
-    offs = []
-    rng = np.arange(-K_img, K_img + 1)
-    for m in np.stack(np.meshgrid(*([rng] * N), indexing="ij"), axis=-1).reshape(-1, N):
-        if np.any(m != 0):
-            offs.append(2 * L * m.astype(float))
-    for off in offs:
-        k += np.linalg.norm(Z + off, axis=-1) ** (-N - 2 * s)
-    R_far = (2 * K_img + 1) * L
-    k += sphere_area(N) * R_far ** (-2 * s) / (2 * s) / (2 * L) ** N
-    k[(0,) * N] = 0.0
-    return k
-
-
 def _free_kernel(grid: GridSpec, s: float, cutoff: float, offsets: np.ndarray) -> np.ndarray:
     """k(h d) = |h d|^(-N-2s) on the mesh of integer displacements d with
     components in `offsets`; zero at d = 0 and beyond the cutoff."""
@@ -188,46 +146,34 @@ class QuadratureOperator:
     grid: GridSpec
     s: float
     A: object | None = None  # vector potential callable, or None for A == 0
-    mode: str = "free"
 
     def __post_init__(self):
         _check_s(self.s)
-        if self.mode not in ("free", "torus"):
-            raise ValueError("mode must be 'free' or 'torus'")
         g = self.grid
-        N = g.dim
+        N, M = g.dim, g.M
         self.c = frac_lap_constant(N, self.s)
         if self.A is not None:
             amax = float(np.max(np.abs(np.asarray(self.A(g.points())))))
             if amax == 0.0:
                 self.A = None
         self.W = self.links = None
-        if self.mode == "torus":
-            if self.A is not None:
-                raise ValueError("the periodized kernel requires A == 0")
-            tail = 0.0
-            ker = _torus_kernel(g, self.s)
-            self.kernel_fft = even_spectrum(ker)
-            self.rowsums = float(np.sum(ker))
-        else:
-            self.cutoff = g.L - g.h / 2
-            tail = sphere_area(N) / (2 * self.s * self.cutoff ** (2 * self.s))
-            M = g.M
-            d = np.arange(2 * M)
-            d = np.where(d < M, d, d - 2 * M)  # offsets -M..M-1; |offset| M unused
-            self.kernel_fft = even_spectrum(_free_kernel(g, self.s, self.cutoff, d))
-            box = (Ellipsis,) + (slice(0, M),) * N
-            pad = np.zeros((2 * M,) * N)
-            pad[box] = 1.0
-            self.rowsums = fourier_multiply(self.kernel_fft, pad)[box].copy()
-            if self.A is not None:
-                self._build_pair_tables()
-                if g.size <= DENSE_LIMIT:
-                    self.W = np.empty((g.size, g.size), dtype=complex)
-                    for rows in self._row_blocks():
-                        B = self._pair_block(rows)
-                        self.W[rows, rows.start:] = B
-                        self.W[rows.start:, rows] = B.conj().T
+        self.cutoff = g.L - g.h / 2
+        tail = sphere_area(N) / (2 * self.s * self.cutoff ** (2 * self.s))
+        d = np.arange(2 * M)
+        d = np.where(d < M, d, d - 2 * M)  # offsets -M..M-1; |offset| M unused
+        self.kernel_fft = even_spectrum(_free_kernel(g, self.s, self.cutoff, d))
+        box = (Ellipsis,) + (slice(0, M),) * N
+        pad = np.zeros((2 * M,) * N)
+        pad[box] = 1.0
+        self.rowsums = fourier_multiply(self.kernel_fft, pad)[box].copy()
+        if self.A is not None:
+            self._build_pair_tables()
+            if g.size <= DENSE_LIMIT:
+                self.W = np.empty((g.size, g.size), dtype=complex)
+                for rows in self._row_blocks():
+                    B = self._pair_block(rows)
+                    self.W[rows, rows.start:] = B
+                    self.W[rows.start:, rows] = B.conj().T
         W2 = near_zone_weight(N, self.s, g.h, NEAR_RADIUS[N])
         self.beta = self.c * W2 / (2 * N * g.h ** 2)
         self.diag = self.c * (g.cell_volume() * self.rowsums + tail) + 2 * N * self.beta
@@ -276,8 +222,6 @@ class QuadratureOperator:
         """W u for the pair quadrature; leading axes of u stack fields, all
         served by one pass over the pair weights."""
         g = self.grid
-        if self.mode == "torus":
-            return fourier_multiply(self.kernel_fft, u)
         if self.A is None:
             box = (Ellipsis,) + (slice(0, g.M),) * g.dim
             pad = np.zeros(u.shape[:u.ndim - g.dim] + (2 * g.M,) * g.dim,
@@ -298,11 +242,8 @@ class QuadratureOperator:
         return Wu.T.reshape(u.shape)
 
     def _neighbour_sum(self, u: np.ndarray) -> np.ndarray:
-        """sum_a l_a u(i+e_a) + conj l_a(i-e_a) u(i-e_a): periodic on the
-        torus, zero outside the box in free mode."""
+        """sum_a l_a u(i+e_a) + conj l_a(i-e_a) u(i-e_a), zero outside the box."""
         N = self.grid.dim
-        if self.mode == "torus":
-            return sum(np.roll(u, -1, a - N) + np.roll(u, 1, a - N) for a in range(N))
         out = np.zeros(u.shape, dtype=complex if self.links or np.iscomplexobj(u)
                        else float)
         for a in range(N):

@@ -25,10 +25,6 @@ class BallRegion:
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.center) + self.radius)
 
-    def scaled(self, factor: float) -> "BallRegion":
-        c = tuple(x * factor for x in self.center)
-        return BallRegion(c, self.radius * factor)
-
 
 @dataclass(frozen=True)
 class BoxRegion:
@@ -43,10 +39,6 @@ class BoxRegion:
     def bounding_radius(self) -> float:
         corners = np.abs(np.array([self.lo, self.hi]))
         return float(np.linalg.norm(np.max(corners, axis=0)))
-
-    def scaled(self, factor: float) -> "BoxRegion":
-        return BoxRegion(tuple(x * factor for x in self.lo),
-                         tuple(x * factor for x in self.hi))
 
 
 Region = BallRegion | BoxRegion

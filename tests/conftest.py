@@ -40,6 +40,22 @@ def nehari_closed_form(u: Field, ctx) -> float:
     return (q * n2 / (2.0 * D)) ** (1.0 / (2.0 * q - 2.0))
 
 
+def gaussian_frac_lap(N: int, s: float, r2) -> np.ndarray:
+    """(-Delta)^s e^{-|x|^2/4} on R^N at |x|^2 = r2, from the Gaussian's
+    transform (4 pi)^{N/2} e^{-|xi|^2}:
+    Gamma(N/2 + s) / Gamma(N/2) 1F1(N/2 + s; N/2; -|x|^2/4)."""
+    from scipy.special import gamma, hyp1f1
+    return gamma(N / 2 + s) / gamma(N / 2) * hyp1f1(N / 2 + s, N / 2, -np.asarray(r2) / 4)
+
+
+def gaussian_seminorm_sq(N: int, s: float) -> float:
+    """[e^{-|x|^2/4}]^2 = int |xi|^{2s} |u^(xi)|^2 dxi / (2 pi)^N on R^N,
+    = 2^N |S^{N-1}| Gamma(s + N/2) / 2^{s + N/2 + 1}."""
+    from scipy.special import gamma
+    sphere = 2 * np.pi ** (N / 2) / gamma(N / 2)
+    return float(2 ** N * sphere * gamma(s + N / 2) / 2 ** (s + N / 2 + 1))
+
+
 def central_diff_energy(ctx, u: Field, v: Field, delta: float = 1e-6) -> float:
     from choquard import energy_value
     up = Field(u.values + delta * v.values, u.grid)

@@ -9,7 +9,7 @@ from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
 from choquard import operators
 from choquard.operators import fourier_multiply
 
-from conftest import brute_force_riesz
+from conftest import brute_force_riesz, gaussian_frac_lap, gaussian_seminorm_sq
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +51,6 @@ def test_spectral_s1_matches_five_point():
 
 # ----------------------------------------------------------- quadrature path
 
-def test_torus_quadrature_vs_spectral(g128):
-    grid = GridSpec(L=20.0, M=256, dim=1)
-    u = np.exp(-grid.axis() ** 2 / 4)
-    q = QuadratureOperator(grid, 0.5, None, mode="torus").apply(u)
-    sp = SpectralOperator(grid, 0.5).apply(u)
-    assert np.max(np.abs(q - sp)) / np.max(np.abs(sp)) < 1e-3
-
-
-def test_torus_annihilates_constants(g128):
-    for s in (0.3, 0.7):
-        out = QuadratureOperator(g128, s, None, mode="torus").apply(np.ones(g128.M))
-        assert np.max(np.abs(out)) < 1e-8
-
-
 def test_constant_A_plane_wave_factorization(g128):
     # u = e^{i c x} v with A == c: the midpoint phase cancels exactly
     c = 0.8
@@ -72,7 +58,7 @@ def test_constant_A_plane_wave_factorization(g128):
     v = np.exp(-x ** 2 / 3) * (1 + 0.2 * np.cos(x))
     w = np.exp(1j * c * x) * v
     lhs = QuadratureOperator(g128, 0.55, constant_A([c])).apply(w)
-    rhs = QuadratureOperator(g128, 0.55, None, mode="free").apply(v)
+    rhs = QuadratureOperator(g128, 0.55, None).apply(v)
     assert np.max(np.abs(lhs - np.exp(1j * c * x) * rhs)) \
         < 1e-12 * np.max(np.abs(rhs))
 
@@ -82,12 +68,6 @@ def test_s_out_of_range_rejected(g128):
         QuadratureOperator(g128, 1.0, None)
     with pytest.raises(ValueError):
         QuadratureOperator(g128, 0.0, None)
-
-
-def test_torus_mode_refuses_magnetic(g128):
-    with pytest.raises(ValueError):
-        QuadratureOperator(g128, 0.5, random_smooth_A(1, g128.L, 0.3, seed=1),
-                           mode="torus")
 
 
 # ----------------------------------------------------------- gagliardo forms
@@ -125,8 +105,7 @@ def test_gauge_covariance_constant_shift(g128):
 
 
 @pytest.mark.parametrize("make_op", [
-    lambda g: QuadratureOperator(g, 0.6, random_smooth_A(1, g.L, 0.5, seed=6),
-                                 mode="free"),
+    lambda g: QuadratureOperator(g, 0.6, random_smooth_A(1, g.L, 0.5, seed=6)),
     lambda g: SpectralOperator(g, 0.6),
 ], ids=["quadrature", "spectral"])
 def test_quadratic_form_consistency_and_self_adjointness(g128, make_op):
@@ -142,13 +121,24 @@ def test_quadratic_form_consistency_and_self_adjointness(g128, make_op):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_torus_quadrature_tracks_spectral_seminorm():
-    # same normalization on both paths: values agree to quadrature accuracy
-    grid = GridSpec(L=20.0, M=256, dim=1)
-    u = np.exp(-grid.axis() ** 2 / 4)
-    op = QuadratureOperator(grid, 0.5, None, mode="torus")
-    assert op.seminorm_sq(u) == pytest.approx(
-        SpectralOperator(grid, 0.5).seminorm_sq(u), rel=1e-3)
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the diagonal sums the kernel "
+                   "only over the box, so the error off the centre does not fall with M")
+def test_free_quadrature_matches_closed_form_inside():
+    # (-Delta)^s e^{-x^2/4} on R over |x| <= L/2, and its seminorm
+    L = 20.0
+    for s in (0.3, 0.5, 0.7):
+        errs = []
+        for M in (256, 512):
+            grid = GridSpec(L=L, M=M, dim=1)
+            x = grid.axis()
+            u = np.exp(-x ** 2 / 4)
+            op = QuadratureOperator(grid, s, None)
+            exact = gaussian_frac_lap(1, s, x ** 2)
+            inner = np.abs(x) <= L / 2
+            errs.append(np.max(np.abs(op.apply(u) - exact)[inner]) / np.max(np.abs(exact)))
+            assert op.seminorm_sq(u) == pytest.approx(gaussian_seminorm_sq(1, s), rel=1e-3)
+        assert errs[0] < 1e-3, f"s={s}: inner rel Linf {errs[0]:.2e} >= 1e-3"
+        assert errs[1] < errs[0], f"s={s}: inner error did not decrease under M->2M"
 
 
 # ------------------------------------------------------------------ 2D / 3D
@@ -158,7 +148,7 @@ def test_2d_identities_small():
     rng = np.random.default_rng(2)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     A = random_smooth_A(2, grid.L, 0.4, seed=9)
-    op = QuadratureOperator(grid, 0.6, A, mode="free")
+    op = QuadratureOperator(grid, 0.6, A)
     sn = op.seminorm_sq(vals)
     c = np.array([0.5, -0.3])
     mesh = grid.mesh()
@@ -168,24 +158,21 @@ def test_2d_identities_small():
     assert abs(moved - sn) <= 1e-12 * sn
 
 
-def test_2d_torus_vs_spectral_coarse():
-    grid = GridSpec(L=10.0, M=48, dim=2)
-    mesh = grid.mesh()
-    u = np.exp(-np.sum(mesh ** 2, axis=-1) / 4)
-    q = QuadratureOperator(grid, 0.5, None, mode="torus").apply(u)
-    sp = SpectralOperator(grid, 0.5).apply(u)
-    rel = np.max(np.abs(q - sp)) / np.max(np.abs(sp))
-    assert rel < 5e-2
-
-
-def test_3d_torus_vs_spectral_coarse():
-    grid = GridSpec(L=6.0, M=16, dim=3)
-    mesh = grid.mesh()
-    u = np.exp(-np.sum(mesh ** 2, axis=-1))
-    q = QuadratureOperator(grid, 0.5, None, mode="torus").apply(u)
-    sp = SpectralOperator(grid, 0.5).apply(u)
-    rel = np.max(np.abs(q - sp)) / np.max(np.abs(sp))
-    assert rel < 0.15  # M=16 per axis is very coarse
+@pytest.mark.parametrize("dim, L, Ms, bound", [(2, 10.0, (48, 96), 5e-2),
+                                               (3, 6.0, (8, 16), 0.15)],  # very coarse
+                         ids=["2d", "3d"])
+def test_free_quadrature_matches_closed_form_at_centre(dim, L, Ms, bound):
+    # (-Delta)^s e^{-|x|^2/4} at x = 0 on R^N, where every pair inside the
+    # cutoff lies in the box
+    exact = gaussian_frac_lap(dim, 0.5, 0.0)
+    errs = []
+    for M in Ms:
+        grid = GridSpec(L=L, M=M, dim=dim)
+        u = np.exp(-np.sum(grid.mesh() ** 2, axis=-1) / 4)
+        centre = QuadratureOperator(grid, 0.5, None).apply(u)[(M // 2,) * dim]
+        errs.append(abs(centre - exact) / exact)
+    assert max(errs) < bound
+    assert errs[1] < errs[0]
 
 
 @pytest.mark.parametrize("grid", [GridSpec(L=6.0, M=24, dim=2),  # 576 points
@@ -196,9 +183,9 @@ def test_chunked_magnetic_apply_matches_dense(grid, monkeypatch):
     rng = np.random.default_rng(15)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     monkeypatch.setattr(operators, "DENSE_LIMIT", 1024)
-    dense = QuadratureOperator(grid, 0.6, A, mode="free")
+    dense = QuadratureOperator(grid, 0.6, A)
     monkeypatch.setattr(operators, "DENSE_LIMIT", 1)
-    chunked = QuadratureOperator(grid, 0.6, A, mode="free")
+    chunked = QuadratureOperator(grid, 0.6, A)
     out_d = dense.apply(vals)
     out_c = chunked.apply(vals)
     assert np.max(np.abs(out_d - out_c)) < 1e-12 * np.max(np.abs(out_d))
@@ -217,9 +204,8 @@ def _chunked(g):
     _chunked,
     lambda g: QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3)),
     lambda g: QuadratureOperator(g, 0.6, None),
-    lambda g: QuadratureOperator(g, 0.6, None, mode="torus"),
     lambda g: SpectralOperator(g, 0.6),
-], ids=["chunked", "dense", "free", "torus", "spectral"])
+], ids=["chunked", "dense", "free", "spectral"])
 def test_stacked_pass_matches_one_pass_per_field(make_op):
     grid = GridSpec(L=6.0, M=16, dim=2)
     op = make_op(grid)
@@ -404,7 +390,7 @@ def test_free_mode_matches_literal_formula(grid, A):
                 lap[i] += u[dn] * np.exp(1j * A_at(x_dn + h / 2 * e)[a] * h)
             lap[i] -= 2 * u[i]
     expected += -c * (W2 / (2 * N)) * lap / h ** 2
-    got = QuadratureOperator(grid, s, A, mode="free").apply(u)
+    got = QuadratureOperator(grid, s, A).apply(u)
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
@@ -444,7 +430,7 @@ def test_gagliardo_matches_literal_double_sum(A):
                 for i in range(16)) + abs(u[0]) ** 2
     val += c * (W2 / 2) * links / h ** 2 * h
     val += c * (2.0 / (2 * s * rc ** (2 * s))) * np.sum(np.abs(u) ** 2) * h
-    got = QuadratureOperator(grid, s, A, mode="free").seminorm_sq(u)
+    got = QuadratureOperator(grid, s, A).seminorm_sq(u)
     assert got == pytest.approx(val, rel=1e-12)
 
 

@@ -371,3 +371,23 @@ def test_cli_imports_no_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_source_imports_no_scipy():
+    # every import statement in src/choquard, inside functions too: scipy is
+    # a test dependency only (the spline, 1F1 and Gamma oracles)
+    import ast
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src" / "choquard"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert not found, found
