@@ -15,6 +15,11 @@ OUTSIDE_THEORY_WARNING = (
 )
 
 
+# largest bound 16 n(n+1)/2 bytes (the Hermitian upper triangle) on the
+# stored magnetic pair weights of an n-point grid that a config may ask for
+PAIR_STORAGE_LIMIT_BYTES = 1 << 30
+
+
 class ConfigError(ValueError):
     """Raised when a configuration cannot be used at all (vs. reported violations)."""
 
@@ -117,6 +122,10 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
         bad.append("V0 must be positive")
     if grid.dim != cfg.dim:
         bad.append("grid dimension does not match problem dimension")
+    pair_bytes = 8 * grid.size * (grid.size + 1)
+    if pair_bytes > PAIR_STORAGE_LIMIT_BYTES and pot.magnetic(grid):
+        bad.append(f"magnetic pair weights need up to {pair_bytes / 2 ** 20:.0f} MB, over "
+                   f"the {PAIR_STORAGE_LIMIT_BYTES / 2 ** 20:.0f} MB limit")
 
     if cfg.q <= 2.0:
         bad.append("q must exceed 2")

@@ -33,10 +33,13 @@ displacement d in [-(M-1), M-1]^N, and A on the half-step lattice
 midpoint.  With flat multi-indices S of stride 2M-1, a pair reads the kernel
 at S_i - S_j and A at S_i + S_j, a link i -> i+e_a reads A at 2 S_i + stride_a.
 The weight matrix is Hermitian (the phase is odd under i <-> j), so only
-row blocks on and above the diagonal are generated.  Up to `DENSE_LIMIT`
-points the weights are stored as one dense matrix; above it each pair pass
-regenerates them.  A pass acts on a stack of fields at once (leading axes),
-so one pass serves a whole group.
+row blocks on and above the diagonal are generated, once per operator, each
+of about `PAIR_BLOCK_PAIRS` pairs and cut at its last column inside the
+kernel cutoff (the columns past it are exact zeros).  A pair pass is two
+products per stored block: the block on its own rows, and its transpose on
+the conjugated field for the rows below, conjugated once at the end.  A pass
+acts on a stack of fields at once (leading axes), so one pass serves a whole
+group.
 """
 
 from __future__ import annotations
@@ -124,8 +127,8 @@ def _free_kernel(grid: GridSpec, s: float, cutoff: float, offsets: np.ndarray) -
 
 # cells in the near zone of the second-order correction, by dimension
 NEAR_RADIUS = {1: 8, 2: 2, 3: 2}
-# the magnetic pair matrix is kept dense up to this many points
-DENSE_LIMIT = 768
+# pairs per stored row block of the magnetic weights: rows = budget // points
+PAIR_BLOCK_PAIRS = 1 << 14
 
 
 def _layers(N: int, a: int) -> tuple[tuple, tuple]:
@@ -156,7 +159,7 @@ class QuadratureOperator:
             amax = float(np.max(np.abs(np.asarray(self.A(g.points())))))
             if amax == 0.0:
                 self.A = None
-        self.W = self.links = None
+        self.blocks, self.links = [], None
         self.cutoff = g.L - g.h / 2
         tail = sphere_area(N) / (2 * self.s * self.cutoff ** (2 * self.s))
         d = np.arange(2 * M)
@@ -168,12 +171,10 @@ class QuadratureOperator:
         self.rowsums = fourier_multiply(self.kernel_fft, pad)[box].copy()
         if self.A is not None:
             self._build_pair_tables()
-            if g.size <= DENSE_LIMIT:
-                self.W = np.empty((g.size, g.size), dtype=complex)
-                for rows in self._row_blocks():
-                    B = self._pair_block(rows)
-                    self.W[rows, rows.start:] = B
-                    self.W[rows.start:, rows] = B.conj().T
+            step = max(1, PAIR_BLOCK_PAIRS // g.size)
+            self.blocks = [self._pair_block(slice(lo, min(lo + step, g.size)))
+                           for lo in range(0, g.size, step)]
+        self.pair_weights_mb = sum(B.nbytes for _, B in self.blocks) / 2 ** 20
         W2 = near_zone_weight(N, self.s, g.h, NEAR_RADIUS[N])
         self.beta = self.c * W2 / (2 * N * g.h ** 2)
         self.diag = self.c * (g.cell_volume() * self.rowsums + tail) + 2 * N * self.beta
@@ -200,21 +201,20 @@ class QuadratureOperator:
         self.links = [np.exp(-1j * g.h * self.Atab[a, 2 * S[_layers(N, a)[0]] + strides[a]])
                       for a in range(N)]
 
-    def _row_blocks(self, rows: int = 64) -> list[slice]:
-        size = self.grid.size
-        return [slice(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
-
-    def _pair_block(self, rows: slice) -> np.ndarray:
-        """Rows `rows`, columns from `rows.start` on, of the pair weights
-        W_ij = k(x_i - x_j) e^{i A(mid).(x_i - x_j)}; W is Hermitian (the
-        phase is odd under i <-> j), so these blocks determine it."""
-        cols = slice(rows.start, None)
-        S, xT = self.S[cols], self.xT
+    def _pair_block(self, rows: slice) -> tuple[slice, np.ndarray]:
+        """Rows `rows` of the pair weights W_ij = k(x_i - x_j) e^{i A(mid).(x_i - x_j)},
+        columns from `rows.start` to the last one where the kernel is nonzero;
+        W is Hermitian (the phase is odd under i <-> j), so these blocks
+        determine it."""
         Si = self.S[rows, None]
-        K = self.ktab[Si - S + self.S_off]
+        K = self.ktab[Si - self.S[rows.start:] + self.S_off]
+        # k = 0 past the cutoff: drop the trailing zero columns before the phases
+        K = K[:, :K.shape[1] - np.argmax(K[:, ::-1].any(axis=0))]
+        cols = slice(rows.start, rows.start + K.shape[1])
+        S, xT = self.S[cols], self.xT
         A_mid = self.Atab[:, Si + S]
         th = np.einsum("aij,aij->ij", A_mid, xT[:, rows, None] - xT[:, None, cols])
-        return K * np.exp(1j * th)
+        return rows, K * np.exp(1j * th)
 
     # ---------------- the two sums of apply
 
@@ -229,16 +229,15 @@ class QuadratureOperator:
             pad[box] = u
             return fourier_multiply(self.kernel_fft, pad)[box]
         flat = u.reshape(-1, g.size).T
-        if self.W is not None:
-            Wu = self.W @ flat
-        else:
-            Wu = np.zeros(flat.shape, dtype=complex)
-            for rows in self._row_blocks():
-                B = self._pair_block(rows)
-                Wu[rows] += B @ flat[rows.start:]
-                # the rows below the block take its conjugate transpose
-                below = B[:, rows.stop - rows.start:]
-                Wu[rows.stop:] += (flat[rows].conj().T @ below).conj().T
+        conj = flat.conj()
+        Wu = np.empty(flat.shape, dtype=complex)
+        below = np.zeros(flat.shape, dtype=complex)  # conj of the lower part
+        for rows, B in self.blocks:
+            stop = rows.start + B.shape[1]
+            Wu[rows] = B @ flat[rows.start:stop]
+            # the rows below the block take its conjugate transpose
+            below[rows.stop:stop] += B[:, rows.stop - rows.start:].T @ conj[rows]
+        Wu += below.conj()
         return Wu.T.reshape(u.shape)
 
     def _neighbour_sum(self, u: np.ndarray) -> np.ndarray:
@@ -276,6 +275,7 @@ class SpectralOperator:
     """
 
     backend = "spectral"
+    pair_weights_mb = 0.0
 
     grid: GridSpec
     s: float

@@ -89,6 +89,7 @@ class SolveReport:
     calibration_samples_used: int | None = None
     calibration_samples_skipped: int | None = None
     spectrum_clip: float = 0.0  # clip applied to the Riesz kernel spectrum
+    pair_weights_mb: float = 0.0  # stored magnetic pair weights of the operator
     # descent work: line-search trials (one operator pass each) and Nehari
     # projections that found a ray parameter, the start's included
     line_search_trials: int = 0
@@ -277,6 +278,7 @@ def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
         calibration_samples_used=cal.samples_used if cal else None,
         calibration_samples_skipped=cal.samples_skipped if cal else None,
         spectrum_clip=ctx.hartree.spectrum_clip,
+        pair_weights_mb=ctx.op.pair_weights_mb,
         line_search_trials=run.line_search_trials,
         nehari_projections=run.nehari_projections,
         warnings=warnings, decay_status=status,

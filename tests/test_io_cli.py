@@ -348,6 +348,41 @@ def test_cli_check_malformed_sidecar_exits_1(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("config invalid:")
 
 
+def test_cli_refuses_magnetic_grid_past_pair_storage_limit(tmp_path, capsys, monkeypatch):
+    # 3-D M=32 with A: 32768 points, whose pair weights could need 8 GiB
+    def assembled(self):
+        raise AssertionError("the operator was assembled")
+    monkeypatch.setattr(QuadratureOperator, "__post_init__", assembled)
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["problem"].update(N=3, s=0.75)
+    doc["grid"] = {"L": 12.0, "M": 32}
+    doc["potential"]["A"] = {"kind": "sine", "amplitude": 0.5, "wavelength": 4.0}
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config invalid: magnetic pair weights need up to 8192 MB, over the 1024 MB limit\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("A", [{"kind": "zero"},
+                               {"kind": "sine", "amplitude": 0.5, "wavelength": 4.0}],
+                         ids=["spectral", "magnetic"])
+def test_cli_report_records_pair_weight_storage(tmp_path, A):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["potential"]["A"] = A
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    expected = 0.0
+    if A["kind"] == "sine":
+        op = QuadratureOperator(GridSpec(L=12.0, M=96, dim=1), 0.6, sine_A(0.5, 4.0, 1))
+        expected = op.pair_weights_mb
+        assert expected > 0
+    assert rep["pair_weights_mb"] == expected
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

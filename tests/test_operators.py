@@ -5,7 +5,8 @@ import pytest
 
 from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
                       SpectralOperator, build_hartree_cache, build_limit_context,
-                      constant_A, frac_lap_constant, random_smooth_A, riesz_convolve)
+                      constant_A, frac_lap_constant, random_smooth_A, riesz_convolve,
+                      sine_A)
 from choquard import operators
 from choquard.operators import fourier_multiply
 
@@ -175,37 +176,61 @@ def test_free_quadrature_matches_closed_form_at_centre(dim, L, Ms, bound):
     assert errs[1] < errs[0]
 
 
+def _literal_pair_weights(grid, s, A):
+    """W_ij = k(x_i - x_j) e^{i A((x_i + x_j)/2).(x_i - x_j)} over all pairs,
+    with k(z) = |z|^(-N-2s) for 0 < |z| <= L - h/2 and 0 elsewhere."""
+    pts = grid.points()
+    z = pts[:, None, :] - pts[None, :, :]
+    r = np.linalg.norm(z, axis=-1)
+    K = np.zeros_like(r)
+    inside = (r > 0) & (r <= grid.L - grid.h / 2)
+    K[inside] = r[inside] ** (-grid.dim - 2 * s)
+    mid = (pts[:, None, :] + pts[None, :, :]) / 2
+    A_mid = np.asarray(A(mid.reshape(-1, grid.dim))).reshape(z.shape)
+    return K * np.exp(1j * np.sum(A_mid * z, axis=-1))
+
+
 @pytest.mark.parametrize("grid", [GridSpec(L=6.0, M=24, dim=2),  # 576 points
                                   GridSpec(L=4.0, M=8, dim=3)],  # 512 points
                          ids=["2d", "3d"])
-def test_chunked_magnetic_apply_matches_dense(grid, monkeypatch):
+def test_pair_blocks_match_literal_weights(grid, monkeypatch):
     A = random_smooth_A(grid.dim, grid.L, 0.4, seed=14)
     rng = np.random.default_rng(15)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    monkeypatch.setattr(operators, "DENSE_LIMIT", 1024)
-    dense = QuadratureOperator(grid, 0.6, A)
-    monkeypatch.setattr(operators, "DENSE_LIMIT", 1)
-    chunked = QuadratureOperator(grid, 0.6, A)
-    out_d = dense.apply(vals)
-    out_c = chunked.apply(vals)
-    assert np.max(np.abs(out_d - out_c)) < 1e-12 * np.max(np.abs(out_d))
-    assert chunked.seminorm_sq(vals) == pytest.approx(dense.seminorm_sq(vals),
-                                                      rel=1e-12)
+    expected = (_literal_pair_weights(grid, 0.6, A) @ vals.reshape(-1)).reshape(grid.shape)
+    # one block holding every row, then blocks of 7 rows (the last one short)
+    for budget, n_blocks in ((grid.size ** 2, 1), (7 * grid.size, -(-grid.size // 7))):
+        monkeypatch.setattr(operators, "PAIR_BLOCK_PAIRS", budget)
+        op = QuadratureOperator(grid, 0.6, A)
+        assert len(op.blocks) == n_blocks
+        got = op._pair_data(vals)
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
-def _chunked(g):
-    """The magnetic operator that regenerates its pair blocks every pass."""
+def test_stored_pair_blocks_are_cut_at_the_cutoff():
+    # the benchmark's magnetic2d grid: the columns past the kernel cutoff are
+    # not stored, so the blocks hold well under the Hermitian upper triangle
+    grid = GridSpec(L=8.0, M=28, dim=2)
+    op = QuadratureOperator(grid, 0.75, sine_A(0.5, 4.0, 2))
+    n = grid.size
+    stored = sum(B.nbytes for _, B in op.blocks)
+    assert stored <= 0.8 * 16 * n * (n + 1) / 2
+    assert op.pair_weights_mb == stored / 2 ** 20
+
+
+def _many_blocks(g):
+    """The magnetic operator with five rows in each stored pair block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "DENSE_LIMIT", 1)
+        mp.setattr(operators, "PAIR_BLOCK_PAIRS", 5 * g.size)
         return QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3))
 
 
 @pytest.mark.parametrize("make_op", [
-    _chunked,
+    _many_blocks,
     lambda g: QuadratureOperator(g, 0.6, random_smooth_A(2, g.L, 0.4, seed=3)),
     lambda g: QuadratureOperator(g, 0.6, None),
     lambda g: SpectralOperator(g, 0.6),
-], ids=["chunked", "dense", "free", "spectral"])
+], ids=["many_blocks", "dense", "free", "spectral"])
 def test_stacked_pass_matches_one_pass_per_field(make_op):
     grid = GridSpec(L=6.0, M=16, dim=2)
     op = make_op(grid)
@@ -225,13 +250,12 @@ def test_stacked_pass_matches_one_pass_per_field(make_op):
 
 
 def test_apply_builds_nothing(monkeypatch):
-    # every constant part is assembled once: applying the dense magnetic
-    # operator takes no exponential, the chunked one one per pair block
+    # every constant part is assembled once: applying a magnetic operator
+    # takes no exponential, however many blocks hold its pair weights
     grid = GridSpec(L=6.0, M=16, dim=2)
     A = random_smooth_A(2, grid.L, 0.4, seed=3)
-    dense = QuadratureOperator(grid, 0.6, A)
-    monkeypatch.setattr(operators, "DENSE_LIMIT", 1)
-    chunked = QuadratureOperator(grid, 0.6, A)
+    ops = [QuadratureOperator(grid, 0.6, A), _many_blocks(grid)]
+    assert len(ops[1].blocks) > len(ops[0].blocks) > 1
     calls = []
     exp = np.exp
 
@@ -240,10 +264,25 @@ def test_apply_builds_nothing(monkeypatch):
         return exp(*args, **kwargs)
     monkeypatch.setattr(np, "exp", counted)
     u = np.random.default_rng(18).normal(size=grid.shape) + 0j
-    for op, expected in ((dense, 0), (chunked, len(chunked._row_blocks()))):
+    for op in ops:
         calls.clear()
         op.apply(u)
-        assert len(calls) == expected
+        assert len(calls) == 0
+
+
+@pytest.mark.parametrize("A", [None, random_smooth_A(3, 4.0, 0.5, seed=3)],
+                         ids=["A0", "magnetic"])
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.15])
+def test_operator_matrix_hermitian_positive_definite(s, A):
+    # for small s the near-zone weight, and so the link weight beta, is
+    # negative; the assembled operator must still be a positive form
+    grid = GridSpec(L=4.0, M=8, dim=3)
+    n = grid.size
+    # one stacked pass over the unit vectors: field k is column k
+    Lmat = QuadratureOperator(grid, s, A).apply(np.eye(n).reshape((n,) + grid.shape))
+    Lmat = Lmat.reshape(n, n).T
+    assert np.max(np.abs(Lmat - Lmat.conj().T)) <= 1e-14 * np.max(np.abs(Lmat))
+    assert np.linalg.eigvalsh(Lmat).min() > 0
 
 
 @pytest.mark.parametrize("grid", [GridSpec(L=4.0, M=16, dim=1),
