@@ -54,9 +54,7 @@ def _load_parsed(args) -> ParsedConfig:
 def _validated(parsed: ParsedConfig):
     report = validate_config(parsed.cfg, parsed.pot, parsed.grid)
     if not report.ok:
-        for v in report.violations:
-            print(f"config invalid: {v}", file=sys.stderr)
-        raise ConfigError(report.violations[0])
+        raise ConfigError("\n".join(report.violations))
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return report
@@ -278,7 +276,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"config invalid: {exc}", file=sys.stderr)
+        for line in str(exc).split("\n"):
+            print(f"config invalid: {line}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)

@@ -5,12 +5,13 @@ tail decay, and concentration trends."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import gamma
 
 import numpy as np
 
 from .config import ProblemConfig, PotentialSpec, boundary_mask
-from .energy import EnergyContext, bisect_decreasing, sampled_hartree_sup, shell_samples
+from .energy import EnergyContext, root_decreasing, sampled_hartree_sup, shell_samples
 from .grids import Field, GridSpec
 from .operators import QuadratureOperator, build_hartree_cache, riesz_convolve
 
@@ -55,16 +56,19 @@ def _tail_radii(u: Field, x_max_index) -> np.ndarray:
 
 def _periodized_envelope(u: Field, x_max_index, power: float) -> np.ndarray:
     """Shape 1/(1 + r^power) summed over the 3^N neighbor box images, which is
-    what the truncated periodic grid actually resolves of the decay bound."""
+    what the truncated periodic grid actually resolves of the decay bound.
+    An image's r^2 is the outer sum of the squared offsets along each axis."""
     g = u.grid
-    mesh = g.mesh()
     x0 = g.index_to_point(tuple(x_max_index))
-    offs = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0]) * 2 * g.L] * g.dim),
-                                indexing="ij"), axis=-1).reshape(-1, g.dim)
+    # sq[a][k]: squared offsets along axis a to image k (shift -2L, 0, +2L)
+    sq = [((g.axis() - x0[a])[None, :] + np.array([-1.0, 0.0, 1.0])[:, None] * 2 * g.L) ** 2
+          for a in range(g.dim)]
     env = np.zeros(g.shape)
-    for off in offs:
-        r = np.linalg.norm(mesh - x0 + off, axis=-1)
-        env += 1.0 / (1.0 + r ** power)
+    for image in product(range(3), repeat=g.dim):
+        r2 = sq[0][image[0]]
+        for a in range(1, g.dim):
+            r2 = np.add.outer(r2, sq[a][image[a]])
+        env += 1.0 / (1.0 + np.sqrt(r2) ** power)
     return env
 
 
@@ -211,8 +215,8 @@ def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7):
     def bound(quarter):
         return min((quarter / C_emp) ** 0.5, (quarter / C_emp) ** (1.0 / (2 * q - 2)))
 
-    rho = bisect_decreasing(lambda r: 0.25 - C_emp * (r ** 2 + r ** (2 * q - 2)),
-                            bound(0.125), bound(0.25))
+    rho = root_decreasing(lambda r: 0.25 - C_emp * (r ** 2 + r ** (2 * q - 2)),
+                          bound(0.125), bound(0.25))
     return rho, C_emp
 
 

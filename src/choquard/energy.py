@@ -4,6 +4,7 @@ calibration of the penalization parameters."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,77 +122,119 @@ class EnergyReport:
     nehari_residual: float
 
 
-def energy(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> EnergyReport:
-    """All energy pieces of one field from shared quadratures; `Lu`, the
-    operator image of u when it is already known, saves the operator pass."""
+def energy(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
+           K: np.ndarray | None = None) -> EnergyReport:
+    """All energy pieces of one field from shared quadratures. `Lu`, the
+    operator image of u, and `K`, its Hartree potential, save the operator
+    pass and the convolution when they are already known."""
     v = u.values
     hV = ctx.grid.cell_volume()
     sem = ctx.seminorm_sq(v, Lu)
     potq = ctx.potential_sq(v)
     density = np.abs(v) ** 2
     Gv = ctx.G_of(density)
-    K = riesz_convolve(Gv, ctx.hartree)
+    if K is None:
+        K = riesz_convolve(Gv, ctx.hartree)
     har = float(np.sum(K * Gv) * hV)
     J = 0.5 * (sem + potq) - 0.25 * har
     resid = sem + potq - float(np.sum(K * ctx.g_of(density) * density) * hV)
     return EnergyReport(sem, potq, har, J, resid)
 
 
-def energy_value(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> float:
-    return energy(u, ctx, Lu).J
+def energy_value(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
+                 K: np.ndarray | None = None) -> float:
+    return energy(u, ctx, Lu, K).J
 
 
-def gradient(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> Field:
+def gradient(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
+             K: np.ndarray | None = None) -> Field:
     """L2 gradient: (-Delta)^s_A u + V_eps u - (K u) g(eps x, |u|^2) u.
 
     This is the exact discrete gradient of the discrete energy, so central
     finite differences of `energy_value` reproduce it to truncation error.
-    `Lu`, the operator image of u when it is already known, saves the pass.
+    `Lu`, the operator image of u, and `K`, its Hartree potential, save the
+    pass and the convolution when they are already known.
     """
     v = u.values
     density = np.abs(v) ** 2
-    K = ctx.hartree_potential(density)
+    if K is None:
+        K = ctx.hartree_potential(density)
     out = (ctx.apply_op(v) if Lu is None else Lu) + ctx.V_eps * v - K * ctx.g_of(density) * v
     return Field(out, u.grid)
 
 
-def nehari_residual(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None) -> float:
-    return energy(u, ctx, Lu).nehari_residual
+def nehari_residual(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
+                    K: np.ndarray | None = None) -> float:
+    return energy(u, ctx, Lu, K).nehari_residual
 
 
 # ------------------------------------------------------------------ Nehari
 
-# Relative bracket width at which a bisection stops.
-BISECT_REL_TOL = 1e-12
+# Relative bracket width at which a root search stops.
+ROOT_REL_TOL = 1e-12
 
 
-def bisect_decreasing(fn, lo: float, hi: float) -> float:
-    """Root of a decreasing `fn` between bounds lo < hi. An end where fn has
+def root_decreasing(fn, lo: float, hi: float) -> float:
+    """Root of a decreasing `fn` between bounds lo < hi, by the Illinois
+    variant of regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
+    point of the bracket, with the value kept at an end halved whenever the
+    other end moves twice in a row. A secant point outside the bracket falls
+    back to the midpoint, and one closer to an end than half the stopping
+    width (roundoff puts it on an end that is at the root) is moved to that
+    distance, so that the next step closes the bracket. An end where fn has
     already crossed zero (roundoff at a bound that is the root) is returned."""
-    if fn(lo) <= 0:
+    f_lo = fn(lo)
+    if f_lo <= 0:
         return lo
-    if fn(hi) >= 0:
+    f_hi = fn(hi)
+    if f_hi >= 0:
         return hi
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0:
-            lo = mid
+    side = 0  # +1: lo moved last, -1: hi moved last
+    while hi - lo > ROOT_REL_TOL * hi:
+        t = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+        if not lo <= t <= hi:
+            t = 0.5 * (lo + hi)
+        step = 0.5 * ROOT_REL_TOL * hi
+        t = min(max(t, lo + step), hi - step)
+        f = fn(t)
+        if f > 0:
+            lo, f_lo = t, f
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
+        elif f < 0:
+            hi, f_hi = t, f
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
         else:
-            hi = mid
+            return t
     return 0.5 * (lo + hi)
 
 
-def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None) -> float:
-    """The unique t > 0 with <J'(t u), t u> = 0.
+class Ray(NamedTuple):
+    """A Nehari projection: the ray parameter t and the Hartree potential
+    K = |x|^-mu * G(|t u|^2) of the projected point t u."""
+
+    t: float
+    K: np.ndarray
+
+
+def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None) -> Ray:
+    """The unique t > 0 with <J'(t u), t u> = 0, and the Hartree potential
+    of t u, which the energy and gradient of t u take as `K=`.
 
     Where the truncation is inactive, the power model makes the pairing over
-    t^2 equal ||u||_eps^2 - t^(2q-2) X with X = sum (|x|^-mu * F(|u|^2))
-    f(|u|^2) |u|^2 h^N, so t = (||u||_eps^2 / X)^(1/(2q-2)). That is the
-    answer when `ctx.pen` is None or t^2 |u|^2 <= a outside the region.
-    Otherwise it is a lower bound (the truncation only lowers G and g), the
-    same formula with F and f cut to the region an upper bound, and the root
-    is bisected between them. `Lu`, the operator image of u when it is
-    already known, saves the operator pass.
+    t^2 equal ||u||_eps^2 - t^(2q-2) X with X = sum K1 f(|u|^2) |u|^2 h^N and
+    K1 = |x|^-mu * F(|u|^2), so t = (||u||_eps^2 / X)^(1/(2q-2)) and, as
+    F(t^2 r) = t^q F(r), the potential is t^q K1: one convolution in all.
+    That is the answer when `ctx.pen` is None or t^2 |u|^2 <= a outside the
+    region. Otherwise it is a lower bound (the truncation only lowers G and
+    g), the same formula with F and f cut to the region an upper bound, and
+    the root between them is found by `root_decreasing` (about 8 pairings of
+    one convolution each), plus one convolution for the potential at the
+    root. `Lu`, the operator image of u when it is already known, saves the
+    operator pass.
     """
     v = u.values
     n2 = float(ctx.norm_eps_sq(v, Lu))
@@ -199,15 +242,17 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
         raise NehariError(f"cannot project a field of norm^2 {n2}")
     density = np.abs(v) ** 2
     hV = ctx.grid.cell_volume()
+    q = ctx.cfg.q
 
-    def closed_form(keep) -> float:
-        """t of the pure power model on the points `keep` selects (1.0: all)."""
-        X = float(np.sum(riesz_convolve(keep * ctx.nl.F(density), ctx.hartree)
-                         * keep * ctx.nl.f(density) * density) * hV)
-        t = (n2 / X) ** (1.0 / (2.0 * ctx.cfg.q - 2.0)) if X > 0 else np.inf
+    def closed_form(keep) -> tuple[float, np.ndarray]:
+        """t of the pure power model on the points `keep` selects (1.0: all),
+        and the convolution K1 it was computed from."""
+        K1 = riesz_convolve(keep * ctx.nl.F(density), ctx.hartree)
+        X = float(np.sum(K1 * keep * ctx.nl.f(density) * density) * hV)
+        t = (n2 / X) ** (1.0 / (2.0 * q - 2.0)) if X > 0 else np.inf
         if not 0 < t < np.inf:
             raise NehariError("ray has no Nehari point")
-        return t
+        return t, K1
 
     def phi_over_t2(t: float) -> float:
         w = (t * t) * density
@@ -217,10 +262,12 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
             raise NehariError(f"ray has no Nehari point: non-finite pairing at t={t:g}")
         return val
 
-    t_lo = closed_form(1.0)
+    t_lo, K1 = closed_form(1.0)
     if ctx.pen is None or not np.any(t_lo * t_lo * density[~ctx.lambda_mask] > ctx.pen.a):
-        return t_lo
-    return bisect_decreasing(phi_over_t2, t_lo, closed_form(ctx.lambda_mask))
+        K1 *= t_lo ** q
+        return Ray(t_lo, K1)
+    t = root_decreasing(phi_over_t2, t_lo, closed_form(ctx.lambda_mask)[0])
+    return Ray(t, ctx.hartree_potential((t * t) * density))
 
 
 # ------------------------------------------------------------- calibration
@@ -290,8 +337,9 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
     u0 = bump_in_region(ctx.grid, ctx.lambda_mask)
     u0 = Field(ctx.a0_plane_wave(u0.values), ctx.grid)
     Lu0 = base.apply_op(u0.values)
-    t_star = nehari_project(u0, base, Lu=Lu0)
-    kappa = 2.0 * energy_value(Field(t_star * u0.values, ctx.grid), base, t_star * Lu0)
+    ray = nehari_project(u0, base, Lu=Lu0)
+    kappa = 2.0 * energy_value(Field(ray.t * u0.values, ctx.grid), base, ray.t * Lu0,
+                               K=ray.K)
     C0, used = sampled_hartree_sup(base, 4.0 * (kappa + 1.0), n_samples, seed)
     if not C0 > 0:
         raise ValueError("calibration drew no nonzero field on the shell of B")

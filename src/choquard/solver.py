@@ -111,8 +111,9 @@ class SolveReport:
 
 
 class Descent(NamedTuple):
-    """Result of `minimize_on_nehari`; `Lu` is the operator image of u.
-    The benchmark's trace reads `iterations` by position, as index 2."""
+    """Result of `minimize_on_nehari`; `Lu` is the operator image of u and
+    `K` its Hartree potential. The benchmark's trace reads `iterations` by
+    position, as index 2."""
 
     u: Field
     J: float
@@ -122,6 +123,7 @@ class Descent(NamedTuple):
     line_search_trials: int
     nehari_projections: int
     Lu: np.ndarray
+    K: np.ndarray
 
 
 def phase_gauge(u: Field) -> Field:
@@ -145,17 +147,19 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     """Barzilai-Borwein projected gradient descent restricted to the Nehari
     manifold, with Armijo backtracking on the restricted energy.
 
-    Each trial w takes one operator pass, Lw: the projection reads ||w||_eps
-    from it, the energy of t w uses t Lw, and so does the next gradient."""
+    Each trial w takes one operator pass and one Riesz convolution (about a
+    dozen where the truncation is active): the projection reads ||w||_eps
+    from the image Lw and returns the Hartree potential K of t w, and the
+    energy of t w and the next gradient use t Lw and K."""
     hV = ctx.grid.cell_volume()
     Lu = ctx.apply_op(start.values)
     try:
-        t0 = nehari_project(start, ctx, Lu=Lu)
+        t0, K = nehari_project(start, ctx, Lu=Lu)
     except NehariError as exc:
         raise SolverError(f"start: {exc}", start) from None
     u = Field(t0 * start.values, ctx.grid)
     Lu *= t0
-    J = energy_value(u, ctx, Lu)
+    J = energy_value(u, ctx, Lu, K=K)
     if not np.isfinite(J):
         raise SolverError("quadrature blow-up", u)
     pmult = ctx.precond_multiplier()
@@ -166,13 +170,13 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     trials, projections = 0, 1
     for it in range(opts.max_iters):
         try:
-            g = gradient(u, ctx, Lu)
+            g = gradient(u, ctx, Lu, K=K)
         except NonFiniteFieldError:
             raise SolverError("quadrature blow-up", u) from None
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = d.l2_norm()
         if gn < opts.grad_tol:
-            return Descent(u, J, it, gn, history, trials, projections, Lu)
+            return Descent(u, J, it, gn, history, trials, projections, Lu, K)
         if u_prev is not None:
             sv = u.values - u_prev.values
             yv = d.values - d_prev.values
@@ -182,14 +186,14 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             tau = min(max(tau, BB_TAU_MIN), BB_TAU_MAX)
         u_prev, d_prev = u, d
         slope = float(np.real(np.sum(np.conj(g.values) * d.values)) * hV)
-        del g, Lu  # not needed in the line search; freeing them bounds peak memory
+        del g, Lu, K  # not needed in the line search; freeing them bounds peak memory
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             w = u.values - tau * d.values
             trials += 1
             Lw = ctx.apply_op(w)
             try:
-                t = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
+                t, Kw = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
             except NehariError:
                 tau *= 0.5
                 continue
@@ -197,7 +201,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             w *= t  # in place: the trial and its image become the projected point's
             Lw *= t
             u_new = Field(w, ctx.grid)
-            J_new = energy_value(u_new, ctx, Lw)
+            J_new = energy_value(u_new, ctx, Lw, K=Kw)
             if np.isfinite(J_new) and \
                     J_new <= J - ARMIJO_C1 * tau * slope + ARMIJO_SLACK:
                 accepted = True
@@ -205,7 +209,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             tau *= 0.5
         if not accepted:
             raise SolverError("line search stalled before reaching tolerance", u)
-        u, J, Lu = u_new, J_new, Lw
+        u, J, Lu, K = u_new, J_new, Lw, Kw
         history.append(J)
     raise SolverError(f"no convergence in {opts.max_iters} iterations "
                       f"(grad norm {gn:.3e})", u)
@@ -268,7 +272,7 @@ def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
         V_at_max=V_at_max, valid_penalization=valid,
         decay_exponent=slope, Cfit=Cfit, iterations=run.iterations,
         residual=run.grad_norm, converged=True,
-        nehari_residual=nehari_residual(run.u, ctx, run.Lu),
+        nehari_residual=nehari_residual(run.u, ctx, run.Lu, K=run.K),
         sup_norm=u.sup_norm(), boundary_ratio=_boundary_ratio(u),
         eps=eps, seed=opts.seed, backend=ctx.op.backend,
         kappa=pen.kappa if pen else None, ell0=pen.ell0 if pen else None,

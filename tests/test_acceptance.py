@@ -133,7 +133,7 @@ def test_criterion_06_nehari_closed_form(plain_ctx):
         noise = band_limited_field(ctx.grid, rng, complex_valued=False)
         vals = np.where(ctx.lambda_mask, bump.values * (1 + 0.4 * noise.values), 0.0)
         u = Field(vals, ctx.grid)
-        t_b = nehari_project(u, ctx)
+        t_b = nehari_project(u, ctx).t
         t_a = nehari_closed_form(u, ctx)
         rel = abs(t_b - t_a) / t_a
         worst = max(worst, rel)

@@ -155,6 +155,33 @@ def make_conc_inputs():
     return grid, cfg, pot
 
 
+def literal_periodized_envelope(u, x_max_index, power):
+    """The decay envelope summed over the 3^N box images, one image at a
+    time, each from the full mesh of distances."""
+    g = u.grid
+    mesh = g.mesh()
+    x0 = g.index_to_point(tuple(x_max_index))
+    offs = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0]) * 2 * g.L] * g.dim),
+                                indexing="ij"), axis=-1).reshape(-1, g.dim)
+    env = np.zeros(g.shape)
+    for off in offs:
+        r = np.linalg.norm(mesh - x0 + off, axis=-1)
+        env += 1.0 / (1.0 + r ** power)
+    return env
+
+
+@pytest.mark.parametrize("dim, M, index", [(1, 64, (29,)), (2, 24, (9, 8)),
+                                           (3, 16, (5, 11, 7))], ids=["1d", "2d", "3d"])
+def test_periodized_envelope_matches_image_loop(dim, M, index):
+    from choquard.diagnostics import _periodized_envelope
+    grid = GridSpec(L=6.0, M=M, dim=dim)
+    u = Field(np.zeros(grid.shape), grid)
+    power = dim + 1.2
+    np.testing.assert_allclose(_periodized_envelope(u, index, power),
+                               literal_periodized_envelope(u, index, power),
+                               rtol=1e-14, atol=0)
+
+
 def test_concentration_monotone_gaps_pass():
     grid, cfg, pot = make_conc_inputs()
     reports = [fake_report(0.5, 1.05), fake_report(0.25, 1.01),

@@ -66,7 +66,7 @@ def test_mountain_pass_ray_goes_negative(magnetic_ctx):
 
 def test_ray_unimodal(magnetic_ctx):
     ctx, _, u0 = magnetic_ctx
-    t_star = nehari_project(u0, ctx)
+    t_star = nehari_project(u0, ctx).t
     ts = np.logspace(np.log10(t_star / 8), np.log10(t_star * 8), 64)
     J = np.array([energy_value(Field(t * u0.values, ctx.grid), ctx) for t in ts])
     d = np.diff(J)

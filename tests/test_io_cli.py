@@ -360,8 +360,10 @@ def test_cli_refuses_magnetic_grid_past_pair_storage_limit(tmp_path, capsys, mon
     out = tmp_path / "o"
     assert main(["solve", "--config", str(write_config(tmp_path, doc)),
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         "config invalid: magnetic pair weights need up to 8192 MB, over the 1024 MB limit\n")
+    assert err.count("magnetic pair weights need") == 1
     assert not out.exists()
 
 

@@ -3,7 +3,8 @@ import importlib
 import numpy as np
 import pytest
 
-from choquard import Field, NehariError, nehari_project, nehari_residual
+from choquard import (Field, NehariError, energy, gradient, nehari_project,
+                      nehari_residual, riesz_convolve)
 from choquard.sampling import band_limited_field, bump_in_region
 
 from conftest import nehari_closed_form
@@ -22,7 +23,7 @@ def test_bisection_matches_closed_form(plain_ctx):
     ctx, _, _ = plain_ctx
     for seed in range(6):
         u = region_supported_field(ctx, seed)
-        t_b = nehari_project(u, ctx)
+        t_b = nehari_project(u, ctx).t
         t_a = nehari_closed_form(u, ctx)
         assert t_b == pytest.approx(t_a, rel=1e-10)
 
@@ -30,22 +31,22 @@ def test_bisection_matches_closed_form(plain_ctx):
 def test_fixed_point_on_manifold(plain_ctx):
     ctx, _, _ = plain_ctx
     u = region_supported_field(ctx, 12)
-    t1 = nehari_project(u, ctx)
+    t1 = nehari_project(u, ctx).t
     w = Field(t1 * u.values, ctx.grid)
-    assert nehari_project(w, ctx) == pytest.approx(1.0, abs=1e-10)
+    assert nehari_project(w, ctx).t == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ray_invariance_under_scaling(plain_ctx):
     ctx, _, _ = plain_ctx
     u = region_supported_field(ctx, 21)
-    t1 = nehari_project(u, ctx)
-    t2 = nehari_project(Field(2.0 * u.values, ctx.grid), ctx)
+    t1 = nehari_project(u, ctx).t
+    t2 = nehari_project(Field(2.0 * u.values, ctx.grid), ctx).t
     assert 2.0 * t2 == pytest.approx(t1, rel=1e-10)
 
 
 def test_residual_small_at_projection(magnetic_ctx):
     ctx, _, u0 = magnetic_ctx
-    t = nehari_project(u0, ctx)
+    t = nehari_project(u0, ctx).t
     w = Field(t * u0.values, ctx.grid)
     n2 = ctx.norm_eps_sq(w.values)
     assert abs(nehari_residual(w, ctx)) < 1e-8 * n2
@@ -96,11 +97,76 @@ def test_truncated_ray_bisects_between_closed_form_bounds(plain_ctx, monkeypatch
     outside = ~ctx.lambda_mask
     assert np.max(t_lower ** 2 * np.abs(u.values[outside]) ** 2) > ctx.pen.a
     calls = count_convolutions(monkeypatch)
-    t = nehari_project(u, ctx)
-    assert len(calls) > 2
+    t = nehari_project(u, ctx).t
+    assert 2 < len(calls) <= 15
     assert t >= t_lower
     w = Field(t * u.values, ctx.grid)
     assert abs(nehari_residual(w, ctx)) <= 1e-10 * ctx.norm_eps_sq(w.values)
+    assert t == pytest.approx(literal_bisection(u, ctx, t_lower), rel=1e-11)
+
+
+def literal_bisection(u, ctx, lo):
+    """Root of the pairing over t^2 along the ray of u, bracketed by doubling
+    from `lo` and halved 60 times."""
+    density = np.abs(u.values) ** 2
+    n2 = ctx.norm_eps_sq(u.values)
+
+    def phi(t):
+        w = t * t * density
+        K = riesz_convolve(ctx.G_of(w), ctx.hartree)
+        return n2 - np.sum(K * ctx.g_of(w) * density) * ctx.grid.cell_volume()
+    hi = 2.0 * lo
+    while phi(hi) > 0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if phi(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_root_at_an_end_is_not_evaluated_again():
+    # lo = 1 is the root to roundoff: the secant point rounds onto it, and is
+    # moved half the stopping width inside instead of evaluated again
+    from choquard.energy import ROOT_REL_TOL, root_decreasing
+    points = []
+
+    def fn(t):
+        points.append(t)
+        return 1e-17 if t <= 1.0 else 1.0 - t
+    root = root_decreasing(fn, 1.0, 2.0)
+    assert len(set(points)) == len(points) <= 4
+    assert 1.0 < root < 1.0 + ROOT_REL_TOL
+
+
+def ray_field(ctx, u0, branch):
+    """u0, the canonical bump (truncation inactive at its Nehari point), or a
+    wide Gaussian that carries mass above the threshold outside the region."""
+    if branch == "closed_form":
+        u = u0
+    else:
+        u = Field(np.exp(-ctx.grid.axis() ** 2 / (2 * 5.0 ** 2)), ctx.grid)
+    t_lower = nehari_closed_form(u, ctx)
+    active = np.any(t_lower ** 2 * np.abs(u.values[~ctx.lambda_mask]) ** 2 > ctx.pen.a)
+    assert active == (branch == "truncated")
+    return u
+
+
+@pytest.mark.parametrize("branch", ["closed_form", "truncated"])
+@pytest.mark.parametrize("which", ["plain_ctx", "magnetic_ctx"])
+def test_projection_returns_hartree_potential_of_projected_point(request, which, branch):
+    ctx, _, u0 = request.getfixturevalue(which)
+    u = ray_field(ctx, u0, branch)
+    ray = nehari_project(u, ctx)
+    w = Field(ray.t * u.values, ctx.grid)
+    K = ctx.hartree_potential(np.abs(w.values) ** 2)
+    assert np.max(np.abs(ray.K - K)) <= 1e-12 * np.max(np.abs(K))
+    full, reused = energy(w, ctx), energy(w, ctx, K=ray.K)
+    n2 = full.seminorm_sq + full.potential_sq
+    assert reused.hartree == pytest.approx(full.hartree, rel=1e-12)
+    assert reused.J == pytest.approx(full.J, rel=1e-12)
+    assert abs(reused.nehari_residual - full.nehari_residual) <= 1e-12 * n2
+    g_full, g_reused = gradient(w, ctx).values, gradient(w, ctx, K=ray.K).values
+    assert np.max(np.abs(g_reused - g_full)) <= 1e-12 * np.max(np.abs(g_full))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -219,6 +219,37 @@ def test_sweep_records_failures_and_continues():
     assert reports[1].iterations == 0 and not reports[1].valid_penalization
 
 
+@pytest.mark.parametrize("which", ["limit", "magnetic"])
+def test_descent_one_convolution_per_trial(plain_ctx, magnetic_ctx, monkeypatch, which):
+    # the projection hands its Hartree potential to the energy of the trial
+    # and to the next gradient, so a descent whose projections all take the
+    # closed form (the limit problem has no truncation; the magnetic descent
+    # never reaches it) convolves once per trial and once for the start
+    import importlib
+    from choquard.solver import minimize_on_nehari
+    energy_mod = importlib.import_module("choquard.energy")  # not the function
+    if which == "limit":
+        ctx, _, u0 = plain_ctx
+        ctx = build_limit_context(ctx.cfg, ctx.grid)
+    else:
+        ctx, _, u0 = magnetic_ctx
+    convolutions, roots = [], []
+    convolve, root = energy_mod.riesz_convolve, energy_mod.root_decreasing
+
+    def counted_convolve(h, cache):
+        convolutions.append(h.shape)
+        return convolve(h, cache)
+
+    def counted_root(*args):
+        roots.append(args[1:])
+        return root(*args)
+    monkeypatch.setattr(energy_mod, "riesz_convolve", counted_convolve)
+    monkeypatch.setattr(energy_mod, "root_decreasing", counted_root)
+    run = minimize_on_nehari(ctx, u0, SolverOptions(grad_tol=1e-6, seed=0))
+    assert run.iterations > 3 and roots == []
+    assert len(convolutions) == run.line_search_trials + 1
+
+
 def test_magnetic_2d_one_pair_pass_per_trial(monkeypatch):
     # the operator image of each trial serves its projection, its energy and
     # the next gradient, and the last one the final Nehari residual; set-up:
@@ -335,7 +366,7 @@ def test_non_finite_gradient_is_solver_error(plain_ctx, monkeypatch):
     from choquard.solver import minimize_on_nehari
     ctx, _, u0 = plain_ctx
 
-    def blown(u, ctx, Lu=None):
+    def blown(u, ctx, Lu=None, K=None):
         return Field(np.full(u.grid.shape, np.inf), u.grid)
     monkeypatch.setattr(solver_mod, "gradient", blown)
     with pytest.raises(SolverError, match="quadrature blow-up") as exc:
