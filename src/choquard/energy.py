@@ -213,28 +213,32 @@ def root_decreasing(fn, lo: float, hi: float) -> float:
 
 
 class Ray(NamedTuple):
-    """A Nehari projection: the ray parameter t and the Hartree potential
-    K = |x|^-mu * G(|t u|^2) of the projected point t u."""
+    """A Nehari projection: the ray parameter t, the Hartree potential
+    K = |x|^-mu * G(|t u|^2) of the projected point t u, and its energy
+    J = J(t u), made from sums the projection already holds."""
 
     t: float
     K: np.ndarray
+    J: float
 
 
 def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None) -> Ray:
-    """The unique t > 0 with <J'(t u), t u> = 0, and the Hartree potential
-    of t u, which the energy and gradient of t u take as `K=`.
+    """The unique t > 0 with <J'(t u), t u> = 0, the Hartree potential of
+    t u, which the energy and gradient of t u take as `K=`, and J(t u).
 
     Where the truncation is inactive, the power model makes the pairing over
     t^2 equal ||u||_eps^2 - t^(2q-2) X with X = sum K1 f(|u|^2) |u|^2 h^N and
     K1 = |x|^-mu * F(|u|^2), so t = (||u||_eps^2 / X)^(1/(2q-2)) and, as
-    F(t^2 r) = t^q F(r), the potential is t^q K1: one convolution in all.
-    That is the answer when `ctx.pen` is None or t^2 |u|^2 <= a outside the
-    region. Otherwise it is a lower bound (the truncation only lowers G and
-    g), the same formula with F and f cut to the region an upper bound, and
-    the root between them is found by `root_decreasing` (about 8 pairings of
-    one convolution each), plus one convolution for the potential at the
-    root. `Lu`, the operator image of u when it is already known, saves the
-    operator pass.
+    F(t^2 r) = t^q F(r), the potential is t^q K1; as f(r) r = q F(r) / 2,
+    the Hartree term is 2/q times the pairing, so J(t u) is
+    (1/2 - 1/(2q)) t^2 ||u||_eps^2: one convolution in all. That is the
+    answer when `ctx.pen` is None or t^2 |u|^2 <= a outside the region.
+    Otherwise it is a lower bound (the truncation only lowers G and g), the
+    same formula with F and f cut to the region an upper bound, and the root
+    between them is found by `root_decreasing` (about 8 pairings of one
+    convolution each), plus one convolution for the potential at the root,
+    whose G also gives J. `Lu`, the operator image of u when it is already
+    known, saves the operator pass.
     """
     v = u.values
     n2 = float(ctx.norm_eps_sq(v, Lu))
@@ -265,9 +269,11 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
     t_lo, K1 = closed_form(1.0)
     if ctx.pen is None or not np.any(t_lo * t_lo * density[~ctx.lambda_mask] > ctx.pen.a):
         K1 *= t_lo ** q
-        return Ray(t_lo, K1)
+        return Ray(t_lo, K1, (0.5 - 0.5 / q) * t_lo * t_lo * n2)
     t = root_decreasing(phi_over_t2, t_lo, closed_form(ctx.lambda_mask)[0])
-    return Ray(t, ctx.hartree_potential((t * t) * density))
+    G = ctx.G_of((t * t) * density)
+    K = riesz_convolve(G, ctx.hartree)
+    return Ray(t, K, 0.5 * t * t * n2 - 0.25 * float(np.sum(K * G) * hV))
 
 
 # ------------------------------------------------------------- calibration
@@ -280,6 +286,20 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
 SAMPLE_GROUP_BYTES = 1 << 17
 
 
+def _shell_groups(ctx: EnergyContext, shell: float, n: int, seed: int):
+    """The samples of `shell_samples`, stacked a group at a time."""
+    rng = np.random.default_rng(seed)
+    complex_valued = getattr(ctx.op, "A", None) is not None
+    per_group = max(1, SAMPLE_GROUP_BYTES // (16 * ctx.grid.size))
+    for lo in range(0, n, per_group):
+        U = np.stack([band_limited_field(ctx.grid, rng, complex_valued=complex_valued).values
+                      for _ in range(min(per_group, n - lo))])
+        n2 = ctx.norm_eps_sq(U, ctx.apply_op(U))
+        keep = n2 > 0
+        if np.any(keep):
+            yield U[keep] * np.sqrt(shell / n2[keep]).reshape((-1,) + (1,) * ctx.grid.dim)
+
+
 def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
     """Random band-limited fields projected to ||u||_eps^2 = shell (the extreme
     shell of the bounded set B); zero-norm draws are skipped. Complex draws
@@ -287,25 +307,19 @@ def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
 
     The fields and their order are those of drawing one at a time; only the
     norms are computed a group at a time."""
-    rng = np.random.default_rng(seed)
-    complex_valued = getattr(ctx.op, "A", None) is not None
-    per_group = max(1, SAMPLE_GROUP_BYTES // (16 * ctx.grid.size))
-    for lo in range(0, n, per_group):
-        U = np.stack([band_limited_field(ctx.grid, rng, complex_valued=complex_valued).values
-                      for _ in range(min(per_group, n - lo))])
-        for v, n2 in zip(U, ctx.norm_eps_sq(U, ctx.apply_op(U))):
-            if n2 > 0:
-                yield Field(v * np.sqrt(shell / n2), ctx.grid)
+    for U in _shell_groups(ctx, shell, n, seed):
+        for v in U:
+            yield Field(v, ctx.grid)
 
 
 def sampled_hartree_sup(ctx: EnergyContext, shell: float, n: int, seed: int
                         ) -> tuple[float, int]:
     """The largest sup |K(u)| over the shell samples of `shell_samples`, and
-    how many samples entered it."""
+    how many samples entered it; each group takes one stacked convolution."""
     sup, used = 0.0, 0
-    for u in shell_samples(ctx, shell, n, seed):
-        sup = max(sup, float(np.max(np.abs(ctx.hartree_potential(np.abs(u.values) ** 2)))))
-        used += 1
+    for U in _shell_groups(ctx, shell, n, seed):
+        sup = max(sup, float(np.max(np.abs(ctx.hartree_potential(np.abs(U) ** 2)))))
+        used += len(U)
     return sup, used
 
 
@@ -336,10 +350,7 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
     base = replace(ctx, pen=None)
     u0 = bump_in_region(ctx.grid, ctx.lambda_mask)
     u0 = Field(ctx.a0_plane_wave(u0.values), ctx.grid)
-    Lu0 = base.apply_op(u0.values)
-    ray = nehari_project(u0, base, Lu=Lu0)
-    kappa = 2.0 * energy_value(Field(ray.t * u0.values, ctx.grid), base, ray.t * Lu0,
-                               K=ray.K)
+    kappa = 2.0 * nehari_project(u0, base).J
     C0, used = sampled_hartree_sup(base, 4.0 * (kappa + 1.0), n_samples, seed)
     if not C0 > 0:
         raise ValueError("calibration drew no nonzero field on the shell of B")

@@ -12,8 +12,8 @@ from .config import (OUTSIDE_THEORY_WARNING, ConfigError, ProblemConfig,
                      PotentialSpec, validate_config)
 from .diagnostics import fit_decay, outer_layer_max
 from .energy import (Calibration, EnergyContext, NehariError, build_limit_context,
-                     build_penalized_context, calibrate_penalization, energy_value,
-                     gradient, nehari_project, nehari_residual)
+                     build_penalized_context, calibrate_penalization, gradient,
+                     nehari_project, nehari_residual)
 from .grids import Field, GridSpec, NonFiniteFieldError
 from .operators import fourier_multiply
 from .sampling import band_limited_field, gaussian_bump
@@ -90,10 +90,11 @@ class SolveReport:
     calibration_samples_skipped: int | None = None
     spectrum_clip: float = 0.0  # clip applied to the Riesz kernel spectrum
     pair_weights_mb: float = 0.0  # stored magnetic pair weights of the operator
-    # descent work: line-search trials (one operator pass each) and Nehari
-    # projections that found a ray parameter, the start's included
+    # descent work, the start's included: line-search trials (one convolution
+    # each), projections that found a ray parameter, operator passes (one per line search)
     line_search_trials: int = 0
     nehari_projections: int = 0
+    operator_passes: int = 0
     warnings: tuple[str, ...] = ()
     error: str | None = None
     decay_status: str = "ok"
@@ -124,6 +125,7 @@ class Descent(NamedTuple):
     nehari_projections: int
     Lu: np.ndarray
     K: np.ndarray
+    operator_passes: int
 
 
 def phase_gauge(u: Field) -> Field:
@@ -147,19 +149,19 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     """Barzilai-Borwein projected gradient descent restricted to the Nehari
     manifold, with Armijo backtracking on the restricted energy.
 
-    Each trial w takes one operator pass and one Riesz convolution (about a
-    dozen where the truncation is active): the projection reads ||w||_eps
-    from the image Lw and returns the Hartree potential K of t w, and the
-    energy of t w and the next gradient use t Lw and K."""
+    A line search takes one operator pass, for its first trial w: a backtrack
+    halves the step, so its trial and image are the midpoints of u and w and of
+    Lu and Lw. A trial takes one Riesz convolution (about a dozen where the
+    truncation is active): the projection reads ||w||_eps from Lw and returns
+    the Hartree potential K and energy of t w; the next gradient uses t Lw, K."""
     hV = ctx.grid.cell_volume()
     Lu = ctx.apply_op(start.values)
     try:
-        t0, K = nehari_project(start, ctx, Lu=Lu)
+        t0, K, J = nehari_project(start, ctx, Lu=Lu)
     except NehariError as exc:
         raise SolverError(f"start: {exc}", start) from None
     u = Field(t0 * start.values, ctx.grid)
     Lu *= t0
-    J = energy_value(u, ctx, Lu, K=K)
     if not np.isfinite(J):
         raise SolverError("quadrature blow-up", u)
     pmult = ctx.precond_multiplier()
@@ -167,7 +169,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     tau = 1.0 / (1.0 + ctx.cfg.V0)
     u_prev = d_prev = None
     gn = np.inf
-    trials, projections = 0, 1
+    trials, projections, passes = 0, 1, 1
     for it in range(opts.max_iters):
         try:
             g = gradient(u, ctx, Lu, K=K)
@@ -176,7 +178,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = d.l2_norm()
         if gn < opts.grad_tol:
-            return Descent(u, J, it, gn, history, trials, projections, Lu, K)
+            return Descent(u, J, it, gn, history, trials, projections, Lu, K, passes)
         if u_prev is not None:
             sv = u.values - u_prev.values
             yv = d.values - d_prev.values
@@ -186,30 +188,31 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             tau = min(max(tau, BB_TAU_MIN), BB_TAU_MAX)
         u_prev, d_prev = u, d
         slope = float(np.real(np.sum(np.conj(g.values) * d.values)) * hV)
-        del g, Lu, K  # not needed in the line search; freeing them bounds peak memory
-        accepted = False
+        del g, K  # not needed in the line search; freeing them bounds peak memory
+        w = u.values - tau * d.values
+        Lw = ctx.apply_op(w)
+        passes += 1
         for _ in range(MAX_BACKTRACKS):
-            w = u.values - tau * d.values
             trials += 1
-            Lw = ctx.apply_op(w)
             try:
-                t, Kw = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
+                t, Kw, J_new = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
             except NehariError:
-                tau *= 0.5
-                continue
-            projections += 1
-            w *= t  # in place: the trial and its image become the projected point's
-            Lw *= t
-            u_new = Field(w, ctx.grid)
-            J_new = energy_value(u_new, ctx, Lw, K=Kw)
-            if np.isfinite(J_new) and \
-                    J_new <= J - ARMIJO_C1 * tau * slope + ARMIJO_SLACK:
-                accepted = True
+                J_new = np.nan
+            else:
+                projections += 1
+            if np.isfinite(J_new) and J_new <= J - ARMIJO_C1 * tau * slope + ARMIJO_SLACK:
                 break
+            # half the step: the unscaled w and Lw move, in place, to midpoints
             tau *= 0.5
-        if not accepted:
+            w += u.values
+            w *= 0.5
+            Lw += Lu
+            Lw *= 0.5
+        else:
             raise SolverError("line search stalled before reaching tolerance", u)
-        u, J, Lu, K = u_new, J_new, Lw, Kw
+        w *= t  # in place: the accepted trial and its image become u and Lu
+        Lw *= t
+        u, J, Lu, K = Field(w, ctx.grid), J_new, Lw, Kw
         history.append(J)
     raise SolverError(f"no convergence in {opts.max_iters} iterations "
                       f"(grad norm {gn:.3e})", u)
@@ -285,6 +288,7 @@ def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
         pair_weights_mb=ctx.op.pair_weights_mb,
         line_search_trials=run.line_search_trials,
         nehari_projections=run.nehari_projections,
+        operator_passes=run.operator_passes,
         warnings=warnings, decay_status=status,
         energy_history=tuple(run.history))
     return u, report

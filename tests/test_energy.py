@@ -140,3 +140,19 @@ def test_grouped_shell_samples_match_one_at_a_time(magnetic_ctx, monkeypatch):
         ref = v * np.sqrt(shell / ctx.norm_eps_sq(v))
         assert abs(ctx.norm_eps_sq(f.values) - shell) <= 1e-12 * shell
         assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("which", ["plain_ctx", "magnetic_ctx"])
+def test_stacked_hartree_sup_matches_one_at_a_time(request, which, monkeypatch):
+    # groups of three samples, each group convolved in one stacked call: C0
+    # and the samples used are those of convolving the samples one at a time;
+    # the largest sample is not the first of its group
+    energy_mod = importlib.import_module("choquard.energy")  # not the function
+    ctx, _, _ = request.getfixturevalue(which)
+    monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 3 * 16 * ctx.grid.size)
+    cal = energy_mod.calibrate_penalization(ctx, n_samples=8, seed=3)
+    base = replace(ctx, pen=None)
+    sups = [float(np.max(np.abs(base.hartree_potential(np.abs(u.values) ** 2))))
+            for u in energy_mod.shell_samples(base, 4.0 * (cal.pen.kappa + 1.0), 8, seed=3)]
+    assert cal.C0 == max(sups) and int(np.argmax(sups)) % 3 != 0
+    assert cal.samples_used == len(sups) == 8

@@ -213,6 +213,16 @@ def test_cli_solve_warns_on_invalid_penalization(tmp_path, capsys):
     assert 0 < report["nehari_projections"] <= report["line_search_trials"] + 1
 
 
+def test_cli_report_counts_operator_passes(tmp_path):
+    # one pass for the start and one per line search, however many trials
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["operator_passes"] == report["iterations"] + 1
+    assert report["line_search_trials"] >= report["iterations"]
+
+
 def test_cli_mu_at_2s_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, mu=1.2)  # mu == 2s
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])

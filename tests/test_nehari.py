@@ -3,8 +3,8 @@ import importlib
 import numpy as np
 import pytest
 
-from choquard import (Field, NehariError, energy, gradient, nehari_project,
-                      nehari_residual, riesz_convolve)
+from choquard import (Field, NehariError, energy, energy_value, gradient,
+                      nehari_project, nehari_residual, riesz_convolve)
 from choquard.sampling import band_limited_field, bump_in_region
 
 from conftest import nehari_closed_form
@@ -167,6 +167,18 @@ def test_projection_returns_hartree_potential_of_projected_point(request, which,
     assert abs(reused.nehari_residual - full.nehari_residual) <= 1e-12 * n2
     g_full, g_reused = gradient(w, ctx).values, gradient(w, ctx, K=ray.K).values
     assert np.max(np.abs(g_reused - g_full)) <= 1e-12 * np.max(np.abs(g_full))
+
+
+@pytest.mark.parametrize("branch", ["closed_form", "truncated"])
+@pytest.mark.parametrize("which", ["plain_ctx", "magnetic_ctx"])
+def test_projection_returns_energy_of_projected_point(request, which, branch):
+    # the projection's own sums give J(t u), with no operator pass and no
+    # convolution beyond those of the projection
+    ctx, _, u0 = request.getfixturevalue(which)
+    u = ray_field(ctx, u0, branch)
+    ray = nehari_project(u, ctx)
+    J = energy_value(Field(ray.t * u.values, ctx.grid), ctx, K=ray.K)
+    assert ray.J == pytest.approx(J, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -250,11 +250,26 @@ def test_descent_one_convolution_per_trial(plain_ctx, magnetic_ctx, monkeypatch,
     assert len(convolutions) == run.line_search_trials + 1
 
 
-def test_magnetic_2d_one_pair_pass_per_trial(monkeypatch):
-    # the operator image of each trial serves its projection, its energy and
-    # the next gradient, and the last one the final Nehari residual; set-up:
-    # the calibration bump, one stacked pass per group of shell samples and
-    # the start
+def test_midpoint_backtracks_keep_the_image_of_the_iterate(magnetic_ctx):
+    # a backtrack takes the midpoint of two images instead of a pass; after
+    # a descent that backtracked, the carried image and energy are still
+    # those of the iterate
+    from choquard.solver import minimize_on_nehari
+    ctx, _, u0 = magnetic_ctx
+    run = minimize_on_nehari(ctx, u0, SolverOptions(grad_tol=1e-6, seed=0))
+    assert run.line_search_trials > run.iterations > 3
+    assert run.operator_passes == run.iterations + 1
+    Lu = ctx.apply_op(run.u.values)
+    assert np.max(np.abs(run.Lu - Lu)) <= 1e-12 * np.max(np.abs(Lu))
+    assert run.J == pytest.approx(energy_value(run.u, ctx), rel=1e-12)
+
+
+def test_magnetic_2d_one_pair_pass_per_line_search(monkeypatch):
+    # the operator image of each line search's first trial serves every
+    # backtrack (as midpoints), the projections, the energies and the next
+    # gradient, and the last one the final Nehari residual; set-up: the
+    # calibration bump, one stacked pass per group of shell samples and the
+    # start
     from choquard import QuadratureOperator, sine_A
     from choquard.energy import SAMPLE_GROUP_BYTES
     grid = GridSpec(L=6.0, M=16, dim=2)
@@ -274,7 +289,7 @@ def test_magnetic_2d_one_pair_pass_per_trial(monkeypatch):
     per_group = SAMPLE_GROUP_BYTES // (16 * grid.size)
     groups = -(-50 // per_group)
     assert 1 < per_group < 50
-    assert len(passes) == rep.line_search_trials + 2 + groups
+    assert len(passes) == rep.iterations + 2 + groups
     assert passes.count((per_group,) + grid.shape) == 50 // per_group
 
 
