@@ -61,7 +61,6 @@ class PotentialSpec:
     V: object  # callable points(...,dim) -> (...)
     A: object | None  # callable points(...,dim) -> (...,dim), or None for A == 0
     region: Region
-    V0: float
 
     def A0(self, dim: int) -> np.ndarray:
         if self.A is None:

@@ -226,7 +226,7 @@ def parse_config(source) -> ParsedConfig:
     V = _parse_V(pdoc["V"], cfg.V0)
     A = _parse_A(pdoc["A"], cfg.dim) if "A" in pdoc else None
     region = _parse_region(pdoc["Lambda"], cfg.dim)
-    pot = PotentialSpec(V=V, A=A, region=region, V0=cfg.V0)
+    pot = PotentialSpec(V=V, A=A, region=region)
 
     odoc = _take(top.get("solver", {}), "solver", {},
                  {"max_iters": int, "grad_tol": float, "seed": int})

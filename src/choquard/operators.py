@@ -299,11 +299,8 @@ class SpectralOperator:
 
 @dataclass(frozen=True)
 class HartreeCache:
-    """Precomputed Riesz kernel |x|^(-mu) on the box and its transform."""
+    """Transform of the Riesz kernel |x|^(-mu) sampled on the box."""
 
-    grid: GridSpec
-    mu: float
-    kernel: np.ndarray = field(repr=False)
     kernel_spectrum: np.ndarray = field(repr=False)
     spectrum_clip: float = 0.0
 
@@ -329,7 +326,7 @@ def build_hartree_cache(grid: GridSpec, mu: float) -> HartreeCache:
         raise ValueError("Riesz kernel spectrum is grossly indefinite on this grid")
     if clip > 0:
         spec = np.maximum(spec, 0.0)
-    return HartreeCache(grid, mu, k, spec, clip)
+    return HartreeCache(spec, clip)
 
 
 def riesz_convolve(h: np.ndarray, cache: HartreeCache) -> np.ndarray:

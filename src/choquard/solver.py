@@ -24,14 +24,6 @@ ARMIJO_SLACK = 1e-12
 BB_TAU_MIN = 1e-6
 BB_TAU_MAX = 1e6
 MAX_BACKTRACKS = 40
-# The warm-start map's cubic B-spline: the grid is padded with SPLINE_PAD edge
-# cells and prefiltered with the mirror boundary, as scipy.ndimage's
-# map_coordinates(order=3, mode="nearest") does. The prefilter's impulse
-# response is sqrt(3) z^|k| with the pole z = sqrt(3) - 2; 31 taps a side
-# reproduce it to roundoff (the first one left out, |z|^32, is below 1e-18).
-SPLINE_PAD = 12
-_SPLINE_POLE = np.sqrt(3.0) - 2.0
-_SPLINE_TAPS = np.sqrt(3.0) * _SPLINE_POLE ** np.arange(32)
 
 INVALID_PENALIZATION_WARNING = (
     "invalid penalization: |u| outside the region reaches the truncation "
@@ -338,35 +330,21 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
     return _finish_report(run, ctx, None, opts, warnings)
 
 
-def _spline_axis0(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Cubic B-spline interpolation of `a` along axis 0 at the fractional
-    indices `pos`, with the boundary handling described at SPLINE_PAD."""
-    pad = [(SPLINE_PAD, SPLINE_PAD)] + [(0, 0)] * (a.ndim - 1)
-    x = np.pad(a, pad, mode="edge")
-    n, K = len(x), len(_SPLINE_TAPS) - 1
-    # the mirror boundary is the reflection that does not repeat the edge
-    xr = np.pad(x, [(K, K)] + pad[1:], mode="reflect")
-    c = _SPLINE_TAPS[0] * x
-    for k in range(1, K + 1):
-        c += _SPLINE_TAPS[k] * (xr[K - k:K - k + n] + xr[K + k:K + k + n])
-    pos = np.clip(pos + SPLINE_PAD, 0, n - 1)
-    base = np.floor(pos).astype(int)
-    t = (pos - base).reshape((-1,) + (1,) * (a.ndim - 1))
-    weights = ((1 - t) ** 3, 4 - 6 * t ** 2 + 3 * t ** 3,
-               1 + 3 * t + 3 * t ** 2 - 3 * t ** 3, t ** 3)
-    return sum(w * c[np.clip(base + j - 1, 0, n - 1)]
-               for j, w in enumerate(weights)) / 6
-
-
 def rescale_field(u: Field, ratio: float) -> Field:
-    """Warm-start map u(x) -> u(x * ratio) by cubic B-spline interpolation on
-    the grid, one axis at a time (the tensor-product spline is separable).
-    A point more than SPLINE_PAD cells outside the box takes the edge value."""
+    """Warm-start map u(x) -> u(x * ratio) by Keys' cubic convolution, a = -1/2
+    (IEEE Trans. ASSP 29(6), 1981), one axis at a time. A point reads samples
+    base-1 .. base+2, indices clipped to the box: outside it, the edge value."""
     g = u.grid
-    pos = np.arange(g.M) * ratio + (1 - ratio) * (g.L / g.h)
+    pos = np.clip(np.arange(g.M) * ratio + (1 - ratio) * (g.L / g.h), 0, g.M - 1)
+    base = np.floor(pos).astype(int)
+    t = (pos - base).reshape((-1,) + (1,) * (g.dim - 1))
+    weights = ((-t ** 3 + 2 * t ** 2 - t) / 2, (3 * t ** 3 - 5 * t ** 2 + 2) / 2,
+               (-3 * t ** 3 + 4 * t ** 2 + t) / 2, (t ** 3 - t ** 2) / 2)
     vals = u.values
     for a in range(g.dim):
-        vals = np.moveaxis(_spline_axis0(np.moveaxis(vals, a, 0), pos), 0, a)
+        v = np.moveaxis(vals, a, 0)
+        vals = np.moveaxis(sum(w * v[np.clip(base + j - 1, 0, g.M - 1)]
+                               for j, w in enumerate(weights)), 0, a)
     return Field(vals, g)
 
 

@@ -28,6 +28,21 @@ def brute_force_riesz(vals: np.ndarray, kernel: np.ndarray, hV: float) -> np.nda
     return (out * hV).reshape(shape)
 
 
+def riesz_kernel_table(grid: GridSpec, mu: float) -> np.ndarray:
+    """|x|^-mu at the nearest periodic image of every grid displacement, the
+    zero cell holding the kernel's mean over the ball of volume h^N:
+    |S^{N-1}| r^{N-mu} / ((N - mu) h^N) with |B_1| r^N = h^N."""
+    from math import gamma, pi
+    N, M, h = grid.dim, grid.M, grid.h
+    d2 = (np.minimum(np.arange(M), M - np.arange(M)) * h) ** 2
+    r2 = sum(np.meshgrid(*([d2] * N), indexing="ij"))
+    table = np.zeros(grid.shape)
+    table[r2 > 0] = r2[r2 > 0] ** (-mu / 2)
+    r = h * (gamma(N / 2 + 1) / pi ** (N / 2)) ** (1 / N)
+    table[(0,) * N] = 2 * pi ** (N / 2) / gamma(N / 2) * r ** (N - mu) / ((N - mu) * h ** N)
+    return table
+
+
 def nehari_closed_form(u: Field, ctx) -> float:
     """Analytic ray parameter for the pure power model on fields supported in
     the region: the pairing is t^2 ||u||^2 - (2/q) t^(2q) D with
@@ -84,7 +99,7 @@ def magnetic_ctx(grid1d):
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
                         A=random_smooth_A(1, grid1d.L * cfg.eps, 0.4, seed=11),
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     ctx = build_penalized_context(cfg, pot, grid1d)
     cal = calibrate_penalization(ctx, n_samples=20, seed=3)
     return replace(ctx, pen=cal.pen), pot, cal.u0
@@ -95,7 +110,7 @@ def plain_ctx(grid1d):
     """Calibrated penalized context with A == 0 (spectral backend)."""
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
-                        A=None, region=BallRegion((0.0,), 1.0), V0=1.0)
+                        A=None, region=BallRegion((0.0,), 1.0))
     ctx = build_penalized_context(cfg, pot, grid1d)
     cal = calibrate_penalization(ctx, n_samples=20, seed=3)
     return replace(ctx, pen=cal.pen), pot, cal.u0
@@ -107,5 +122,5 @@ def allcover_pot():
     def make(grid: GridSpec, eps: float) -> PotentialSpec:
         radius = eps * (grid.L - grid.h / 4)
         return PotentialSpec(V=constant_V(1.0), A=None,
-                             region=BallRegion((0.0,) * grid.dim, radius), V0=1.0)
+                             region=BallRegion((0.0,) * grid.dim, radius))
     return make

@@ -19,7 +19,7 @@ from choquard.io import config_hash
 from choquard.sampling import band_limited_field, bump_in_region
 
 from conftest import (brute_force_riesz, central_diff_energy, gaussian_frac_lap,
-                      nehari_closed_form)
+                      nehari_closed_form, riesz_kernel_table)
 
 
 def report(num, name, detail, t0):
@@ -96,7 +96,7 @@ def test_criterion_04_riesz_fast_vs_direct():
         for mu in (0.3, 0.8):
             cache = build_hartree_cache(grid, mu)
             fast = riesz_convolve(f, cache)
-            direct = brute_force_riesz(f, cache.kernel, grid.cell_volume())
+            direct = brute_force_riesz(f, riesz_kernel_table(grid, mu), grid.cell_volume())
             rel = np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
             worst = max(worst, rel)
             assert rel < 1e-8, f"dim={dim} mu={mu}: rel {rel:.2e}"
@@ -200,7 +200,7 @@ def test_criterion_10_concentration_sweep():
     cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=0.5, V0=1.0)
     grid = GridSpec(L=64.0, M=1024, dim=1)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     opts = SolverOptions(grad_tol=1e-8, seed=10)
     fields = {}
     reports = sweep_epsilon(cfg, pot, grid, SWEEP_EPS, opts,
@@ -232,7 +232,7 @@ def test_criterion_10b_sweep_3d_coarse():
     cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     grid = GridSpec(L=12.0, M=32, dim=3)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0), A=None,
-                        region=BallRegion((0.0, 0.0, 0.0), 1.0), V0=1.0)
+                        region=BallRegion((0.0, 0.0, 0.0), 1.0))
     opts = SolverOptions(grad_tol=1e-6, seed=10)
     reports = sweep_epsilon(cfg, pot, grid, SWEEP_EPS, opts)
     assert all(r.converged for r in reports)

@@ -9,7 +9,7 @@ from choquard import (BallRegion, BoxRegion, ConfigError, GridSpec, PotentialSpe
 
 def make_pot(dim, V=None, radius=1.0):
     return PotentialSpec(V=V or clipped_quadratic_V(1.0), A=None,
-                         region=BallRegion((0.0,) * dim, radius), V0=1.0)
+                         region=BallRegion((0.0,) * dim, radius))
 
 
 def test_admissible_3d_example():
@@ -71,10 +71,10 @@ def test_box_region_and_origin_requirement():
     cfg = ProblemConfig(dim=2, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     grid = GridSpec(L=8.0, M=16, dim=2)
     good = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                         region=BoxRegion((-1.0, -1.0), (1.0, 1.0)), V0=1.0)
+                         region=BoxRegion((-1.0, -1.0), (1.0, 1.0)))
     assert validate_config(cfg, good, grid).ok
     off = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BoxRegion((0.5, 0.5), (1.5, 1.5)), V0=1.0)
+                        region=BoxRegion((0.5, 0.5), (1.5, 1.5)))
     rep = validate_config(cfg, off, grid)
     assert not rep.ok
 
@@ -125,7 +125,7 @@ def test_region_leaves_domain_one_predicate():
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.25, V0=1.0)
     for radius, leaves in ((1.0, True), (0.99, False)):
         pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                            region=BallRegion((0.0,), radius), V0=1.0)
+                            region=BallRegion((0.0,), radius))
         assert region_leaves_domain(cfg, grid, pot) is leaves
         flagged = "penalization region leaves domain" in \
             validate_config(cfg, grid=grid, pot=pot).violations

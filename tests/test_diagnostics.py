@@ -151,7 +151,7 @@ def make_conc_inputs():
     grid = GridSpec(L=32.0, M=128, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.125, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     return grid, cfg, pot
 
 

@@ -117,7 +117,7 @@ def test_context_holds_one_operator_built_once(A, op_type):
     grid = GridSpec(L=12.0, M=64, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=A,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     ctx = build_penalized_context(cfg, pot, grid)
     assert type(ctx.op) is op_type
     pen = PenalizationParams(ell0=8.0, a=0.125 ** 2, V0=1.0)

@@ -10,7 +10,7 @@ from choquard import (Field, GridSpec, PenalizationParams, PowerNonlinearity,
 from choquard.energy import sampled_hartree_sup, shell_samples
 from choquard.nonlinearity import threshold_for
 
-from conftest import brute_force_riesz
+from conftest import brute_force_riesz, riesz_kernel_table
 
 
 def test_f_vanishes_at_zero_and_below():
@@ -101,15 +101,16 @@ def test_calibrate_C0_matches_brute_force(plain_ctx):
     u = Field(np.exp(-grid.axis() ** 2), grid)
     Fv = nl.F(np.abs(u.values) ** 2)
     fast = riesz_convolve(Fv, cache)
-    direct = brute_force_riesz(Fv, cache.kernel, grid.cell_volume())
+    direct = brute_force_riesz(Fv, riesz_kernel_table(grid, 0.5), grid.cell_volume())
     assert np.max(np.abs(fast - direct)) < 1e-6 * np.max(np.abs(direct))
 
     # the sampled supremum that sets C0, against direct sums on the same draws
     ctx = replace(plain_ctx[0], pen=None)
     shell = 5.0
     sup, used = sampled_hartree_sup(ctx, shell, 6, seed=3)
+    table = riesz_kernel_table(ctx.grid, ctx.cfg.mu)
     sups = [np.max(np.abs(brute_force_riesz(ctx.nl.F(np.abs(f.values) ** 2),
-                                            ctx.hartree.kernel, ctx.grid.cell_volume())))
+                                            table, ctx.grid.cell_volume())))
             for f in shell_samples(ctx, shell, 6, seed=3)]
     assert used == len(sups) == 6
     assert sup == pytest.approx(max(sups), rel=1e-6)

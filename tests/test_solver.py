@@ -17,7 +17,7 @@ def coincident_setup(request):
     grid = GridSpec(L=16.0, M=192, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=1.0, V0=1.0)
     pot = PotentialSpec(V=constant_V(1.0), A=None,
-                        region=BallRegion((0.0,), grid.L - grid.h / 4), V0=1.0)
+                        region=BallRegion((0.0,), grid.L - grid.h / 4))
     return grid, cfg, pot
 
 
@@ -91,7 +91,7 @@ def test_limit_decay_exponent():
 
 def test_constant_A_is_gauge_equivalent(coincident_setup):
     grid, cfg, pot = coincident_setup
-    potA = PotentialSpec(V=pot.V, A=constant_A([0.6]), region=pot.region, V0=pot.V0)
+    potA = PotentialSpec(V=pot.V, A=constant_A([0.6]), region=pot.region)
     opts = SolverOptions(grad_tol=1e-6, seed=8)
     _, rep0 = solve_penalized(cfg, pot, grid, opts, validate=False)
     _, repA = solve_penalized(cfg, potA, grid, opts, validate=False)
@@ -114,7 +114,7 @@ def test_invalid_config_refused():
     grid = GridSpec(L=8.0, M=64, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=1.2, q=3.0, eps=0.5, V0=1.0)  # mu >= 2s
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     with pytest.raises(SolverError, match="mu must lie in"):
         solve_penalized(cfg, pot, grid)
 
@@ -132,30 +132,111 @@ def test_rescale_identity_and_shrink():
 
 
 @pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 12)])
-@pytest.mark.parametrize("ratio", [0.5, 0.7])
-def test_rescale_matches_scipy_spline(dim, M, ratio):
-    # oracle: scipy's cubic spline map, which the warm start reimplements
-    from scipy import ndimage
+def test_rescale_ratio_one_is_bit_exact(dim, M):
     grid = GridSpec(L=5.0, M=M, dim=dim)
     rng = np.random.default_rng(M)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    ax = np.arange(M) * ratio + (1 - ratio) * (grid.L / grid.h)
-    coords = np.stack([c.reshape(-1) for c in np.meshgrid(*([ax] * dim), indexing="ij")])
+    for u in (vals.real, vals):
+        assert np.array_equal(rescale_field(Field(u, grid), 1.0).values, u)
 
-    def ref(arr):
-        return ndimage.map_coordinates(arr, coords, order=3,
-                                       mode="nearest").reshape(grid.shape)
-    for u, want in ((vals.real, ref(vals.real)),
-                    (vals, ref(vals.real) + 1j * ref(vals.imag))):
-        got = rescale_field(Field(u, grid), ratio).values
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 12)])
+@pytest.mark.parametrize("ratio", [0.5, 0.7])
+def test_rescale_reproduces_quadratics(dim, M, ratio):
+    # Keys' cubic (a = -1/2) is exact on quadratics; these ratios keep every
+    # read of the four-sample stencil inside the box
+    grid = GridSpec(L=5.0, M=M, dim=dim)
+    rng = np.random.default_rng(dim)
+    b, Q = rng.normal(size=dim), rng.normal(size=(dim, dim))
+
+    def quad(x):
+        return 1.5 + x @ b + np.einsum("...i,ij,...j->...", x, Q, x)
+    mesh = grid.mesh()
+    got = rescale_field(Field(quad(mesh), grid), ratio).values
+    want = quad(ratio * mesh)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.7])
+def test_rescale_converges_at_third_order(ratio):
+    errs = []
+    for M in (32, 64, 128, 256):
+        grid = GridSpec(L=8.0, M=M, dim=1)
+        x = grid.axis()
+        got = rescale_field(Field(np.exp(-x ** 2), grid), ratio).values
+        errs.append(np.max(np.abs(got - np.exp(-(ratio * x) ** 2))))
+    # h^3 would give 8 per halving
+    assert all(e0 / e1 >= 7.0 for e0, e1 in zip(errs, errs[1:])), errs
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 12)])
+@pytest.mark.parametrize("ratio", [2.0, 2.3])
+def test_rescale_outside_the_box_takes_the_edge_value(dim, M, ratio):
+    # at ratio 2 every point sits on a sample; at 2.3 most fall between two
+    grid = GridSpec(L=5.0, M=M, dim=dim)
+    vals = np.random.default_rng(M).normal(size=grid.shape)
+    got = rescale_field(Field(vals, grid), ratio).values
+    # sample index of x * ratio; the box holds the indices 0 .. M-1
+    pos = np.arange(M) * ratio + (1 - ratio) * M / 2
+    low, high = pos < 0, pos > M - 1
+    assert low.any() and high.any()
+    for corner in np.ndindex(*([2] * dim)):
+        sel = np.ix_(*[high if c else low for c in corner])
+        edge = vals[tuple(M - 1 if c else 0 for c in corner)]
+        assert np.all(got[sel] == edge)
+
+
+@pytest.mark.parametrize("ratio", [0.7, 1.3, 2.3])
+def test_rescale_reads_the_four_nearest_samples(ratio):
+    # column k of the map's matrix is the image of the k-th unit sample: a
+    # point at index position p reads only samples k with |k - p| < 2,
+    # p clipped to the box (a stencil wrapping round the period would not)
+    M = 16
+    grid = GridSpec(L=5.0, M=M, dim=1)
+    R = np.stack([rescale_field(Field(e, grid), ratio).values for e in np.eye(M)], axis=1)
+    pos = np.clip(np.arange(M) * ratio + (1 - ratio) * M / 2, 0, M - 1)
+    far = np.abs(np.arange(M)[None, :] - pos[:, None]) >= 2
+    assert np.all(R[far] == 0)
+    assert np.allclose(R.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_sweep_warm_starts_each_entry_by_rescaling(monkeypatch):
+    # every entry after the first starts from the last solution rescaled by
+    # eps_new/eps_old, a failed entry's included; a cold start costs
+    # magnetic1d about 10% more iterations
+    import choquard.solver as solver
+    grid = GridSpec(L=10.0, M=96, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0,), 1.0))
+    rescales, starts, solutions = [], [], []
+
+    def counted(u, ratio):
+        rescales.append((u, ratio, rescale_field(u, ratio)))
+        return rescales[-1][2]
+
+    def recorded(*args, initial=None, **kwargs):
+        starts.append(initial)
+        return solve_penalized(*args, initial=initial, **kwargs)
+    monkeypatch.setattr(solver, "rescale_field", counted)
+    monkeypatch.setattr(solver, "solve_penalized", recorded)
+    # 0.05 and 0.025 blow the region out of the box: both fail
+    reports = sweep_epsilon(cfg, pot, grid, [0.5, 0.25, 0.05, 0.025],
+                            SolverOptions(grad_tol=1e-5, seed=10),
+                            on_solution=lambda eps, u, rep: solutions.append(u))
+    assert [r.converged for r in reports] == [True, True, False, False]
+    assert [ratio for _, ratio, _ in rescales] == [0.25 / 0.5, 0.05 / 0.25, 0.025 / 0.25]
+    assert all(u is prev for (u, _, _), prev in
+               zip(rescales, [solutions[0], solutions[1], solutions[1]]))
+    assert len(starts) == 4 and starts[0] is None
+    assert all(s is out for s, (_, _, out) in zip(starts[1:], rescales))
 
 
 def test_solve_penalized_2d():
     grid = GridSpec(L=10.0, M=48, dim=2)
     cfg = ProblemConfig(dim=2, s=0.6, mu=0.8, q=2.5, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0, 0.0), 1.0), V0=1.0)
+                        region=BallRegion((0.0, 0.0), 1.0))
     opts = SolverOptions(grad_tol=1e-6, seed=12)
     u, rep = solve_penalized(cfg, pot, grid, opts, calibration_samples=15)
     assert rep.converged and rep.residual < opts.grad_tol
@@ -169,7 +250,7 @@ def test_sweep_argument_validation():
     grid = GridSpec(L=8.0, M=64, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     with pytest.raises(ValueError):
         sweep_epsilon(cfg, pot, grid, [0.5])
     with pytest.raises(ValueError):
@@ -183,7 +264,7 @@ def test_sweep_with_magnetic_potential():
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0),
                         A=random_smooth_A(1, grid.L * 0.5, 0.3, seed=20),
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     reports = sweep_epsilon(cfg, pot, grid, [0.5, 0.25],
                             SolverOptions(grad_tol=1e-5, seed=21))
     assert all(r.converged for r in reports)
@@ -195,7 +276,7 @@ def test_solver_deterministic_under_seed():
     grid = GridSpec(L=10.0, M=96, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     opts = SolverOptions(grad_tol=1e-6, seed=31)
     u1, r1 = solve_penalized(cfg, pot, grid, opts)
     u2, r2 = solve_penalized(cfg, pot, grid, opts)
@@ -207,7 +288,7 @@ def test_sweep_records_failures_and_continues():
     grid = GridSpec(L=10.0, M=96, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     # the middle eps blows the region out of the box: per-entry failure
     reports = sweep_epsilon(cfg, pot, grid, [0.5, 0.05, 0.025],
                             SolverOptions(grad_tol=1e-5, seed=10))
@@ -275,7 +356,7 @@ def test_magnetic_2d_one_pair_pass_per_line_search(monkeypatch):
     grid = GridSpec(L=6.0, M=16, dim=2)
     cfg = ProblemConfig(dim=2, s=0.75, mu=0.5, q=4.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=sine_A(0.5, 4.0, 2),
-                        region=BallRegion((0.0, 0.0), 1.0), V0=1.0)
+                        region=BallRegion((0.0, 0.0), 1.0))
     passes = []
     pair_data = QuadratureOperator._pair_data
 
@@ -297,7 +378,7 @@ def test_report_keeps_calibration_inputs():
     grid = GridSpec(L=10.0, M=96, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
                              calibration_samples=20)
     assert rep.C0 > 0 and rep.ell0 == pytest.approx(4 * rep.C0, rel=1e-15)
@@ -321,7 +402,7 @@ def test_penalization_margin_decides_validity(q):
     grid = GridSpec(L=12.0, M=96, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=q, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
-                        A=sine_A(0.5, 4.0, 1), region=BallRegion((0.0,), 1.0), V0=1.0)
+                        A=sine_A(0.5, 4.0, 1), region=BallRegion((0.0,), 1.0))
     u, rep = solve_penalized(cfg, pot, grid, SolverOptions(seed=7))
     outside = ~pot.region.contains(cfg.eps * grid.points()).reshape(grid.shape)
     want = np.max(np.abs(u.values[outside])) / min(rep.a, np.sqrt(rep.a))
@@ -339,7 +420,7 @@ def test_sweep_propagates_other_errors(monkeypatch):
     grid = GridSpec(L=10.0, M=96, dim=1)
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
-                        region=BallRegion((0.0,), 1.0), V0=1.0)
+                        region=BallRegion((0.0,), 1.0))
     for exc_type in (ValueError, TypeError):
         def broken(*args, **kwargs):
             raise exc_type("fault inside one solve")
