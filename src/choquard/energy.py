@@ -48,9 +48,13 @@ class EnergyContext:
         return self.op.apply(u)
 
     def seminorm_sq(self, u: np.ndarray, Lu: np.ndarray | None = None):
-        """[u]^2 = Re<Lu, u> h^N; the image Lu = apply_op(u), when already
-        known, saves the operator pass. Leading axes of u stack fields."""
-        return quadratic_form(self.grid, u, self.apply_op(u) if Lu is None else Lu)
+        """[u]^2 = Re<Lu, u> h^N from the image Lu = apply_op(u) when it is
+        given; without it, the operator's own `seminorm_sq` (on the spectral
+        backend one forward transform, by Parseval, in place of an operator
+        pass). Leading axes of u stack fields."""
+        if Lu is None:
+            return self.op.seminorm_sq(u)
+        return quadratic_form(self.grid, u, Lu)
 
     def potential_sq(self, u: np.ndarray):
         return self.grid.integrate(self.V_eps * np.abs(u) ** 2)
@@ -280,9 +284,10 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
 
 # Shell samples are drawn in groups of at most this many bytes, counted as
 # complex values (at least one field per group); each group's norms take one
-# stacked operator pass. A 32^3 field (512 KiB) is drawn alone; a 784-point
-# field (12 KiB) in groups of 10. Larger groups raise the peak memory of
-# small 1-D runs (1024 points: +1.3 MB at 512 KiB).
+# stacked evaluation (one forward transform on the spectral backend, one
+# operator pass on the quadrature). A 32^3 field (512 KiB) is drawn alone; a
+# 784-point field (12 KiB) in groups of 10. Larger groups raise the peak
+# memory of small 1-D runs (1024 points: +1.3 MB at 512 KiB).
 SAMPLE_GROUP_BYTES = 1 << 17
 
 
@@ -294,7 +299,7 @@ def _shell_groups(ctx: EnergyContext, shell: float, n: int, seed: int):
     for lo in range(0, n, per_group):
         U = np.stack([band_limited_field(ctx.grid, rng, complex_valued=complex_valued).values
                       for _ in range(min(per_group, n - lo))])
-        n2 = ctx.norm_eps_sq(U, ctx.apply_op(U))
+        n2 = ctx.norm_eps_sq(U)
         keep = n2 > 0
         if np.any(keep):
             yield U[keep] * np.sqrt(shell / n2[keep]).reshape((-1,) + (1,) * ctx.grid.dim)

@@ -280,19 +280,29 @@ class SpectralOperator:
     grid: GridSpec
     s: float
     mult: np.ndarray = field(init=False, repr=False)
+    # mult on the half spectrum of a real field, each column weighted by the
+    # times it occurs in the full one: 1 at columns 0 and M/2, 2 elsewhere
+    half_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.s <= 1.0):
             raise ValueError("spectral path requires s in (0, 1]")
         self.mult = self.grid.wavenumber_mesh_sq() ** self.s
+        M = self.grid.M
+        self.half_weights = 2.0 * self.mult[..., :M // 2 + 1]
+        self.half_weights[..., [0, M // 2]] *= 0.5
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The multiplier on u; leading axes of u stack fields."""
         return fourier_multiply(self.mult, u)
 
     def seminorm_sq(self, u: np.ndarray):
-        """[u]^2 = Re<apply(u), u> h^N; leading axes of u stack fields."""
-        return quadratic_form(self.grid, u, self.apply(u))
+        """[u]^2 = Re<apply(u), u> h^N by Parseval, h^N / M^N sum |xi|^(2s)
+        |u^|^2: one forward transform; leading axes of u stack fields."""
+        g = self.grid
+        uh = fftn(u, tuple(range(-g.dim, 0)))
+        w = self.mult if np.iscomplexobj(u) else self.half_weights
+        return g.integrate(w * (uh.real ** 2 + uh.imag ** 2)) / g.size
 
 
 # ------------------------------------------------------------ Riesz potential

@@ -25,18 +25,35 @@ def _window(grid: GridSpec) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=4)
+def _unit_roots(M: int) -> np.ndarray:
+    """e^{2 pi i m / M} for m = 0 .. M-1, built once per M and read-only."""
+    r = np.exp(2j * np.pi * np.arange(M) / M)
+    r.setflags(write=False)
+    return r
+
+
 def band_limited_field(grid: GridSpec, rng: np.random.Generator, *,
                        complex_valued: bool = True) -> Field:
     """Random superposition of 12 Fourier modes up to max(2, M/8), windowed
     so the samples vanish toward the box boundary (smooth decaying test
-    fields)."""
-    max_mode = max(2, grid.M // 8)
-    coeffs = np.zeros(grid.shape, dtype=complex)
+    fields).
+
+    The sum is the inverse transform of the 12 coefficients: the leading axes
+    are summed directly, each mode as a product of one-axis plane waves, into
+    the column of its last-axis wavenumber, and one batched 1-D inverse
+    transform sums the last axis (in 1-D, exactly the full transform)."""
+    M = grid.M
+    max_mode = max(2, M // 8)
+    roots, n = _unit_roots(M), np.arange(M)
+    cols = np.zeros(grid.shape, dtype=complex)
     for _ in range(12):
-        idx = tuple(int(rng.integers(-max_mode, max_mode + 1)) % grid.M
-                    for _ in range(grid.dim))
-        coeffs[idx] += rng.normal() + 1j * rng.normal()
-    vals = ifftn(coeffs) * grid.size
+        k = [int(rng.integers(-max_mode, max_mode + 1)) % M for _ in range(grid.dim)]
+        c = rng.normal() + 1j * rng.normal()
+        for ka in reversed(k[:-1]):
+            c = np.multiply.outer(roots[ka * n % M], c)
+        cols[..., k[-1]] += c
+    vals = ifftn(cols, axes=(-1,)) * M
     if not complex_valued:
         vals = np.real(vals)
     vals = vals * _window(grid)

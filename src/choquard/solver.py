@@ -4,6 +4,7 @@ manifold, and the epsilon-sweep concentration experiment."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -90,6 +91,8 @@ class SolveReport:
     warnings: tuple[str, ...] = ()
     error: str | None = None
     decay_status: str = "ok"
+    # seconds per phase of the solve, keys `PHASES` (empty for a failed solve)
+    timings: dict[str, float] = field(default_factory=dict)
     energy_history: tuple[float, ...] = field(default=(), repr=False)
 
     @classmethod
@@ -101,6 +104,12 @@ class SolveReport:
                    iterations=0, residual=nan, converged=False,
                    nehari_residual=nan, sup_norm=nan, boundary_ratio=nan,
                    eps=eps, seed=seed, backend="", error=error)
+
+
+# the phases of a solve timed in `SolveReport.timings`: building the energy
+# context, calibrating the penalization (0 for the limit problem and a given
+# one), the descent from the start (built here) and the finishing report
+PHASES = ("context_s", "calibrate_s", "descent_s", "finish_s")
 
 
 class Descent(NamedTuple):
@@ -301,7 +310,9 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     if validate and not report.ok:
         raise SolverError("configuration violates admissibility: "
                           + "; ".join(report.violations))
+    marks = [perf_counter()]
     ctx = build_penalized_context(cfg, pot, grid)
+    marks.append(perf_counter())
     cal = None
     if pen is None:
         try:
@@ -310,9 +321,13 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
             raise SolverError(f"calibration: {exc}") from None
         pen = cal.pen
     ctx = replace(ctx, pen=pen)
+    marks.append(perf_counter())
     start = initial if initial is not None else _default_start(ctx, opts)
     run = minimize_on_nehari(ctx, start, opts)
-    return _finish_report(run, ctx, pot, opts, report.warnings, cal)
+    marks.append(perf_counter())
+    u, rep = _finish_report(run, ctx, pot, opts, report.warnings, cal)
+    rep.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
+    return u, rep
 
 
 def solve_limit(cfg: ProblemConfig, grid: GridSpec,
@@ -321,13 +336,18 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
     """Ground state of the limit problem (V == V0, A == 0, un-truncated f);
     c_eps in the report is the limit level."""
     opts = opts or SolverOptions()
+    marks = [perf_counter()]
     ctx = build_limit_context(cfg, grid)
+    marks += [perf_counter()] * 2  # no calibration phase
     if initial is None:
         base = gaussian_bump(grid, width=1.0).values
         initial = Field(base * _seeded_perturbation(grid, opts.seed), grid)
     warnings = () if cfg.dim >= 3 else (OUTSIDE_THEORY_WARNING,)
     run = minimize_on_nehari(ctx, initial, opts)
-    return _finish_report(run, ctx, None, opts, warnings)
+    marks.append(perf_counter())
+    u, rep = _finish_report(run, ctx, None, opts, warnings)
+    rep.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
+    return u, rep
 
 
 def rescale_field(u: Field, ratio: float) -> Field:

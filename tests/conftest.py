@@ -43,6 +43,25 @@ def riesz_kernel_table(grid: GridSpec, mu: float) -> np.ndarray:
     return table
 
 
+def reference_band_limited_field(grid: GridSpec, rng: np.random.Generator,
+                                 complex_valued: bool = True) -> np.ndarray:
+    """The draw of `band_limited_field` by its definition: the 12 seeded
+    coefficients scattered onto the full spectrum, one full inverse transform
+    (np.fft.ifftn) times M^N, then the same window and normalization."""
+    from choquard.sampling import _window
+    max_mode = max(2, grid.M // 8)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    for _ in range(12):
+        idx = tuple(int(rng.integers(-max_mode, max_mode + 1)) % grid.M
+                    for _ in range(grid.dim))
+        coeffs[idx] += rng.normal() + 1j * rng.normal()
+    vals = np.fft.ifftn(coeffs) * grid.size
+    if not complex_valued:
+        vals = vals.real
+    vals = vals * _window(grid)
+    return vals / np.max(np.abs(vals))
+
+
 def nehari_closed_form(u: Field, ctx) -> float:
     """Analytic ray parameter for the pure power model on fields supported in
     the region: the pairing is t^2 ||u||^2 - (2/q) t^(2q) D with

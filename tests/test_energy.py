@@ -156,3 +156,39 @@ def test_stacked_hartree_sup_matches_one_at_a_time(request, which, monkeypatch):
             for u in energy_mod.shell_samples(base, 4.0 * (cal.pen.kappa + 1.0), 8, seed=3)]
     assert cal.C0 == max(sups) and int(np.argmax(sups)) % 3 != 0
     assert cal.samples_used == len(sups) == 8
+
+
+def test_calibration_transform_count_3d_spectral(monkeypatch):
+    # a 32^3 shell sample is drawn, normed and convolved alone: one 1-D
+    # inverse transform batched over the last axis, one forward transform for
+    # its norm (Parseval) and the two of its Riesz convolution; the kappa
+    # projection of the bump takes one for its norm and two for its convolution
+    operators_mod = importlib.import_module("choquard.operators")
+    sampling_mod = importlib.import_module("choquard.sampling")
+    energy_mod = importlib.import_module("choquard.energy")
+    grid = GridSpec(L=12.0, M=32, dim=3)
+    cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=zero_A(3),
+                        region=BallRegion((0.0,) * 3, 1.0))
+    ctx = build_penalized_context(cfg, pot, grid)
+    assert type(ctx.op) is SpectralOperator
+    assert energy_mod.SAMPLE_GROUP_BYTES < 16 * grid.size  # one field a group
+    calls, draw_axes = [], []
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(a, axes=None, *rest):
+            calls.append(name)
+            if mod is sampling_mod:
+                draw_axes.append(a.ndim if axes is None else len(axes))
+            return fn(a, axes, *rest)
+        monkeypatch.setattr(mod, name, wrapper)
+    for mod, name in [(operators_mod, "fftn"), (operators_mod, "ifftn"),
+                      (sampling_mod, "ifftn")]:
+        counted(mod, name)
+    n = 4
+    cal = energy_mod.calibrate_penalization(ctx, n_samples=n, seed=0)
+    assert cal.samples_used == n
+    assert len(calls) == 4 * n + 3
+    assert draw_axes == [1] * n

@@ -414,9 +414,25 @@ def test_report_to_dict_json_safe():
     json.dumps(doc)
 
 
+def test_cli_reports_carry_phase_timings(tmp_path):
+    from choquard.solver import PHASES
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["sweep"] = {"eps_list": [0.5, 0.25]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    report = json.loads((tmp_path / "solve" / "report.json").read_text())
+    summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    for rep in [report] + summary["reports"]:
+        assert list(rep["timings"]) == list(PHASES)
+        assert all(t >= 0 for t in rep["timings"].values())
+
+
 def test_cli_solve_blow_up_exits_2(tmp_path, capsys, monkeypatch):
-    # an operator image with an inf fails the calibration's projection
-    from choquard import SpectralOperator
+    # an operator image with an inf, and the seminorm the calibration takes
+    # without an image (Parseval on the spectral backend) blown up the same
+    # way, fail the calibration's projection
+    from choquard import SpectralOperator, quadratic_form
     apply = SpectralOperator.apply
 
     def blown(self, u):
@@ -424,6 +440,8 @@ def test_cli_solve_blow_up_exits_2(tmp_path, capsys, monkeypatch):
         out[np.unravel_index(np.argmax(np.abs(u)), u.shape)] = np.inf
         return out
     monkeypatch.setattr(SpectralOperator, "apply", blown)
+    monkeypatch.setattr(SpectralOperator, "seminorm_sq",
+                        lambda self, u: quadratic_form(self.grid, u, blown(self, u)))
     cfg = write_config(tmp_path)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert "solver failed: calibration" in capsys.readouterr().err

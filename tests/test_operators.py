@@ -37,6 +37,24 @@ def test_spectral_plane_wave_exact(g128):
     assert np.allclose(out, np.abs(xi0) ** 1.2 * u.values, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)], ids=["1d", "2d", "3d"])
+def test_spectral_seminorm_by_parseval_matches_quadratic_form(dim, M):
+    # real and complex fields, one and a stack of three; a real field of
+    # (-1)^n on the last axis puts its energy in the Nyquist column (with the
+    # zero column on the leading axes), which pins the half-spectrum weights
+    grid = GridSpec(L=5.0, M=M, dim=dim)
+    op = SpectralOperator(grid, 0.6)
+    rng = np.random.default_rng(21)
+    real = rng.normal(size=(3,) + grid.shape)
+    nyquist = (-1.0) ** np.arange(M) * (1.0 + rng.normal(size=grid.shape))
+    for u in (real, real[0], real + 1j * rng.normal(size=real.shape),
+              real[1] + 1j * real[2], nyquist, np.stack([nyquist, real[0]])):
+        want = operators.quadratic_form(grid, u, op.apply(u))
+        got = op.seminorm_sq(u)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
 def test_spectral_constant_is_zero(g128):
     out = SpectralOperator(g128, 0.7).apply(np.ones(g128.M))
     assert np.max(np.abs(out)) < 1e-12

@@ -394,6 +394,27 @@ def test_report_keeps_calibration_inputs():
     assert rep2.C0 is None and rep2.calibration_samples_used is None
 
 
+@pytest.mark.parametrize("verb", ["penalized", "limit"])
+def test_report_times_each_phase(verb):
+    from time import perf_counter
+    from choquard.solver import PHASES
+    grid = GridSpec(L=10.0, M=96, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0,), 1.0))
+    opts = SolverOptions(grad_tol=1e-6, seed=31)
+    t0 = perf_counter()
+    if verb == "penalized":
+        _, rep = solve_penalized(cfg, pot, grid, opts, calibration_samples=20)
+    else:
+        _, rep = solve_limit(cfg, grid, opts)
+    wall = perf_counter() - t0
+    assert tuple(rep.timings) == PHASES
+    assert all(t >= 0 for t in rep.timings.values())
+    assert sum(rep.timings.values()) <= wall
+    assert (rep.timings["calibrate_s"] > 0) == (verb == "penalized")
+
+
 @pytest.mark.parametrize("q", [3.0, 4.0])
 def test_penalization_margin_decides_validity(q):
     # sine A on a small 1-D config: q = 3 ends with |u| outside the region
