@@ -166,11 +166,8 @@ def _run_potential(field_path: Path, u, eps: float):
     if parsed.cfg.dim != u.grid.dim:
         raise ConfigError(f"{cfg_path} has N = {parsed.cfg.dim}, the field "
                           f"has {u.grid.dim} dimensions")
-    A = parsed.pot.A
     kind = json.loads(parsed.raw)["potential"].get("A", {"kind": "zero"})["kind"]
-    if A is None:
-        return None, kind
-    return (lambda p: A(eps * np.asarray(p))), kind
+    return parsed.pot.A_eps(eps), kind
 
 
 def _cmd_check(args) -> int:

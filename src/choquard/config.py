@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import GridSpec
+from .operators import magnetic_on
 from .potentials import Region
 
 OUTSIDE_THEORY_WARNING = (
@@ -62,17 +63,12 @@ class PotentialSpec:
     A: object | None  # callable points(...,dim) -> (...,dim), or None for A == 0
     region: Region
 
-    def A0(self, dim: int) -> np.ndarray:
+    def A_eps(self, eps: float):
+        """x -> A(eps x), the magnetic potential of the problem rescaled by
+        eps, or None for A == 0."""
         if self.A is None:
-            return np.zeros(dim)
-        return np.asarray(self.A(np.zeros((1, dim))))[0]
-
-    def magnetic(self, grid: GridSpec) -> bool:
-        """True when A is present and not identically zero on the grid."""
-        if self.A is None:
-            return False
-        vals = np.asarray(self.A(grid.points()))
-        return bool(np.max(np.abs(vals)) > 0)
+            return None
+        return lambda points: np.asarray(self.A(eps * np.asarray(points)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
     if grid.dim != cfg.dim:
         bad.append("grid dimension does not match problem dimension")
     pair_bytes = 8 * grid.size * (grid.size + 1)
-    if pair_bytes > PAIR_STORAGE_LIMIT_BYTES and pot.magnetic(grid):
+    if pair_bytes > PAIR_STORAGE_LIMIT_BYTES and magnetic_on(pot.A_eps(cfg.eps), grid):
         bad.append(f"magnetic pair weights need up to {pair_bytes / 2 ** 20:.0f} MB, over "
                    f"the {PAIR_STORAGE_LIMIT_BYTES / 2 ** 20:.0f} MB limit")
 

@@ -13,7 +13,8 @@ from .grids import Field, GridSpec
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval, g_eval,
                            threshold_for)
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
-                        build_hartree_cache, quadratic_form, riesz_convolve)
+                        build_hartree_cache, magnetic_on, quadratic_form,
+                        riesz_convolve)
 from .sampling import band_limited_field, bump_in_region
 
 
@@ -39,7 +40,6 @@ class EnergyContext:
     hartree: HartreeCache = field(repr=False)
     op: SpectralOperator | QuadratureOperator = field(repr=False)
     pen: PenalizationParams | None = None
-    A0: np.ndarray | None = None
 
     # ------------- operator pieces
 
@@ -66,10 +66,13 @@ class EnergyContext:
         return 1.0 / (1.0 + SpectralOperator(self.grid, self.cfg.s).mult + self.cfg.V0)
 
     def a0_plane_wave(self, vals: np.ndarray) -> np.ndarray:
-        """`vals` times the plane wave e^{i A(0).x}, the gauge of A at the origin."""
-        if self.A0 is None or not np.any(self.A0 != 0):
-            return vals
-        return vals * np.exp(1j * np.tensordot(self.grid.mesh(), self.A0, axes=([-1], [0])))
+        """`vals` times the plane wave e^{i A(0).x}, the gauge of the operator's
+        A at the origin."""
+        if self.op.A is not None:
+            A0 = np.asarray(self.op.A(np.zeros((1, self.grid.dim))))[0]
+            if np.any(A0 != 0):
+                vals = vals * np.exp(1j * np.tensordot(self.grid.mesh(), A0, axes=([-1], [0])))
+        return vals
 
     # ------------- nonlinear pieces
 
@@ -89,20 +92,19 @@ def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSp
     """Context for the rescaled penalized problem on `grid`.
 
     The operator is the singular-integral quadrature when the magnetic
-    potential is nonzero on the grid, else the faster spectral operator.
+    potential A(eps x) is nonzero on the grid, else the faster spectral operator.
     """
     lambda_mask = region_mask(cfg, grid, pot)
     V_eps = np.asarray(pot.V(cfg.eps * grid.mesh()))
-    if pot.magnetic(grid):
-        def A_eps(points):
-            return np.asarray(pot.A(cfg.eps * np.asarray(points)))
-        op = QuadratureOperator(grid, cfg.s, A_eps)
+    A = pot.A_eps(cfg.eps)
+    if magnetic_on(A, grid):
+        op = QuadratureOperator(grid, cfg.s, A)
     else:
         op = SpectralOperator(grid, cfg.s)
     return EnergyContext(
         cfg=cfg, grid=grid, V_eps=V_eps, lambda_mask=lambda_mask,
         nl=PowerNonlinearity(cfg.q), hartree=build_hartree_cache(grid, cfg.mu),
-        op=op, pen=pen, A0=pot.A0(grid.dim))
+        op=op, pen=pen)
 
 
 def build_limit_context(cfg: ProblemConfig, grid: GridSpec) -> EnergyContext:
@@ -112,7 +114,7 @@ def build_limit_context(cfg: ProblemConfig, grid: GridSpec) -> EnergyContext:
         cfg=replace(cfg, eps=1.0), grid=grid, V_eps=V,
         lambda_mask=np.ones(grid.shape, dtype=bool),
         nl=PowerNonlinearity(cfg.q), hartree=build_hartree_cache(grid, cfg.mu),
-        op=SpectralOperator(grid, cfg.s), pen=None, A0=np.zeros(grid.dim))
+        op=SpectralOperator(grid, cfg.s), pen=None)
 
 
 # ------------------------------------------------------------------ energy
@@ -294,7 +296,7 @@ SAMPLE_GROUP_BYTES = 1 << 17
 def _shell_groups(ctx: EnergyContext, shell: float, n: int, seed: int):
     """The samples of `shell_samples`, stacked a group at a time."""
     rng = np.random.default_rng(seed)
-    complex_valued = getattr(ctx.op, "A", None) is not None
+    complex_valued = ctx.op.A is not None
     per_group = max(1, SAMPLE_GROUP_BYTES // (16 * ctx.grid.size))
     for lo in range(0, n, per_group):
         U = np.stack([band_limited_field(ctx.grid, rng, complex_valued=complex_valued).values

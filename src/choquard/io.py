@@ -1,8 +1,9 @@
 """Config ingestion, field persistence, and machine-readable reports.
 
 Field files are raw little-endian binary64, interleaved (real, imaginary) per
-sample in row-major grid order, with a JSON sidecar `<name>.meta.json` holding
-the grid geometry, problem scalars, phase gauge, and a payload sha256.
+sample in row-major grid order, which is numpy's '<c16' layout (so signed
+zeros survive), with a JSON sidecar `<name>.meta.json` holding the grid
+geometry, problem scalars, phase gauge, and a payload sha256.
 All writes are atomic (write to a temp file, then rename).
 """
 
@@ -56,11 +57,7 @@ def _atomic_write_json(path: Path, doc):
 def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> dict:
     """Write the field payload and its sidecar; returns the sidecar document."""
     path = Path(path)
-    vals = np.ascontiguousarray(u.values, dtype=complex)
-    inter = np.empty(vals.size * 2, dtype="<f8")
-    inter[0::2] = np.real(vals).reshape(-1)
-    inter[1::2] = np.imag(vals).reshape(-1)
-    payload = inter.tobytes()
+    payload = np.ascontiguousarray(u.values, dtype="<c16").tobytes()
     meta = {
         "dims": list(u.grid.shape),
         "L": u.grid.L,
@@ -87,9 +84,13 @@ def load_field(path) -> tuple[Field, dict]:
         meta = json.loads(meta_path.read_text())
     except ValueError as exc:
         raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
-    meta = _take(meta, where, {"dims": lambda v: [int(n) for n in v], "L": float,
+    meta = _take(meta, where, {"dims": lambda v: [_int(n) for n in v], "L": float,
                                "s": float, "mu": float, "eps": float, "sha256": str},
                  {"phase_gauge": str})
+    if not 0 < meta["s"] < 1:
+        raise ConfigError(f"{where}: s must lie in (0, 1)")
+    if not 0 < meta["eps"] < math.inf:
+        raise ConfigError(f"{where}: eps must be positive and finite")
     dims = meta["dims"]
     if len(set(dims)) != 1:
         raise ConfigError("field sidecar dims must be equal per axis")
@@ -105,12 +106,18 @@ def load_field(path) -> tuple[Field, dict]:
         raise ConfigError("field payload longer than sidecar dims imply")
     if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
         raise ConfigError("checksum mismatch in field payload")
-    inter = np.frombuffer(payload, dtype="<f8")
-    vals = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
+    vals = np.frombuffer(payload, dtype="<c16").reshape(grid.shape).copy()
     return Field(vals, grid), meta
 
 
 # ------------------------------------------------------------- config parse
+
+def _int(value) -> int:
+    """An integer: booleans, text and numbers with a fractional part are refused."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
 
 def _take(doc: dict, where: str, required: dict, optional: dict | None = None):
     if not isinstance(doc, dict):
@@ -210,12 +217,12 @@ def parse_config(source) -> ParsedConfig:
                 {"solver": dict, "sweep": dict})
 
     prob = _take(top["problem"], "problem",
-                 {"N": int, "s": float, "mu": float, "q": float, "eps": float,
+                 {"N": _int, "s": float, "mu": float, "q": float, "eps": float,
                   "V0": float})
     cfg = ProblemConfig(dim=prob["N"], s=prob["s"], mu=prob["mu"], q=prob["q"],
                         eps=prob["eps"], V0=prob["V0"])
 
-    gdoc = _take(top["grid"], "grid", {"L": float, "M": int})
+    gdoc = _take(top["grid"], "grid", {"L": float, "M": _int})
     try:
         grid = GridSpec(L=gdoc["L"], M=gdoc["M"], dim=cfg.dim)
     except ValueError as exc:
@@ -229,7 +236,7 @@ def parse_config(source) -> ParsedConfig:
     pot = PotentialSpec(V=V, A=A, region=region)
 
     odoc = _take(top.get("solver", {}), "solver", {},
-                 {"max_iters": int, "grad_tol": float, "seed": int})
+                 {"max_iters": _int, "grad_tol": float, "seed": _int})
     try:
         opts = SolverOptions(max_iters=odoc.get("max_iters", 2000),
                              grad_tol=odoc.get("grad_tol", 1e-6),

@@ -62,6 +62,12 @@ def sphere_area(N: int) -> float:
     return 2.0 * np.pi ** (N / 2) / gamma(N / 2)
 
 
+def magnetic_on(A, grid: GridSpec) -> bool:
+    """True when the vector potential A is given and not zero at every grid
+    point, the points where an operator on `grid` evaluates it."""
+    return A is not None and bool(np.max(np.abs(np.asarray(A(grid.points())))) > 0)
+
+
 def _check_s(s: float):
     if not (0.0 < s < 1.0):
         raise ValueError("fractional order s must lie in (0, 1)")
@@ -155,10 +161,8 @@ class QuadratureOperator:
         g = self.grid
         N, M = g.dim, g.M
         self.c = frac_lap_constant(N, self.s)
-        if self.A is not None:
-            amax = float(np.max(np.abs(np.asarray(self.A(g.points())))))
-            if amax == 0.0:
-                self.A = None
+        if not magnetic_on(self.A, g):
+            self.A = None  # a zero A stores no pair weights
         self.blocks, self.links = [], None
         self.cutoff = g.L - g.h / 2
         tail = sphere_area(N) / (2 * self.s * self.cutoff ** (2 * self.s))
@@ -269,13 +273,15 @@ class QuadratureOperator:
 @dataclass
 class SpectralOperator:
     """Fourier-multiplier fractional Laplacian |xi|^(2s) on the periodic grid,
-    with the same `apply` and `seminorm_sq` as `QuadratureOperator`.
+    with the same `apply` and `seminorm_sq` as `QuadratureOperator`; its `A`
+    is None (no magnetic potential).
 
     Accepts s in (0, 1]; s = 1 reproduces the (spectral) Laplacian.
     """
 
     backend = "spectral"
     pair_weights_mb = 0.0
+    A = None
 
     grid: GridSpec
     s: float

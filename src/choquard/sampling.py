@@ -63,21 +63,27 @@ def band_limited_field(grid: GridSpec, rng: np.random.Generator, *,
     return Field(vals, grid)
 
 
+def _gaussian(grid: GridSpec, center=None, region: np.ndarray | None = None,
+              width: float = 1.0) -> np.ndarray:
+    """exp(-|x - center|^2 / (2 w^2)) on the grid, w = `width`. With a
+    `region` mask, w = max(the region's narrowest extent / 6, 2h) instead,
+    and a `center` of None is the region's centroid."""
+    mesh = grid.mesh()
+    if region is not None:
+        pts = mesh[region]
+        extent = float(np.min(pts.max(axis=0) - pts.min(axis=0))) if pts.size else 0.0
+        width = max(extent / 6.0, 2 * grid.h)
+        if center is None:
+            center = pts.mean(axis=0)
+    return np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width ** 2))
+
+
 def gaussian_bump(grid: GridSpec, width: float = 1.0) -> Field:
     """Real Gaussian of unit height centred at the origin."""
-    r2 = np.sum(grid.mesh() ** 2, axis=-1)
-    return Field(np.exp(-r2 / (2.0 * width ** 2)), grid)
+    return Field(_gaussian(grid, 0.0, width=width), grid)
 
 
 def bump_in_region(grid: GridSpec, mask: np.ndarray) -> Field:
     """Gaussian bump supported (to machine precision) inside the masked region:
     centered at the region centroid, hard-masked to the region."""
-    mesh = grid.mesh()
-    pts = mesh.reshape(-1, grid.dim)
-    inside = mask.reshape(-1)
-    center = pts[inside].mean(axis=0)
-    extent = pts[inside].max(axis=0) - pts[inside].min(axis=0)
-    width = max(float(np.min(extent)) / 6.0, 2 * grid.h)
-    vals = np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width ** 2))
-    vals = np.where(mask, vals, 0.0)
-    return Field(vals, grid)
+    return Field(np.where(mask, _gaussian(grid, region=mask), 0.0), grid)

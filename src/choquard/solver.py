@@ -17,7 +17,7 @@ from .energy import (Calibration, EnergyContext, NehariError, build_limit_contex
                      nehari_project, nehari_residual)
 from .grids import Field, GridSpec, NonFiniteFieldError
 from .operators import fourier_multiply
-from .sampling import band_limited_field, gaussian_bump
+from .sampling import _gaussian, band_limited_field, gaussian_bump
 
 ARMIJO_C1 = 1e-4
 # absolute slack keeping steps acceptable at the floating-point floor of J
@@ -51,6 +51,8 @@ class SolverOptions:
             raise ValueError("grad_tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -67,7 +69,7 @@ class SolveReport:
     converged: bool
     nehari_residual: float
     sup_norm: float
-    boundary_ratio: float
+    boundary_ratio: float  # largest |u| on the outermost grid layer over sup |u|
     eps: float
     seed: int
     backend: str
@@ -138,12 +140,6 @@ def phase_gauge(u: Field) -> Field:
     if not u.is_complex:
         return u if val > 0 else Field(-u.values, u.grid)
     return Field(u.values * (np.abs(val) / val), u.grid)
-
-
-def _boundary_ratio(u: Field) -> float:
-    """Largest |u| over the outermost grid layer, relative to the sup norm."""
-    sup = u.sup_norm()
-    return outer_layer_max(u) / sup if sup > 0 else 0.0
 
 
 def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) -> Descent:
@@ -234,33 +230,25 @@ def _default_start(ctx: EnergyContext, opts: SolverOptions) -> Field:
     """Gaussian bump at the potential minimizer inside the blown-up region,
     carrying the plane-wave phase of A(0), plus a small seeded perturbation."""
     g = ctx.grid
-    mesh = g.mesh()
-    inside = ctx.lambda_mask
-    V_masked = np.where(inside, ctx.V_eps, np.inf)
+    V_masked = np.where(ctx.lambda_mask, ctx.V_eps, np.inf)
     vmin = float(np.min(V_masked))
     at_min = V_masked <= vmin + 1e-12 * max(1.0, abs(vmin))
     # tie-break toward the origin (the natural normalization of the well)
-    r2 = np.where(at_min, np.sum(mesh ** 2, axis=-1), np.inf)
-    idx = np.unravel_index(int(np.argmin(r2)), g.shape)
-    center = mesh[idx]
-    pts = mesh.reshape(-1, g.dim)[inside.reshape(-1)]
-    extent = float(np.min(pts.max(axis=0) - pts.min(axis=0))) if pts.size else 2 * g.h
-    width = max(extent / 6.0, 2 * g.h)
-    vals = np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width ** 2))
+    r2 = np.where(at_min, np.sum(g.mesh() ** 2, axis=-1), np.inf)
+    center = g.index_to_point(np.unravel_index(int(np.argmin(r2)), g.shape))
+    vals = _gaussian(g, center, ctx.lambda_mask)
     return Field(ctx.a0_plane_wave(vals * _seeded_perturbation(g, opts.seed)), g)
 
 
-def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
-                   opts: SolverOptions, warnings: tuple[str, ...],
-                   cal: Calibration | None = None) -> tuple[Field, SolveReport]:
+def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
+             warnings: tuple[str, ...], cal: Calibration | None = None
+             ) -> tuple[Field, SolveReport]:
+    """The descent from `start` and its report, timed by phase: `marks` holds
+    the clock readings that open the context, calibration and descent phases."""
+    run = minimize_on_nehari(ctx, start, opts)
+    marks.append(perf_counter())
     u = phase_gauge(run.u)
-    idx = u.argmax_index()
-    x_eps = u.grid.index_to_point(idx)
-    eps = ctx.cfg.eps
-    if pot is not None:
-        V_at_max = float(np.asarray(pot.V((eps * x_eps)[None, :]))[0])
-    else:
-        V_at_max = ctx.cfg.V0
+    idx, sup = u.argmax_index(), u.sup_norm()
     pen = ctx.pen
     valid, margin = True, None
     if pen is not None:
@@ -272,13 +260,13 @@ def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
         warnings = warnings + (INVALID_PENALIZATION_WARNING,)
     slope, Cfit, status = fit_decay(u, ctx.cfg.s, idx)
     report = SolveReport(
-        c_eps=run.J, x_eps=tuple(float(x) for x in x_eps), x_eps_index=idx,
-        V_at_max=V_at_max, valid_penalization=valid,
+        c_eps=run.J, x_eps=tuple(float(x) for x in u.grid.index_to_point(idx)),
+        x_eps_index=idx, V_at_max=float(ctx.V_eps[idx]), valid_penalization=valid,
         decay_exponent=slope, Cfit=Cfit, iterations=run.iterations,
         residual=run.grad_norm, converged=True,
         nehari_residual=nehari_residual(run.u, ctx, run.Lu, K=run.K),
-        sup_norm=u.sup_norm(), boundary_ratio=_boundary_ratio(u),
-        eps=eps, seed=opts.seed, backend=ctx.op.backend,
+        sup_norm=sup, boundary_ratio=outer_layer_max(u) / sup if sup > 0 else 0.0,
+        eps=ctx.cfg.eps, seed=opts.seed, backend=ctx.op.backend,
         kappa=pen.kappa if pen else None, ell0=pen.ell0 if pen else None,
         a=pen.a if pen else None,
         penalization_margin=margin,
@@ -292,13 +280,13 @@ def _finish_report(run: Descent, ctx: EnergyContext, pot: PotentialSpec | None,
         operator_passes=run.operator_passes,
         warnings=warnings, decay_status=status,
         energy_history=tuple(run.history))
+    report.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
     return u, report
 
 
 def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
                     opts: SolverOptions | None = None, *,
                     pen=None, initial: Field | None = None,
-                    calibration_samples: int = 50,
                     validate: bool = True) -> tuple[Field, SolveReport]:
     """Ground state of the penalized rescaled problem at cfg.eps.
 
@@ -316,18 +304,14 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     cal = None
     if pen is None:
         try:
-            cal = calibrate_penalization(ctx, n_samples=calibration_samples, seed=opts.seed)
+            cal = calibrate_penalization(ctx, seed=opts.seed)
         except NehariError as exc:
             raise SolverError(f"calibration: {exc}") from None
         pen = cal.pen
     ctx = replace(ctx, pen=pen)
     marks.append(perf_counter())
     start = initial if initial is not None else _default_start(ctx, opts)
-    run = minimize_on_nehari(ctx, start, opts)
-    marks.append(perf_counter())
-    u, rep = _finish_report(run, ctx, pot, opts, report.warnings, cal)
-    rep.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
-    return u, rep
+    return _descend(ctx, start, opts, marks, report.warnings, cal)
 
 
 def solve_limit(cfg: ProblemConfig, grid: GridSpec,
@@ -343,11 +327,7 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
         base = gaussian_bump(grid, width=1.0).values
         initial = Field(base * _seeded_perturbation(grid, opts.seed), grid)
     warnings = () if cfg.dim >= 3 else (OUTSIDE_THEORY_WARNING,)
-    run = minimize_on_nehari(ctx, initial, opts)
-    marks.append(perf_counter())
-    u, rep = _finish_report(run, ctx, None, opts, warnings)
-    rep.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
-    return u, rep
+    return _descend(ctx, initial, opts, marks, warnings)
 
 
 def rescale_field(u: Field, ratio: float) -> Field:

@@ -1,5 +1,6 @@
 import json
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -43,6 +44,29 @@ def test_field_roundtrip_bitwise(tmp_path):
     assert np.array_equal(back.values, u.values)  # bitwise identity
     assert meta["dims"] == [32, 32]
     assert back.grid == grid
+
+
+def test_field_roundtrip_keeps_signed_zeros(tmp_path):
+    grid = GridSpec(L=8.0, M=8, dim=1)
+    vals = np.empty(grid.shape, dtype=complex)
+    vals.real = [0.0, -0.0, 1.0, -0.0, 0.0, -2.0, -0.0, 0.5]
+    vals.imag = [-0.0, 0.0, -0.0, 1.0, -0.0, -0.0, 0.0, 3.0]
+    path = tmp_path / "u.f64"
+    save_field(path, Field(vals, grid), s=0.6, mu=0.5, eps=0.5)
+    back, _ = load_field(path)
+    assert back.values.tobytes() == vals.tobytes()
+
+
+def test_field_payload_bytes(tmp_path):
+    # interleaved little-endian binary64 (re, im), row-major; a real field
+    # stores +0.0 imaginary parts
+    grid = GridSpec(L=8.0, M=8, dim=2)
+    vals = np.arange(64.0).reshape(grid.shape)
+    vals[0, 0] = -0.0
+    path = tmp_path / "u.f64"
+    save_field(path, Field(vals, grid), s=0.6, mu=0.5, eps=0.5)
+    pairs = [(-0.0, 0.0)] + [(float(k), 0.0) for k in range(1, 64)]
+    assert path.read_bytes() == struct.pack("<128d", *[x for p in pairs for x in p])
 
 
 def test_field_truncated_payload(tmp_path):
@@ -115,8 +139,15 @@ def test_parse_config_missing_key(tmp_path):
     (("potential", "A"), {"kind": "constant", "value": ["x"]}),
     (("solver", "grad_tol"), 0),
     (("solver", "seed"), -1),
+    (("grid", "M"), 64.7),
+    (("grid", "M"), "96"),
+    (("problem", "N"), True),
+    (("solver", "seed"), 2.9),
+    (("solver", "max_iters"), 0),
+    (("solver", "max_iters"), 10.5),
 ], ids=["top_level_int", "M_odd", "M_small", "L_zero", "N_4", "center_text",
-        "A_value_text", "grad_tol_zero", "seed_negative"])
+        "A_value_text", "grad_tol_zero", "seed_negative", "M_fractional", "M_text",
+        "N_bool", "seed_fractional", "max_iters_zero", "max_iters_fractional"])
 def test_parse_config_malformed_values_are_config_errors(path, value):
     doc = json.loads(json.dumps(BASE_CONFIG))
     if not path:
@@ -347,7 +378,14 @@ def test_cli_input_errors_exit_1(tmp_path, capsys, verb, payload, extra):
     lambda meta: json.dumps({k: v for k, v in meta.items() if k != "eps"}),
     lambda meta: json.dumps({k: v for k, v in meta.items() if k != "dims"}),
     lambda meta: json.dumps({**meta, "L": -1}),
-], ids=["not_json", "list", "no_eps", "no_dims", "L_negative"])
+    lambda meta: json.dumps({**meta, "dims": [16.5]}),
+    lambda meta: json.dumps({**meta, "s": 1.5}),
+    lambda meta: json.dumps({**meta, "s": 0.0}),
+    lambda meta: json.dumps({**meta, "eps": 0.0}),
+    lambda meta: json.dumps({**meta, "eps": -0.5}),
+    lambda meta: json.dumps({**meta, "eps": float("inf")}),
+], ids=["not_json", "list", "no_eps", "no_dims", "L_negative", "dims_fractional",
+        "s_above_1", "s_zero", "eps_zero", "eps_negative", "eps_inf"])
 def test_cli_check_malformed_sidecar_exits_1(tmp_path, capsys, edit):
     grid = GridSpec(L=8.0, M=16, dim=1)
     path = tmp_path / "u.f64"

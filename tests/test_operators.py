@@ -6,9 +6,9 @@ import pytest
 from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
                       SpectralOperator, build_hartree_cache, build_limit_context,
                       constant_A, frac_lap_constant, random_smooth_A, riesz_convolve,
-                      sine_A)
+                      sine_A, zero_A)
 from choquard import operators
-from choquard.operators import fourier_multiply
+from choquard.operators import fourier_multiply, quadratic_form
 
 from conftest import (brute_force_riesz, gaussian_frac_lap, gaussian_seminorm_sq,
                       riesz_kernel_table)
@@ -139,6 +139,29 @@ def test_quadratic_form_consistency_and_self_adjointness(g128, make_op):
     lhs = float(np.real(np.sum(opu * np.conj(v.values))) * h)
     rhs = float(np.real(np.sum(u.values * np.conj(opv))) * h)
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda g: QuadratureOperator(g, 0.6, random_smooth_A(1, g.L, 0.5, seed=6)),
+    lambda g: QuadratureOperator(g, 0.6),
+    lambda g: SpectralOperator(g, 0.6),
+], ids=["magnetic", "quadrature", "spectral"])
+def test_operator_interface(g128, make_op):
+    # the attributes EnergyContext, the shell sampler and the report read
+    op = make_op(g128)
+    u = random_complex_field(g128, 9).values
+    assert op.apply(u).shape == u.shape
+    assert op.seminorm_sq(u) == pytest.approx(quadratic_form(g128, u, op.apply(u)),
+                                              rel=1e-12)
+    assert op.backend in ("quadrature", "spectral")
+    assert op.pair_weights_mb >= 0.0
+    assert op.A is None or callable(op.A)
+
+
+def test_zero_A_stores_no_pair_weights(g128):
+    # a vector potential that is zero on the grid is no magnetic potential
+    op = QuadratureOperator(g128, 0.6, zero_A(1))
+    assert op.A is None and op.blocks == [] and op.pair_weights_mb == 0.0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the diagonal sums the kernel "

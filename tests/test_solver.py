@@ -238,7 +238,7 @@ def test_solve_penalized_2d():
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
                         region=BallRegion((0.0, 0.0), 1.0))
     opts = SolverOptions(grad_tol=1e-6, seed=12)
-    u, rep = solve_penalized(cfg, pot, grid, opts, calibration_samples=15)
+    u, rep = solve_penalized(cfg, pot, grid, opts)
     assert rep.converged and rep.residual < opts.grad_tol
     assert rep.V_at_max == pytest.approx(cfg.V0, abs=0.2)
     from choquard import build_penalized_context
@@ -379,11 +379,10 @@ def test_report_keeps_calibration_inputs():
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
                         region=BallRegion((0.0,), 1.0))
-    _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
-                             calibration_samples=20)
+    _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31))
     assert rep.C0 > 0 and rep.ell0 == pytest.approx(4 * rep.C0, rel=1e-15)
     assert rep.a == threshold_for(rep.ell0, cfg.V0, cfg.q)
-    assert rep.calibration_samples_used + rep.calibration_samples_skipped == 20
+    assert rep.calibration_samples_used + rep.calibration_samples_skipped == 50
     assert rep.calibration_samples_used > 0
     assert rep.spectrum_clip == 0.0
     assert rep.line_search_trials >= rep.iterations
@@ -405,7 +404,7 @@ def test_report_times_each_phase(verb):
     opts = SolverOptions(grad_tol=1e-6, seed=31)
     t0 = perf_counter()
     if verb == "penalized":
-        _, rep = solve_penalized(cfg, pot, grid, opts, calibration_samples=20)
+        _, rep = solve_penalized(cfg, pot, grid, opts)
     else:
         _, rep = solve_limit(cfg, grid, opts)
     wall = perf_counter() - t0
@@ -413,6 +412,35 @@ def test_report_times_each_phase(verb):
     assert all(t >= 0 for t in rep.timings.values())
     assert sum(rep.timings.values()) <= wall
     assert (rep.timings["calibrate_s"] > 0) == (verb == "penalized")
+
+
+@pytest.mark.parametrize("verb", ["penalized", "limit"])
+def test_V_at_max_is_V_at_the_maximum(verb):
+    # the well sits off the origin and off the grid, so V(eps x_eps) > V0
+    def V(points):
+        return 1.0 + np.minimum(np.sum((np.asarray(points) - 0.3) ** 2, axis=-1), 4.0)
+    grid = GridSpec(L=10.0, M=96, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=V, A=None, region=BallRegion((0.0,), 1.0))
+    opts = SolverOptions(grad_tol=1e-6, seed=5)
+    if verb == "limit":
+        _, rep = solve_limit(cfg, grid, opts)
+        assert rep.V_at_max == cfg.V0
+        return
+    _, rep = solve_penalized(cfg, pot, grid, opts)
+    assert rep.V_at_max == float(V(cfg.eps * np.array([rep.x_eps]))[0]) > cfg.V0
+
+
+def test_default_start_carries_the_phase_of_A_at_the_origin():
+    from choquard import build_penalized_context
+    from choquard.solver import _default_start
+    grid = GridSpec(L=8.0, M=64, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=constant_A([0.7]),
+                        region=BallRegion((0.0,), 1.0))
+    start = _default_start(build_penalized_context(cfg, pot, grid), SolverOptions(seed=3))
+    plane = np.exp(0.7j * grid.axis())
+    assert np.allclose(start.values, np.abs(start.values) * plane, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("q", [3.0, 4.0])
