@@ -5,8 +5,7 @@ for decay and concentration."""
 from .config import (ConfigError, PotentialSpec, ProblemConfig, ValidationReport,
                      region_mask, validate_config)
 from .diagnostics import (CheckResult, check_concentration, check_decay,
-                          check_diamagnetic, check_hartree_bound, check_hls,
-                          fit_decay, hls_sharp_constant, mpg_shell_radius)
+                          check_diamagnetic, check_hartree_bound, fit_decay, mpg_shell_radius)
 from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
                      build_limit_context, build_penalized_context,
                      calibrate_penalization, energy, energy_value, gradient,

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, validate_config
-from .diagnostics import check_decay, check_diamagnetic, check_hls
+from .config import ConfigError, pair_storage_refusal, validate_config
+from .diagnostics import _tail_radii, check_decay, check_diamagnetic
 from .io import (ParsedConfig, load_field, parse_config, report_to_dict,
                  sanitize_json, save_field, write_report, write_run, _atomic_write_bytes,
                  _atomic_write_json)
@@ -172,22 +172,14 @@ def _run_potential(field_path: Path, u, eps: float):
 
 def _cmd_check(args) -> int:
     u, meta = load_field(args.field)
-    name = args.name
-    if name == "diamagnetic":
+    if args.name == "diamagnetic":
         A, kind = _run_potential(Path(args.field), u, meta["eps"])
+        if refusal := pair_storage_refusal(A, u.grid):
+            raise ConfigError(refusal)
         result = check_diamagnetic(u, A, meta["s"])
         result.context["A"] = kind
-    elif name == "hls":
-        if not args.config:
-            print("check 'hls' requires --config for the growth exponent",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        result = check_hls(u, parse_config(args.config).cfg)
-    elif name == "decay":
-        result = check_decay(u, meta["eps"], u.argmax_index(), meta["s"])
     else:
-        print(f"unknown check '{name}'", file=sys.stderr)
-        return EXIT_CONFIG
+        result = check_decay(u, meta["eps"], u.argmax_index(), meta["s"])
     print(json.dumps(report_to_dict(result)))
     return EXIT_OK
 
@@ -207,9 +199,7 @@ def _cmd_export(args) -> int:
                              f"{abs(u.values[tuple(sel)]):.17g}"])
     else:
         writer.writerow(["r_mid", "mean_abs_u", "count"])
-        mesh = g.mesh()
-        x0 = g.index_to_point(idx)
-        r = np.linalg.norm(mesh - x0, axis=-1).reshape(-1)
+        r = _tail_radii(u, idx).reshape(-1)
         a = np.abs(u.values).reshape(-1)
         edges = np.arange(0.0, r.max() + g.h, g.h)
         which = np.digitize(r, edges)
@@ -252,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named diagnostic on a stored field")
     p.add_argument("--field", required=True)
-    p.add_argument("--name", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--name", required=True, choices=("diamagnetic", "decay"))
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("export", help="export |u| to CSV")

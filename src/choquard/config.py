@@ -40,13 +40,6 @@ class ProblemConfig:
         return replace(self, eps=eps)
 
     @property
-    def critical_exponent(self) -> float:
-        """2*_s = 2N/(N-2s), defined only when N > 2s."""
-        if self.dim <= 2 * self.s:
-            return float("inf")
-        return 2.0 * self.dim / (self.dim - 2.0 * self.s)
-
-    @property
     def q_upper_bound(self) -> float:
         """2(N-mu)/(N-2s), the admissible growth ceiling when N > 2s."""
         if self.dim <= 2 * self.s:
@@ -92,6 +85,16 @@ def boundary_mask(inside: np.ndarray) -> np.ndarray:
     return out
 
 
+def pair_storage_refusal(A, grid: GridSpec) -> str | None:
+    """Why a magnetic operator for A on `grid` is refused (its pair weights could
+    pass the limit), or None; A is evaluated only on a grid past the limit."""
+    pair_bytes = 8 * grid.size * (grid.size + 1)
+    if pair_bytes <= PAIR_STORAGE_LIMIT_BYTES or not magnetic_on(A, grid):
+        return None
+    return (f"magnetic pair weights need up to {pair_bytes / 2 ** 20:.0f} MB, over "
+            f"the {PAIR_STORAGE_LIMIT_BYTES / 2 ** 20:.0f} MB limit")
+
+
 REGION_LEAVES_DOMAIN = "penalization region leaves domain"
 
 
@@ -117,11 +120,10 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
         bad.append("V0 must be positive")
     if grid.dim != cfg.dim:
         bad.append("grid dimension does not match problem dimension")
-    pair_bytes = 8 * grid.size * (grid.size + 1)
-    if pair_bytes > PAIR_STORAGE_LIMIT_BYTES and magnetic_on(pot.A_eps(cfg.eps), grid):
-        bad.append(f"magnetic pair weights need up to {pair_bytes / 2 ** 20:.0f} MB, over "
-                   f"the {PAIR_STORAGE_LIMIT_BYTES / 2 ** 20:.0f} MB limit")
+    if refusal := pair_storage_refusal(pot.A_eps(cfg.eps), grid):
+        bad.append(refusal)
 
+    # HLS enters here only: this q range gives 2 < tq < 2*_s with t = 2N/(2N - mu)
     if cfg.q <= 2.0:
         bad.append("q must exceed 2")
     elif cfg.dim > 2 * cfg.s:
@@ -132,16 +134,6 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
 
     if cfg.dim < 3:
         warn.append(OUTSIDE_THEORY_WARNING)
-
-    # Hardy-Littlewood-Sobolev pairing with t = 2N/(2N - mu) requires tq in (2, 2*_s).
-    if 0 < cfg.mu < cfg.dim and cfg.q > 2:
-        t = 2.0 * cfg.dim / (2.0 * cfg.dim - cfg.mu)
-        tq = t * cfg.q
-        if tq <= 2.0:
-            bad.append("HLS pairing exponent tq must exceed 2")
-        if cfg.dim > 2 * cfg.s and tq >= cfg.critical_exponent:
-            bad.append(f"HLS pairing exponent tq = {tq:.6g} must stay below 2*_s = "
-                       f"{cfg.critical_exponent:.6g}")
 
     # potential floor and well structure on the rescaled grid
     pts = grid.points()

@@ -1,27 +1,24 @@
 """Named checks for the testable inequalities and limit claims: diamagnetic
-monotonicity, Hardy-Littlewood-Sobolev pairing, convolution boundedness,
-tail decay, and concentration trends."""
+monotonicity, convolution boundedness, tail decay, and concentration
+trends."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import gamma
 
 import numpy as np
 
 from .config import ProblemConfig, PotentialSpec, boundary_mask
 from .energy import EnergyContext, root_decreasing, sampled_hartree_sup, shell_samples
 from .grids import Field, GridSpec
-from .operators import QuadratureOperator, build_hartree_cache, riesz_convolve
+from .operators import QuadratureOperator, riesz_convolve
 
 
 # check_decay: the largest |u| / (fitted envelope) beyond L/8, and how far the
 # tail's log-log slope may sit from -(N+2s)
 DECAY_ENVELOPE_FACTOR = 1.5
 DECAY_SLOPE_TOL = 0.3
-# check_hls: allowed ratio of the pairing to the sharp-constant estimate
-HLS_SLACK_FACTOR = 2.0
 # check_concentration: allowed rise of V(x_eps) - V0 between sweep steps, and
 # the final gap's allowed fraction of the boundary barrier
 CONCENTRATION_STEP_SLACK = 1e-2
@@ -81,18 +78,23 @@ def fit_decay(u: Field, s: float, x_max_index) -> tuple[float, float, str]:
     underflow to exact zero on the slope shell report slope -inf (decay
     steeper than any power).
     """
+    return _fit_tail(u, s, x_max_index)[:3]
+
+
+def _fit_tail(u: Field, s: float, x_max_index):
+    """fit_decay's result, then the radii and envelope it fitted (None if u = 0)."""
     g = u.grid
     power = g.dim + 2 * s
     sup = u.sup_norm()
     if sup == 0:
-        return float("nan"), float("nan"), "inconclusive"
+        return float("nan"), float("nan"), "inconclusive", None, None
     absu = np.abs(u.values)
     status = "inconclusive" if outer_layer_max(u) > 1e-3 * sup else "ok"
     r = _tail_radii(u, x_max_index)
     envp = _periodized_envelope(u, x_max_index, power)
     m_fit = (r >= g.L / 8) & (r <= g.L / 2)
     if np.count_nonzero(m_fit) < 4 or not np.any(absu[m_fit] > 0):
-        return float("nan"), float("nan"), "inconclusive"
+        return float("nan"), float("nan"), "inconclusive", r, envp
     # least squares on the shells where the envelope binds (within 2x of the
     # worst ratio); anchoring there makes the fitted envelope reflect the
     # tail shape rather than the shell volume, so steeper-than-envelope
@@ -103,26 +105,22 @@ def fit_decay(u: Field, s: float, x_max_index) -> tuple[float, float, str]:
     C = float(np.sum(uu * ee) / np.sum(ee ** 2))
     m_slope = (r >= g.L / 4) & (r <= g.L / 2) & (absu > 0)
     if np.count_nonzero(m_slope) < 4:
-        return float("-inf"), C, status
+        return float("-inf"), C, status, r, envp
     slope = float(np.polyfit(np.log(r[m_slope]), np.log(absu[m_slope]), 1)[0])
-    return slope, C, status
+    return slope, C, status, r, envp
 
 
 def check_decay(u: Field, eps: float, x_max_index, s: float) -> CheckResult:
     """Verify the polynomial decay envelope and its exponent on a converged
     field (rescaled coordinates, where the bound reads C/(1 + r^(N+2s)))."""
-    g = u.grid
-    power = g.dim + 2 * s
-    slope, C, status = fit_decay(u, s, x_max_index)
+    slope, C, status, r, envp = _fit_tail(u, s, x_max_index)
     if status == "inconclusive" or np.isnan(slope) or C <= 0:
         return CheckResult("decay", False, float("nan"), DECAY_ENVELOPE_FACTOR, 0.0,
                            {"status": "inconclusive", "eps": eps})
-    r = _tail_radii(u, x_max_index)
-    envp = _periodized_envelope(u, x_max_index, power)
-    region = r >= g.L / 8
+    region = r >= u.grid.L / 8
     max_ratio = float(np.max(np.abs(u.values[region]) / (C * envp[region])))
     envelope_ok = max_ratio <= DECAY_ENVELOPE_FACTOR
-    target = -power
+    target = -(u.grid.dim + 2 * s)
     slope_ok = abs(slope - target) <= DECAY_SLOPE_TOL
     steeper = slope < target - DECAY_SLOPE_TOL
     passed = envelope_ok and (slope_ok or steeper)
@@ -142,33 +140,6 @@ def check_diamagnetic(u: Field, A, s: float) -> CheckResult:
     slack = 1e-12 * max(1.0, sem_A)
     return CheckResult("diamagnetic", bool(sem_mod <= sem_A + slack), sem_mod, sem_A,
                        slack)
-
-
-# ----------------------------------------------------------------------- HLS
-
-def hls_sharp_constant(N: int, mu: float) -> float:
-    """Sharp constant of the bilinear Riesz pairing in the diagonal case
-    r = t = 2N/(2N - mu)."""
-    return float(np.pi ** (mu / 2) * gamma(N / 2 - mu / 2) / gamma(N - mu / 2)
-                 * (gamma(N / 2) / gamma(N)) ** (-1 + mu / N))
-
-
-def check_hls(u: Field, cfg: ProblemConfig) -> CheckResult:
-    """Empirical pairing ratio against the sharp-constant estimate, for the
-    density |u|^2 + |u|^q controlling the Hartree term."""
-    g = u.grid
-    hV = g.cell_volume()
-    phi = np.abs(u.values) ** 2 + np.abs(u.values) ** cfg.q
-    cache = build_hartree_cache(g, cfg.mu)
-    D = float(np.sum(riesz_convolve(phi, cache) * phi) * hV)
-    t = 2.0 * cfg.dim / (2.0 * cfg.dim - cfg.mu)
-    norm_t = float(np.sum(phi ** t) * hV) ** (1.0 / t)
-    if norm_t == 0:
-        return CheckResult("hls", True, 0.0, 0.0, 0.0, {"empty": True})
-    ratio = D / norm_t ** 2
-    bound = HLS_SLACK_FACTOR * hls_sharp_constant(cfg.dim, cfg.mu)
-    return CheckResult("hls", ratio <= bound, ratio, bound, 0.0,
-                       {"t": t, "sharp": bound / HLS_SLACK_FACTOR})
 
 
 # ---------------------------------------------------------- convolution bound

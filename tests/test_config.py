@@ -80,12 +80,12 @@ def test_box_region_and_origin_requirement():
 
 
 @settings(max_examples=60, deadline=None)
-@given(s=st.floats(0.3, 0.95), mu_frac=st.floats(0.05, 0.95),
-       q_frac=st.floats(0.05, 0.95))
-def test_hls_exponent_inside_open_interval(s, mu_frac, q_frac):
-    # For every admissible (s, mu, q) with N=3 > 2s the pairing exponent
-    # tq with t = 2N/(2N - mu) lies in (2, 2*_s).
-    N = 3
+@given(N=st.sampled_from([1, 2, 3]), s=st.floats(0.3, 0.95),
+       mu_frac=st.floats(0.05, 0.95), q_frac=st.floats(0.05, 0.95))
+def test_hls_exponent_inside_open_interval(N, s, mu_frac, q_frac):
+    # For every admissible (s, mu, q) with N > 2s the pairing exponent tq
+    # with t = 2N/(2N - mu) lies in (2, 2*_s), so the q range of
+    # validate_config is the only HLS condition needed.
     if N <= 2 * s:
         return
     mu = mu_frac * min(2 * s, N)
@@ -96,6 +96,16 @@ def test_hls_exponent_inside_open_interval(s, mu_frac, q_frac):
         return
     t = 2 * N / (2 * N - mu)
     assert 2 < t * q < 2 * N / (N - 2 * s)
+
+
+def test_q_past_the_pairing_bound_refused_by_q_range():
+    # q above (2N - mu)/(N - 2s) puts tq past 2*_s; the q range refuses it
+    # with its own message and nothing else
+    cfg = ProblemConfig(dim=3, s=0.75, mu=1.0, q=3.5, eps=0.5, V0=1.0)
+    assert cfg.q > (2 * 3 - 1.0) / (3 - 1.5)
+    rep = validate_config(cfg, make_pot(3), GridSpec(L=8.0, M=8, dim=3))
+    assert not rep.ok
+    assert rep.violations == ("q must lie in (2, 2(N-mu)/(N-2s)) = (2, 2.66667)",)
 
 
 @settings(max_examples=40, deadline=None)

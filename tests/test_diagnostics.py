@@ -3,7 +3,7 @@ import pytest
 
 from choquard import (Field, GridSpec, check_concentration,
                       check_decay, check_diamagnetic, check_hartree_bound,
-                      check_hls, constant_A, hls_sharp_constant, random_smooth_A)
+                      constant_A, random_smooth_A)
 from choquard.solver import SolveReport
 
 
@@ -50,22 +50,7 @@ def test_diamagnetic_strict_on_random_fields(g96):
         assert res.lhs < res.rhs  # strict for genuinely complex fields
 
 
-# ------------------------------------------------------------------------ HLS
-
-def test_hls_zero_field(g96):
-    from choquard import ProblemConfig
-    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=1.0, V0=1.0)
-    res = check_hls(Field(np.zeros(96), g96), cfg)
-    assert res.passed
-
-
-def test_hls_gaussian_below_sharp(g96):
-    from choquard import ProblemConfig
-    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=1.0, V0=1.0)
-    res = check_hls(Field(np.exp(-g96.axis() ** 2), g96), cfg)
-    assert res.passed
-    assert res.lhs < res.context["sharp"]  # strictly below even without slack
-
+# ---------------------------------------------------------------------- Riesz
 
 def test_hls_pairing_decreases_with_separation():
     from choquard import ProblemConfig, build_hartree_cache, riesz_convolve
@@ -78,24 +63,6 @@ def test_hls_pairing_decreases_with_separation():
         phi = np.exp(-(x - d / 2) ** 2 * 8) + np.exp(-(x + d / 2) ** 2 * 8)
         vals.append(float(np.sum(riesz_convolve(phi, cache) * phi) * grid.h))
     assert vals[0] > vals[1] > vals[2]
-
-
-def test_hls_ratio_stable_under_refinement():
-    from choquard import ProblemConfig
-    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=1.0, V0=1.0)
-    ratios = []
-    for M in (128, 256):
-        grid = GridSpec(L=12.0, M=M, dim=1)
-        res = check_hls(Field(np.exp(-grid.axis() ** 2), grid), cfg)
-        ratios.append(res.lhs)
-    assert abs(ratios[1] - ratios[0]) < 0.05 * ratios[0]
-
-
-def test_hls_sharp_constant_value():
-    # N=1, mu=0.5: pi^(1/4) * Gamma(1/4)/Gamma(3/4) * (Gamma(1/2)/Gamma(1))^(-1/2)
-    from scipy.special import gamma as G
-    want = np.pi ** 0.25 * G(0.25) / G(0.75) * (G(0.5) / G(1.0)) ** (-0.5)
-    assert hls_sharp_constant(1, 0.5) == pytest.approx(want, rel=1e-12)
 
 
 # -------------------------------------------------------------- hartree bound
@@ -142,6 +109,21 @@ def test_decay_inconclusive_without_tail():
     res = check_decay(u, 1.0, u.argmax_index(), 0.5)
     assert not res.passed
     assert res.context["status"] == "inconclusive"
+
+
+def test_check_decay_fits_once(monkeypatch):
+    from choquard import diagnostics
+    calls = {"_tail_radii": 0, "_periodized_envelope": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(diagnostics, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(diagnostics, name, counted)
+    grid = GridSpec(L=40.0, M=256, dim=1)
+    u = Field(1.0 / (1.0 + np.abs(grid.axis()) ** 2), grid)
+    res = check_decay(u, 1.0, u.argmax_index(), 0.5)
+    assert res.passed
+    assert calls == {"_tail_radii": 1, "_periodized_envelope": 1}
 
 
 # -------------------------------------------------------------- concentration

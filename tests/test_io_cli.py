@@ -303,7 +303,12 @@ def test_cli_check_unknown_name(tmp_path, capsys):
     grid = GridSpec(L=8.0, M=16, dim=1)
     path = tmp_path / "u.f64"
     save_field(path, Field(np.ones(16), grid), s=0.5, mu=0.4, eps=1.0)
+    cfg = str(write_config(tmp_path))
     assert main(["check", "--field", str(path), "--name", "bogus"]) == 1
+    assert main(["check", "--field", str(path), "--name", "hls"]) == 1
+    assert main(["check", "--field", str(path), "--name", "hls", "--config", cfg]) == 1
+    assert main(["check", "--field", str(path), "--name", "decay", "--config", cfg]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_export_axis_csv(tmp_path):
@@ -413,6 +418,29 @@ def test_cli_refuses_magnetic_grid_past_pair_storage_limit(tmp_path, capsys, mon
         "config invalid: magnetic pair weights need up to 8192 MB, over the 1024 MB limit\n")
     assert err.count("magnetic pair weights need") == 1
     assert not out.exists()
+
+
+def test_cli_check_refuses_magnetic_grid_past_pair_storage_limit(tmp_path, capsys,
+                                                                monkeypatch):
+    # the run of the test above, stored: check --name diamagnetic would
+    # assemble the same 32768-point magnetic operator that solve refuses
+    def assembled(self):
+        raise AssertionError("the operator was assembled")
+    monkeypatch.setattr(QuadratureOperator, "__post_init__", assembled)
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["problem"].update(N=3, s=0.75)
+    doc["grid"] = {"L": 12.0, "M": 32}
+    doc["potential"]["A"] = {"kind": "sine", "amplitude": 0.5, "wavelength": 4.0}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    grid = GridSpec(L=12.0, M=32, dim=3)
+    save_field(tmp_path / "u.f64", Field(np.ones(grid.shape), grid), s=0.75, mu=0.5,
+               eps=0.5)
+    assert main(["check", "--field", str(tmp_path / "u.f64"),
+                 "--name", "diamagnetic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("config invalid: magnetic pair weights need up to 8192 MB, "
+                            "over the 1024 MB limit\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("A", [{"kind": "zero"},
