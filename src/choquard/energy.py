@@ -15,7 +15,7 @@ from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval, g_eval
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
                         build_hartree_cache, magnetic_on, quadratic_form,
                         riesz_convolve)
-from .sampling import band_limited_field, bump_in_region
+from .sampling import band_limited_field, bump_in_region, draw_modes
 
 
 class NehariError(RuntimeError):
@@ -284,23 +284,23 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
 
 # ------------------------------------------------------------- calibration
 
-# Shell samples are drawn in groups of at most this many bytes, counted as
-# complex values (at least one field per group); each group's norms take one
-# stacked evaluation (one forward transform on the spectral backend, one
-# operator pass on the quadrature). A 32^3 field (512 KiB) is drawn alone; a
-# 784-point field (12 KiB) in groups of 10. Larger groups raise the peak
-# memory of small 1-D runs (1024 points: +1.3 MB at 512 KiB).
+# Shell samples are built in groups of at most this many bytes, counted as
+# complex values (at least one field per group), each group in one stacked
+# build and one stacked norm evaluation (one forward transform on the spectral
+# backend, one operator pass on the quadrature); the fields do not depend on
+# it. A 32^3 field (512 KiB) is built alone, a 784-point field (12 KiB) in
+# groups of 10; larger groups raise small 1-D runs' peak memory (+1.3 MB at 512 KiB).
 SAMPLE_GROUP_BYTES = 1 << 17
 
 
 def _shell_groups(ctx: EnergyContext, shell: float, n: int, seed: int):
     """The samples of `shell_samples`, stacked a group at a time."""
-    rng = np.random.default_rng(seed)
+    k, c = draw_modes(ctx.grid, np.random.default_rng(seed), n)
     complex_valued = ctx.op.A is not None
     per_group = max(1, SAMPLE_GROUP_BYTES // (16 * ctx.grid.size))
     for lo in range(0, n, per_group):
-        U = np.stack([band_limited_field(ctx.grid, rng, complex_valued=complex_valued).values
-                      for _ in range(min(per_group, n - lo))])
+        g = slice(lo, lo + per_group)
+        U = band_limited_field(ctx.grid, (k[g], c[g]), complex_valued=complex_valued)
         n2 = ctx.norm_eps_sq(U)
         keep = n2 > 0
         if np.any(keep):
@@ -312,8 +312,8 @@ def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
     shell of the bounded set B); zero-norm draws are skipped. Complex draws
     when the operator is magnetic.
 
-    The fields and their order are those of drawing one at a time; only the
-    norms are computed a group at a time."""
+    The modes of all n fields are drawn at once (`sampling.draw_modes`), so
+    neither the fields nor their order depend on the group size."""
     for U in _shell_groups(ctx, shell, n, seed):
         for v in U:
             yield Field(v, ctx.grid)

@@ -33,34 +33,43 @@ def _unit_roots(M: int) -> np.ndarray:
     return r
 
 
-def band_limited_field(grid: GridSpec, rng: np.random.Generator, *,
-                       complex_valued: bool = True) -> Field:
-    """Random superposition of 12 Fourier modes up to max(2, M/8), windowed
-    so the samples vanish toward the box boundary (smooth decaying test
-    fields).
+def draw_modes(grid: GridSpec, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 12 modes of each of n fields in three generator calls: wavenumbers
+    uniform on [-max(2, M/8), max(2, M/8)]^N as indices mod M, (n, 12, N), then
+    the real and the imaginary parts of standard complex normal coefficients."""
+    top = max(2, grid.M // 8)
+    k = rng.integers(-top, top + 1, size=(n, 12, grid.dim)) % grid.M
+    return k, rng.normal(size=(n, 12)) + 1j * rng.normal(size=(n, 12))
 
-    The sum is the inverse transform of the 12 coefficients: the leading axes
+
+def band_limited_field(grid: GridSpec, draws, *, complex_valued: bool = True):
+    """Random superposition of 12 Fourier modes, windowed so the samples
+    vanish toward the box boundary (smooth decaying test fields), with sup
+    norm 1 (a zero draw stays zero). `draws` is a generator, from which one
+    field is drawn and returned as a Field, or the modes (k, c) of n fields
+    from `draw_modes`, whose fields are returned stacked, (n,) + grid.shape.
+
+    The sum is the inverse transform of the coefficients: the leading axes
     are summed directly, each mode as a product of one-axis plane waves, into
-    the column of its last-axis wavenumber, and one batched 1-D inverse
-    transform sums the last axis (in 1-D, exactly the full transform)."""
-    M = grid.M
-    max_mode = max(2, M // 8)
-    roots, n = _unit_roots(M), np.arange(M)
-    cols = np.zeros(grid.shape, dtype=complex)
-    for _ in range(12):
-        k = [int(rng.integers(-max_mode, max_mode + 1)) % M for _ in range(grid.dim)]
-        c = rng.normal() + 1j * rng.normal()
-        for ka in reversed(k[:-1]):
-            c = np.multiply.outer(roots[ka * n % M], c)
-        cols[..., k[-1]] += c
-    vals = ifftn(cols, axes=(-1,)) * M
-    if not complex_valued:
-        vals = np.real(vals)
-    vals = vals * _window(grid)
-    nrm = np.max(np.abs(vals))
-    if nrm > 0:
-        vals = vals / nrm
-    return Field(vals, grid)
+    the column of its last-axis wavenumber (one scatter per mode slot for all
+    n fields), and one batched 1-D inverse transform sums the last axis."""
+    single = not isinstance(draws, tuple)
+    k, c = draw_modes(grid, draws, 1) if single else draws
+    M, n, roots = grid.M, len(c), _unit_roots(grid.M)
+    cols = np.zeros((n,) + grid.shape, dtype=complex)
+    for j in range(12):
+        wave = c[:, j]
+        for a in range(grid.dim - 1):
+            wave = wave[..., None] * roots[np.outer(k[:, j, a], np.arange(M)) % M].reshape(
+                (n,) + (1,) * a + (M,))
+        cols[np.arange(n), ..., k[:, j, -1]] += wave
+    vals = ifftn(cols, axes=(-1,))
+    del cols  # from here about two group-sized arrays at the peak
+    vals = (vals if complex_valued else vals.real) * M
+    vals *= _window(grid)
+    nrm = np.max(np.abs(vals), axis=tuple(range(1, grid.dim + 1)))
+    vals /= np.where(nrm > 0, nrm, 1.0).reshape((n,) + (1,) * grid.dim)
+    return Field(vals[0], grid) if single else vals
 
 
 def _gaussian(grid: GridSpec, center=None, region: np.ndarray | None = None,

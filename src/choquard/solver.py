@@ -30,6 +30,10 @@ INVALID_PENALIZATION_WARNING = (
     "invalid penalization: |u| outside the region reaches the truncation "
     "threshold, so u solves the truncated problem, not the original equation"
 )
+INCONCLUSIVE_DECAY_WARNING = (
+    "inconclusive decay fit: the field does not decay inside the box (|u| on "
+    "its boundary exceeds 1e-3 of the maximum), so the decay exponent is not measured"
+)
 
 
 class SolverError(RuntimeError):
@@ -259,6 +263,8 @@ def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
     if not valid:
         warnings = warnings + (INVALID_PENALIZATION_WARNING,)
     slope, Cfit, status = fit_decay(u, ctx.cfg.s, idx)
+    if status == "inconclusive":
+        warnings = warnings + (INCONCLUSIVE_DECAY_WARNING,)
     report = SolveReport(
         c_eps=run.J, x_eps=tuple(float(x) for x in u.grid.index_to_point(idx)),
         x_eps_index=idx, V_at_max=float(ctx.V_eps[idx]), valid_penalization=valid,

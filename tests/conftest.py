@@ -44,22 +44,27 @@ def riesz_kernel_table(grid: GridSpec, mu: float) -> np.ndarray:
 
 
 def reference_band_limited_field(grid: GridSpec, rng: np.random.Generator,
-                                 complex_valued: bool = True) -> np.ndarray:
-    """The draw of `band_limited_field` by its definition: the 12 seeded
-    coefficients scattered onto the full spectrum, one full inverse transform
-    (np.fft.ifftn) times M^N, then the same window and normalization."""
+                                 complex_valued: bool = True, n: int = 1) -> np.ndarray:
+    """The n draws of `band_limited_field` by their definition, stacked: one
+    `integers` call for the wavenumbers of all n fields, shape (n, 12, N), one
+    `normal` call for the real and one for the imaginary parts of their
+    coefficients, shape (n, 12); each field's coefficients scattered onto the
+    full spectrum, one full inverse transform (np.fft.ifftn) times M^N, then
+    the same window and normalization."""
     from choquard.sampling import _window
     max_mode = max(2, grid.M // 8)
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    for _ in range(12):
-        idx = tuple(int(rng.integers(-max_mode, max_mode + 1)) % grid.M
-                    for _ in range(grid.dim))
-        coeffs[idx] += rng.normal() + 1j * rng.normal()
-    vals = np.fft.ifftn(coeffs) * grid.size
+    k = rng.integers(-max_mode, max_mode + 1, size=(n, 12, grid.dim)) % grid.M
+    re, im = rng.normal(size=(n, 12)), rng.normal(size=(n, 12))
+    coeffs = np.zeros((n,) + grid.shape, dtype=complex)
+    for i in range(n):
+        for j in range(12):
+            coeffs[(i,) + tuple(k[i, j])] += re[i, j] + 1j * im[i, j]
+    axes = tuple(range(1, grid.dim + 1))
+    vals = np.fft.ifftn(coeffs, axes=axes) * grid.size
     if not complex_valued:
         vals = vals.real
     vals = vals * _window(grid)
-    return vals / np.max(np.abs(vals))
+    return vals / np.max(np.abs(vals), axis=axes, keepdims=True)
 
 
 def nehari_closed_form(u: Field, ctx) -> float:

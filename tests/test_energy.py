@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -125,36 +126,114 @@ def test_context_holds_one_operator_built_once(A, op_type):
     assert replace(ctx, pen=None).op is ctx.op
 
 
-def test_grouped_shell_samples_match_one_at_a_time(magnetic_ctx, monkeypatch):
-    # groups of three fields: the same draws in the same order, each scaled
-    # by its own norm as if it had been drawn and normed alone
+def test_grouped_shell_samples_match_one_at_a_time(request, monkeypatch):
+    # group budgets of 1, 3 and 50 fields: the modes of every sample are drawn
+    # before the first group and each field is scaled by its own norm, so on
+    # the spectral backend the samples and C0 are bit-identical to building
+    # them one at a time; the quadrature's stacked pair pass (a matrix-matrix
+    # product) rounds its norms differently, within the 1e-12 bar
     energy_mod = importlib.import_module("choquard.energy")  # not the function
-    ctx, _, _ = magnetic_ctx
-    monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 3 * 16 * ctx.grid.size)
     shell = 5.0
-    got = list(energy_mod.shell_samples(ctx, shell, 8, seed=4))
-    rng = np.random.default_rng(4)
-    assert len(got) == 8
-    for f in got:
-        v = band_limited_field(ctx.grid, rng, complex_valued=True).values
-        ref = v * np.sqrt(shell / ctx.norm_eps_sq(v))
-        assert abs(ctx.norm_eps_sq(f.values) - shell) <= 1e-12 * shell
-        assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for which, tol in [("plain_ctx", 0.0), ("magnetic_ctx", 1e-12)]:
+        ctx, _, _ = request.getfixturevalue(which)
+        runs = []
+        for per_group in (1, 3, 50):
+            monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", per_group * 16 * ctx.grid.size)
+            samples = np.array([f.values for f in energy_mod.shell_samples(ctx, shell, 50, seed=4)])
+            runs.append((samples, energy_mod.calibrate_penalization(ctx, seed=4).C0))
+        samples, C0 = runs[0]
+        assert samples.shape == (50,) + ctx.grid.shape
+        assert np.iscomplexobj(samples) == (which == "magnetic_ctx")
+        assert np.all(np.abs(ctx.norm_eps_sq(samples) - shell) <= 1e-12 * shell)
+        for other, other_C0 in runs[1:]:
+            assert np.max(np.abs(other - samples)) <= tol * np.max(np.abs(samples))
+            assert abs(other_C0 - C0) <= tol * C0
+
+
+class _CountingGenerator:
+    """A numpy generator whose method calls are counted by name; `zero_row`
+    zeroes that row of every `normal` draw (both coefficient parts)."""
+
+    def __init__(self, rng, calls, zero_row=None):
+        self._rng, self._calls, self._zero_row = rng, calls, zero_row
+
+    def __getattr__(self, name):
+        fn = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            out = fn(*args, **kwargs)
+            if name == "normal" and self._zero_row is not None:
+                out[self._zero_row] = 0.0
+            return out
+        return counted
+
+
+def _paper1d_ctx():
+    grid = GridSpec(L=64.0, M=1024, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0), A=zero_A(1),
+                        region=BallRegion((0.0,), 1.0))
+    return build_penalized_context(cfg, pot, grid)
+
+
+def test_calibration_draws_in_three_generator_calls(monkeypatch):
+    # paper1d's grid: the 50 samples' modes take one `integers` and two
+    # `normal` calls, and the 1024-point fields are built in groups of 8
+    energy_mod = importlib.import_module("choquard.energy")  # not the function
+    ctx = _paper1d_ctx()
+    calls, builds = Counter(), []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(default_rng(seed), calls))
+    build = energy_mod.band_limited_field
+
+    def counted(grid, draws, **kwargs):
+        builds.append(len(draws[1]) if isinstance(draws, tuple) else 1)
+        return build(grid, draws, **kwargs)
+    monkeypatch.setattr(energy_mod, "band_limited_field", counted)
+    cal = energy_mod.calibrate_penalization(ctx, seed=7)
+    assert cal.samples_used == 50
+    assert calls == Counter(integers=1, normal=2)
+    assert builds == [8] * 6 + [2]
+
+
+def test_zero_draw_is_skipped_without_warning(monkeypatch):
+    # sample 17 draws twelve zero coefficients: its field is zero, so it is
+    # skipped, with no division by its zero norm, and C0 is the supremum over
+    # the other 49, which are the draws of the unstubbed generator
+    energy_mod = importlib.import_module("choquard.energy")  # not the function
+    ctx = _paper1d_ctx()
+    ref = energy_mod.calibrate_penalization(ctx, seed=7)
+    shell = 4.0 * (ref.pen.kappa + 1.0)
+    base = replace(ctx, pen=None)
+    full = [u.values for u in energy_mod.shell_samples(base, shell, 50, seed=7)]
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(default_rng(seed), Counter(), zero_row=17))
+    # every floating-point error raises but underflow (the bump's Gaussian tail)
+    with np.errstate(all="raise", under="ignore"):
+        cal = energy_mod.calibrate_penalization(ctx, seed=7)
+        kept = [u.values for u in energy_mod.shell_samples(base, shell, 50, seed=7)]
+    assert (cal.samples_used, cal.samples_skipped) == (49, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, full[:17] + full[18:]))
+    sups = [float(np.max(np.abs(base.hartree_potential(np.abs(v) ** 2)))) for v in kept]
+    assert len(sups) == 49 and cal.C0 == max(sups)
 
 
 @pytest.mark.parametrize("which", ["plain_ctx", "magnetic_ctx"])
 def test_stacked_hartree_sup_matches_one_at_a_time(request, which, monkeypatch):
-    # groups of three samples, each group convolved in one stacked call: C0
+    # groups of four samples, each group convolved in one stacked call: C0
     # and the samples used are those of convolving the samples one at a time;
     # the largest sample is not the first of its group
     energy_mod = importlib.import_module("choquard.energy")  # not the function
     ctx, _, _ = request.getfixturevalue(which)
-    monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 3 * 16 * ctx.grid.size)
+    monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 4 * 16 * ctx.grid.size)
     cal = energy_mod.calibrate_penalization(ctx, n_samples=8, seed=3)
     base = replace(ctx, pen=None)
     sups = [float(np.max(np.abs(base.hartree_potential(np.abs(u.values) ** 2))))
             for u in energy_mod.shell_samples(base, 4.0 * (cal.pen.kappa + 1.0), 8, seed=3)]
-    assert cal.C0 == max(sups) and int(np.argmax(sups)) % 3 != 0
+    assert cal.C0 == max(sups) and int(np.argmax(sups)) % 4 != 0
     assert cal.samples_used == len(sups) == 8
 
 

@@ -7,6 +7,7 @@ from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
                       rescale_field, solve_limit, solve_penalized, sweep_epsilon)
 
 from choquard.nonlinearity import PenalizationParams, threshold_for
+from choquard.solver import INCONCLUSIVE_DECAY_WARNING
 
 from conftest import align_phase
 
@@ -87,6 +88,18 @@ def test_limit_decay_exponent():
     target = -(cfg.dim + 2 * cfg.s)
     assert rep.decay_status == "ok"
     assert abs(rep.decay_exponent - target) <= 0.3
+
+
+@pytest.mark.parametrize("L, M, status", [(16.0, 256, "inconclusive"), (64.0, 1024, "ok")],
+                         ids=["magnetic1d-grid", "paper1d-grid"])
+def test_inconclusive_decay_fit_warns(L, M, status):
+    # the limit problem on magnetic1d's grid keeps |u| at about 1.6e-3 of its
+    # maximum on the boundary, so the fit cannot read the tail and the report
+    # says so; on paper1d's wider box the tail is fitted and nothing is added
+    cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=1.0, V0=1.0)
+    _, rep = solve_limit(cfg, GridSpec(L=L, M=M, dim=1), SolverOptions(grad_tol=1e-8, seed=7))
+    assert rep.converged and rep.decay_status == status
+    assert (INCONCLUSIVE_DECAY_WARNING in rep.warnings) == (status == "inconclusive")
 
 
 def test_constant_A_is_gauge_equivalent(coincident_setup):
