@@ -254,6 +254,28 @@ def test_cli_report_counts_operator_passes(tmp_path):
     assert report["line_search_trials"] >= report["iterations"]
 
 
+def test_descent_histories_roundtrip_report_and_sweep(tmp_path):
+    # report.json and sweep.json hold the histories of the in-process solves
+    # at the same seed, one entry per step (J also at the start)
+    from choquard import solve_penalized, sweep_epsilon
+    cfg = write_config(tmp_path)
+    parsed = parse_config(cfg)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
+                 "--eps-list", "0.5,0.25"]) == 0
+    _, rep = solve_penalized(parsed.cfg, parsed.pot, parsed.grid, parsed.opts)
+    reps = sweep_epsilon(parsed.cfg, parsed.pot, parsed.grid, [0.5, 0.25], parsed.opts)
+    written = [json.loads((tmp_path / "run" / "report.json").read_text())]
+    written += json.loads((tmp_path / "sw" / "sweep.json").read_text())["reports"]
+    for doc, r in zip(written, [rep, *reps], strict=True):
+        for name in ("energy_history", "grad_norm_history", "step_history",
+                     "backtrack_history", "ray_history", "short_step_history"):
+            assert doc[name] == list(getattr(r, name))
+            assert len(doc[name]) == doc["iterations"] + (name == "energy_history")
+        assert sum(b + 1 for b in doc["backtrack_history"]) == doc["line_search_trials"]
+        assert doc["short_steps"] == sum(doc["short_step_history"])
+
+
 def test_cli_mu_at_2s_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, mu=1.2)  # mu == 2s
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
