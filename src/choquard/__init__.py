@@ -3,7 +3,7 @@ grids: penalized energy minimization on the Nehari manifold, with diagnostics
 for decay and concentration."""
 
 from .config import (ConfigError, PotentialSpec, ProblemConfig, ValidationReport,
-                     region_mask, validate_config)
+                     check_problem, region_mask, validate_config)
 from .diagnostics import (CheckResult, check_concentration, check_decay,
                           check_diamagnetic, check_hartree_bound, fit_decay, mpg_shell_radius)
 from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,

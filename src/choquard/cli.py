@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, pair_storage_refusal, validate_config
+from .config import ConfigError, pair_storage_refusal
 from .diagnostics import _tail_radii, check_decay, check_diamagnetic
 from .io import (ParsedConfig, load_field, parse_config, report_to_dict,
                  sanitize_json, save_field, write_report, write_run, _atomic_write_bytes,
@@ -51,28 +51,19 @@ def _load_parsed(args) -> ParsedConfig:
     return parse_config(raw)
 
 
-def _validated(parsed: ParsedConfig):
-    report = validate_config(parsed.cfg, parsed.pot, parsed.grid)
-    if not report.ok:
-        raise ConfigError("\n".join(report.violations))
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return report
-
-
-def _print_solve_warnings(reports, validation) -> None:
-    """Print on stderr the warnings the solves added to those of validation
-    (an invalid penalization, say); they do not change the exit code."""
+def _print_warnings(reports) -> None:
+    """Print the reports' warnings on stderr (the theory hypotheses, an
+    invalid penalization, say); they do not change the exit code."""
     for r in reports:
         for w in r.warnings:
-            if w not in validation.warnings:
-                print(f"warning: eps={r.eps:g}: {w}", file=sys.stderr)
+            print(f"warning: eps={r.eps:g}: {w}", file=sys.stderr)
 
 
 def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
-    """Run `solve` and write its field, report and run files under `out`. A
-    SolverError that carries the last iterate writes that iterate with a
-    `converged: false` report before it propagates (exit 2)."""
+    """Run `solve`, write its field, report and run files under `out` and
+    print the report's warnings. A SolverError that carries the last iterate
+    writes that iterate with a `converged: false` report before it
+    propagates (exit 2)."""
     started = datetime.now(timezone.utc)
     try:
         u, rep = solve()
@@ -84,6 +75,7 @@ def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
         _write_solution(out, parsed, u, rep, eps, started)
         raise
     _write_solution(out, parsed, u, rep, eps, started)
+    _print_warnings([rep])
     return rep
 
 
@@ -96,10 +88,8 @@ def _write_solution(out: Path, parsed: ParsedConfig, u, rep, eps: float, started
 
 def _cmd_solve(args) -> int:
     parsed = _load_parsed(args)
-    validation = _validated(parsed)
     rep = _solve_into(Path(args.out), parsed, lambda: solve_penalized(
         parsed.cfg, parsed.pot, parsed.grid, parsed.opts), parsed.cfg.eps)
-    _print_solve_warnings([rep], validation)
     print(json.dumps({"c_eps": rep.c_eps, "V_at_max": rep.V_at_max,
                       "valid_penalization": rep.valid_penalization,
                       "iterations": rep.iterations}))
@@ -108,7 +98,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_limit(args) -> int:
     parsed = _load_parsed(args)
-    _validated(parsed)
     rep = _solve_into(Path(args.out), parsed, lambda: solve_limit(
         parsed.cfg, parsed.grid, parsed.opts), 1.0)
     print(json.dumps({"c_V0": rep.c_eps, "decay_exponent": rep.decay_exponent,
@@ -118,14 +107,8 @@ def _cmd_limit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     parsed = _load_parsed(args)
-    validation = _validated(parsed)
-    if len(parsed.eps_list) < 2:
-        print("config invalid: sweep.eps_list needs at least two values",
-              file=sys.stderr)
-        return EXIT_CONFIG
     started = datetime.now(timezone.utc)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, None] = {}
 
     def on_solution(eps, field, rep):
@@ -136,7 +119,7 @@ def _cmd_sweep(args) -> int:
 
     reports = sweep_epsilon(parsed.cfg, parsed.pot, parsed.grid, parsed.eps_list,
                             parsed.opts, on_solution=on_solution)
-    _print_solve_warnings(reports, validation)
+    _print_warnings(reports)
     summary = {
         "eps_list": list(parsed.eps_list),
         "V_at_max": [r.V_at_max for r in reports],

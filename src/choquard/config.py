@@ -73,6 +73,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def raise_violations(self) -> "ValidationReport":
+        """This report, or ConfigError with one violation per line."""
+        if self.violations:
+            raise ConfigError("\n".join(self.violations))
+        return self
+
 
 def boundary_mask(inside: np.ndarray) -> np.ndarray:
     """Sampled boundary of the open region: cells outside the predicate whose
@@ -103,8 +109,9 @@ def region_leaves_domain(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec)
     return pot.region.bounding_radius() / cfg.eps >= grid.L
 
 
-def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> ValidationReport:
-    """Check every standing assumption; violations are reported, never raised."""
+def check_problem(cfg: ProblemConfig, grid: GridSpec) -> ValidationReport:
+    """The hypotheses on the scalars of the problem and the grid dimension,
+    with the theory warnings; reads no potential and no region."""
     bad: list[str] = []
     warn: list[str] = []
 
@@ -120,8 +127,6 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
         bad.append("V0 must be positive")
     if grid.dim != cfg.dim:
         bad.append("grid dimension does not match problem dimension")
-    if refusal := pair_storage_refusal(pot.A_eps(cfg.eps), grid):
-        bad.append(refusal)
 
     # HLS enters here only: this q range gives 2 < tq < 2*_s with t = 2N/(2N - mu)
     if cfg.q <= 2.0:
@@ -130,10 +135,20 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
         if cfg.q >= cfg.q_upper_bound:
             bad.append(f"q must lie in (2, 2(N-mu)/(N-2s)) = (2, {cfg.q_upper_bound:.6g})")
     else:
-        warn.append("q upper bound skipped (N <= 2s); " + OUTSIDE_THEORY_WARNING)
+        warn.append("q upper bound skipped (N <= 2s)")
 
     if cfg.dim < 3:
         warn.append(OUTSIDE_THEORY_WARNING)
+    return ValidationReport(tuple(bad), tuple(warn))
+
+
+def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> ValidationReport:
+    """Check every standing assumption, those of `check_problem` first;
+    violations are reported, never raised."""
+    scalar = check_problem(cfg, grid)
+    bad = list(scalar.violations)
+    if refusal := pair_storage_refusal(pot.A_eps(cfg.eps), grid):
+        bad.append(refusal)
 
     # potential floor and well structure on the rescaled grid
     pts = grid.points()
@@ -161,7 +176,7 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
     if region_leaves_domain(cfg, grid, pot):
         bad.append(REGION_LEAVES_DOMAIN)
 
-    return ValidationReport(tuple(bad), tuple(warn))
+    return ValidationReport(tuple(bad), scalar.warnings)
 
 
 def region_mask(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> np.ndarray:

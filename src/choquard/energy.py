@@ -87,9 +87,10 @@ class EnergyContext:
         return riesz_convolve(self.G_of(density), self.hartree)
 
 
-def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
-                            pen: PenalizationParams | None = None) -> EnergyContext:
-    """Context for the rescaled penalized problem on `grid`.
+def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec,
+                            grid: GridSpec) -> EnergyContext:
+    """Context for the rescaled penalized problem on `grid`, without a
+    penalization (`pen` None).
 
     The operator is the singular-integral quadrature when the magnetic
     potential A(eps x) is nonzero on the grid, else the faster spectral operator.
@@ -104,7 +105,7 @@ def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSp
     return EnergyContext(
         cfg=cfg, grid=grid, V_eps=V_eps, lambda_mask=lambda_mask,
         nl=PowerNonlinearity(cfg.q), hartree=build_hartree_cache(grid, cfg.mu),
-        op=op, pen=pen)
+        op=op)
 
 
 def build_limit_context(cfg: ProblemConfig, grid: GridSpec) -> EnergyContext:

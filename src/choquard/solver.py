@@ -9,8 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (OUTSIDE_THEORY_WARNING, ConfigError, ProblemConfig,
-                     PotentialSpec, validate_config)
+from .config import (ConfigError, ProblemConfig, PotentialSpec, check_problem,
+                     validate_config)
 from .diagnostics import fit_decay, outer_layer_max
 from .energy import (Calibration, EnergyContext, NehariError, build_limit_context,
                      build_penalized_context, calibrate_penalization, gradient,
@@ -131,25 +131,19 @@ PHASES = ("context_s", "calibrate_s", "descent_s", "finish_s")
 
 class Descent(NamedTuple):
     """Result of `minimize_on_nehari`; `Lu` is the operator image of u and
-    `K` its Hartree potential; the step histories hold one entry per step
-    (see `SolveReport`). The benchmark's trace reads `iterations` by
-    position, as index 2."""
+    `K` its Hartree potential; `steps` holds one record (||Pg||, tau,
+    backtracks, t*, short) per step (see `SolveReport`). The benchmark's
+    trace reads `iterations` by position, as index 2."""
 
     u: Field
     J: float
     iterations: int
     grad_norm: float
     history: list
-    line_search_trials: int
     nehari_projections: int
     Lu: np.ndarray
     K: np.ndarray
-    operator_passes: int
-    grad_norm_history: list
-    step_history: list
-    backtrack_history: list
-    ray_history: list
-    short_step_history: list
+    steps: list
 
 
 def phase_gauge(u: Field) -> Field:
@@ -208,8 +202,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     tau = 1.0 / (1.0 + ctx.cfg.V0)
     u_prev = d_prev = None
     gn = np.inf
-    trials, projections, passes = 0, 1, 1
-    grad_norms, taus, backtracks, rays, shorts = [], [], [], [], []
+    projections, steps = 1, []
     for it in range(opts.max_iters):
         try:
             g = gradient(u, ctx, Lu, K=K)
@@ -218,8 +211,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = d.l2_norm()
         if gn < opts.grad_tol:
-            return Descent(u, J, it, gn, history, trials, projections, Lu, K,
-                           passes, grad_norms, taus, backtracks, rays, shorts)
+            return Descent(u, J, it, gn, history, projections, Lu, K, steps)
         short = False
         if u_prev is not None:
             sv = u.values - u_prev.values
@@ -233,9 +225,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         del g, K  # not needed in the line search; freeing them bounds peak memory
         w = u.values - tau * d.values
         Lw = ctx.apply_op(w)
-        passes += 1
         for halvings in range(MAX_BACKTRACKS):
-            trials += 1
             try:
                 t, Kw, J_new = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
             except NehariError:
@@ -256,11 +246,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         Lw *= t
         u, J, Lu, K = Field(w, ctx.grid), J_new, Lw, Kw
         history.append(J)
-        grad_norms.append(gn)
-        taus.append(tau)
-        backtracks.append(halvings)
-        rays.append(float(t))
-        shorts.append(short)
+        steps.append((gn, tau, halvings, float(t), short))
     raise SolverError(f"no convergence in {opts.max_iters} iterations "
                       f"(grad norm {gn:.3e})", u)
 
@@ -297,6 +283,7 @@ def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
     the clock readings that open the context, calibration and descent phases."""
     run = minimize_on_nehari(ctx, start, opts)
     marks.append(perf_counter())
+    grad_norms, taus, backtracks, rays, shorts = tuple(zip(*run.steps)) or ((),) * 5
     u = phase_gauge(run.u)
     idx, sup = u.argmax_index(), u.sup_norm()
     pen = ctx.pen
@@ -327,17 +314,13 @@ def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
         calibration_samples_skipped=cal.samples_skipped if cal else None,
         spectrum_clip=ctx.hartree.spectrum_clip,
         pair_weights_mb=ctx.op.pair_weights_mb,
-        line_search_trials=run.line_search_trials,
+        line_search_trials=sum(backtracks) + len(backtracks),
         nehari_projections=run.nehari_projections,
-        operator_passes=run.operator_passes,
-        short_steps=sum(run.short_step_history),
+        operator_passes=run.iterations + 1, short_steps=sum(shorts),
         warnings=warnings, decay_status=status,
-        energy_history=tuple(run.history),
-        grad_norm_history=tuple(run.grad_norm_history),
-        step_history=tuple(run.step_history),
-        backtrack_history=tuple(run.backtrack_history),
-        ray_history=tuple(run.ray_history),
-        short_step_history=tuple(run.short_step_history))
+        energy_history=tuple(run.history), grad_norm_history=grad_norms,
+        step_history=taus, backtrack_history=backtracks, ray_history=rays,
+        short_step_history=shorts)
     report.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
     return u, report
 
@@ -346,16 +329,16 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
                     opts: SolverOptions | None = None, *,
                     pen=None, initial: Field | None = None,
                     validate: bool = True) -> tuple[Field, SolveReport]:
-    """Ground state of the penalized rescaled problem at cfg.eps.
+    """Ground state of the penalized rescaled problem at cfg.eps; ConfigError,
+    one violation per line, when `validate_config` refuses the problem.
 
     `validate=False` skips the admissibility gate for deliberately degenerate
     diagnostic configurations (e.g. constant V, where the well condition
     fails but the functional is still well defined)."""
     opts = opts or SolverOptions()
     report = validate_config(cfg, pot, grid)
-    if validate and not report.ok:
-        raise SolverError("configuration violates admissibility: "
-                          + "; ".join(report.violations))
+    if validate:
+        report.raise_violations()
     marks = [perf_counter()]
     ctx = build_penalized_context(cfg, pot, grid)
     marks.append(perf_counter())
@@ -376,15 +359,16 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
                 opts: SolverOptions | None = None, *,
                 initial: Field | None = None) -> tuple[Field, SolveReport]:
     """Ground state of the limit problem (V == V0, A == 0, un-truncated f);
-    c_eps in the report is the limit level."""
+    c_eps in the report is the limit level. ConfigError when `check_problem`
+    refuses the problem; V, A and the region are not read."""
     opts = opts or SolverOptions()
+    warnings = check_problem(cfg, grid).raise_violations().warnings
     marks = [perf_counter()]
     ctx = build_limit_context(cfg, grid)
     marks += [perf_counter()] * 2  # no calibration phase
     if initial is None:
         base = gaussian_bump(grid, width=1.0).values
         initial = Field(base * _seeded_perturbation(grid, opts.seed), grid)
-    warnings = () if cfg.dim >= 3 else (OUTSIDE_THEORY_WARNING,)
     return _descend(ctx, initial, opts, marks, warnings)
 
 
@@ -412,16 +396,19 @@ def sweep_epsilon(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     """Solve the penalized problem along a descending eps list, warm-starting
     each solve from the previous solution rescaled by eps_new/eps_old.
 
-    A solve that fails (SolverError, or ConfigError when the blown-up region
-    leaves the box) is recorded in its report and the sweep continues; any
-    other exception propagates.
+    An eps list that is not descending, or a problem that `check_problem`
+    refuses, raises ConfigError before the first solve. A solve that fails
+    (SolverError, or ConfigError when `validate_config` refuses its eps) is
+    recorded in its report and the sweep continues; any other exception
+    propagates.
     """
     opts = opts or SolverOptions()
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
-        raise ValueError("sweep needs at least two eps values")
+        raise ConfigError("sweep needs at least two eps values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps list must be strictly descending")
+        raise ConfigError("eps list must be strictly descending")
+    check_problem(cfg, grid).raise_violations()
     reports: list[SolveReport] = []
     prev_field: Field | None = None
     prev_eps: float | None = None

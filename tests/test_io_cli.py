@@ -284,6 +284,61 @@ def test_cli_mu_at_2s_rejected(tmp_path, capsys):
     assert "mu must lie in (0, 2s)" in err
 
 
+def test_cli_solve_warns_once_per_warning(tmp_path, capsys):
+    # N = 1 <= 2s: the q upper bound is skipped and the theory does not apply,
+    # each said once, with the eps of the solve
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("outside theory hypotheses") == 1
+    assert "warning: eps=0.5: q upper bound skipped (N <= 2s)\n" in err
+
+
+def test_cli_sweep_and_limit_check_only_what_they_solve(tmp_path, capsys):
+    # at problem.eps = 0.05 the region leaves the box, but the sweep never
+    # solves that eps and the limit problem reads no region
+    cfg = write_config(tmp_path, eps=0.05)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
+                 "--eps-list", "0.5,0.25"]) == 0
+    assert main(["limit", "--config", str(cfg), "--out", str(tmp_path / "lim")]) == 0
+    assert "config invalid" not in capsys.readouterr().err
+
+
+def test_cli_limit_ignores_magnetic_potential(tmp_path, capsys, monkeypatch):
+    # the magnetic grid that `solve` refuses (pair weights past the storage
+    # limit): the limit problem has A = 0 and runs on the spectral backend
+    def assembled(self):
+        raise AssertionError("the operator was assembled")
+    monkeypatch.setattr(QuadratureOperator, "__post_init__", assembled)
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["problem"].update(N=3, s=0.75)
+    doc["grid"] = {"L": 12.0, "M": 32}
+    doc["potential"]["A"] = {"kind": "sine", "amplitude": 0.5, "wavelength": 4.0}
+    assert main(["limit", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "lim")]) == 0
+    assert json.loads(capsys.readouterr().out)["c_V0"] > 0
+
+
+def test_cli_sweep_refuses_scalar_fault_before_writing(tmp_path, capsys):
+    cfg = write_config(tmp_path, mu=1.2)  # mu == 2s
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--eps-list", "0.5,0.25"]) == 1
+    assert capsys.readouterr().err.startswith("config invalid: mu must lie in (0, 2s)\n")
+    assert not out.exists()
+
+
+def test_cli_sweep_refused_eps_is_a_failed_entry(tmp_path, capsys):
+    # eps = 0.05 blows the region out of the box: that entry fails, exit 2
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--eps-list", "0.5,0.05"]) == 2
+    reports = json.loads((out / "sweep.json").read_text())["reports"]
+    assert reports[0]["converged"] and not reports[1]["converged"]
+    assert "penalization region leaves domain" in reports[1]["error"]
+
+
 def test_cli_check_diamagnetic_and_decay(tmp_path, capsys):
     grid = GridSpec(L=20.0, M=128, dim=1)
     r = np.abs(grid.axis())

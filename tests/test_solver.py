@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
-                      SolverError, SolverOptions, build_limit_context,
+from choquard import (BallRegion, ConfigError, Field, GridSpec, PotentialSpec,
+                      ProblemConfig, SolverError, SolverOptions, build_limit_context,
                       clipped_quadratic_V, constant_A, constant_V, energy_value,
                       rescale_field, solve_limit, solve_penalized, sweep_epsilon)
 
@@ -165,7 +165,7 @@ def test_invalid_config_refused():
     cfg = ProblemConfig(dim=1, s=0.6, mu=1.2, q=3.0, eps=0.5, V0=1.0)  # mu >= 2s
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
                         region=BallRegion((0.0,), 1.0))
-    with pytest.raises(SolverError, match="mu must lie in"):
+    with pytest.raises(ConfigError, match="mu must lie in"):
         solve_penalized(cfg, pot, grid)
 
 
@@ -378,18 +378,26 @@ def test_descent_one_convolution_per_trial(plain_ctx, magnetic_ctx, monkeypatch,
     monkeypatch.setattr(energy_mod, "root_decreasing", counted_root)
     run = minimize_on_nehari(ctx, u0, SolverOptions(grad_tol=1e-6, seed=0))
     assert run.iterations > 3 and roots == []
-    assert len(convolutions) == run.line_search_trials + 1
+    assert len(convolutions) == sum(b + 1 for _, _, b, _, _ in run.steps) + 1
 
 
-def test_midpoint_backtracks_keep_the_image_of_the_iterate(magnetic_ctx):
+def test_midpoint_backtracks_keep_the_image_of_the_iterate(magnetic_ctx, monkeypatch):
     # a backtrack takes the midpoint of two images instead of a pass; after
     # a descent that backtracked, the carried image and energy are still
     # those of the iterate
     from choquard.solver import minimize_on_nehari
     ctx, _, u0 = magnetic_ctx
+    passes = []
+    apply = type(ctx.op).apply
+
+    def counted(self, u):
+        passes.append(u.shape)
+        return apply(self, u)
+    monkeypatch.setattr(type(ctx.op), "apply", counted)
     run = minimize_on_nehari(ctx, u0, SolverOptions(grad_tol=1e-6, seed=0))
-    assert run.line_search_trials > run.iterations > 3
-    assert run.operator_passes == run.iterations + 1
+    monkeypatch.undo()
+    assert sum(b + 1 for _, _, b, _, _ in run.steps) > run.iterations > 3
+    assert len(passes) == run.iterations + 1
     Lu = ctx.apply_op(run.u.values)
     assert np.max(np.abs(run.Lu - Lu)) <= 1e-12 * np.max(np.abs(Lu))
     assert run.J == pytest.approx(energy_value(run.u, ctx), rel=1e-12)
