@@ -2,13 +2,15 @@
 grids: penalized energy minimization on the Nehari manifold, with diagnostics
 for decay and concentration."""
 
+__version__ = "0.1.0"  # before the submodules: `io` reads it for the run manifest
+
 from .config import (ConfigError, PotentialSpec, ProblemConfig, ValidationReport,
                      check_problem, region_mask, validate_config)
 from .diagnostics import (CheckResult, check_concentration, check_decay,
                           check_diamagnetic, check_hartree_bound, fit_decay, mpg_shell_radius)
 from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
                      build_limit_context, build_penalized_context,
-                     calibrate_penalization, energy, energy_value, gradient,
+                     calibrate_penalization, energy_terms, energy_value, gradient,
                      nehari_project, nehari_residual)
 from .grids import Field, GridSpec
 from .io import (ParsedConfig, RunManifest, load_field, parse_config,
@@ -21,5 +23,3 @@ from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
                          constant_V, random_smooth_A, sine_A, zero_A)
 from .solver import (SolveReport, SolverError, SolverOptions, phase_gauge,
                      rescale_field, solve_limit, solve_penalized, sweep_epsilon)
-
-__version__ = "0.1.0"

@@ -51,6 +51,16 @@ def _load_parsed(args) -> ParsedConfig:
     return parse_config(raw)
 
 
+def _out_dir(args) -> Path:
+    """--out, refused (creating nothing) when it, or the first of its parents
+    that exists, is not a directory."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} exists and is not a directory")
+    return out
+
+
 def _print_warnings(reports) -> None:
     """Print the reports' warnings on stderr (the theory hypotheses, an
     invalid penalization, say); they do not change the exit code."""
@@ -80,15 +90,15 @@ def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
 
 
 def _write_solution(out: Path, parsed: ParsedConfig, u, rep, eps: float, started):
-    save_field(out / "u.f64", u, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=eps)
+    names = save_field(out / "u.f64", u, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=eps)
     write_report(out / "report.json", rep)
-    write_run(out, parsed, {"u.f64": None, "u.f64.meta.json": None,
-                            "report.json": None}, started)
+    write_run(out, parsed, names + ["report.json"], started)
 
 
 def _cmd_solve(args) -> int:
+    out = _out_dir(args)
     parsed = _load_parsed(args)
-    rep = _solve_into(Path(args.out), parsed, lambda: solve_penalized(
+    rep = _solve_into(out, parsed, lambda: solve_penalized(
         parsed.cfg, parsed.pot, parsed.grid, parsed.opts), parsed.cfg.eps)
     print(json.dumps({"c_eps": rep.c_eps, "V_at_max": rep.V_at_max,
                       "valid_penalization": rep.valid_penalization,
@@ -97,8 +107,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    out = _out_dir(args)
     parsed = _load_parsed(args)
-    rep = _solve_into(Path(args.out), parsed, lambda: solve_limit(
+    rep = _solve_into(out, parsed, lambda: solve_limit(
         parsed.cfg, parsed.grid, parsed.opts), 1.0)
     print(json.dumps({"c_V0": rep.c_eps, "decay_exponent": rep.decay_exponent,
                       "iterations": rep.iterations}))
@@ -106,16 +117,14 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    out = _out_dir(args)
     parsed = _load_parsed(args)
     started = datetime.now(timezone.utc)
-    out = Path(args.out)
-    artifacts: dict[str, None] = {}
+    names: list[str] = []
 
     def on_solution(eps, field, rep):
-        name = f"u_eps_{eps:g}.f64"
-        save_field(out / name, field, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=eps)
-        artifacts[name] = None
-        artifacts[name + ".meta.json"] = None
+        names.extend(save_field(out / f"u_eps_{eps:g}.f64", field, s=parsed.cfg.s,
+                                mu=parsed.cfg.mu, eps=eps))
 
     reports = sweep_epsilon(parsed.cfg, parsed.pot, parsed.grid, parsed.eps_list,
                             parsed.opts, on_solution=on_solution)
@@ -128,8 +137,7 @@ def _cmd_sweep(args) -> int:
         "reports": [report_to_dict(r) for r in reports],
     }
     _atomic_write_json(out / "sweep.json", sanitize_json(summary))
-    artifacts["sweep.json"] = None
-    write_run(out, parsed, artifacts, started)
+    write_run(out, parsed, names + ["sweep.json"], started)
     if not all(r.converged for r in reports):
         print("sweep finished with failed entries", file=sys.stderr)
         return EXIT_SOLVER
@@ -248,8 +256,8 @@ def main(argv=None) -> int:
         for line in str(exc).split("\n"):
             print(f"config invalid: {line}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)

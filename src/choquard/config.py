@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,6 @@ class ProblemConfig:
     q: float
     eps: float
     V0: float
-
-    def with_eps(self, eps: float) -> "ProblemConfig":
-        return replace(self, eps=eps)
 
     @property
     def q_upper_bound(self) -> float:

@@ -169,14 +169,14 @@ def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7):
     C(rho^4 + rho^(2q)) = rho^2/4, so the energy on the shell ||u|| = rho is
     at least rho^2/4 > 0.  Returns (rho, C)."""
     q = ctx.cfg.q
-    hV = ctx.grid.cell_volume()
     ts = np.logspace(-2, 1.5, 15)
     C_emp = 0.0
-    for u in shell_samples(ctx, 1.0, n_samples, seed):
-        for t in ts:
-            Gv = ctx.G_of((t * np.abs(u.values)) ** 2)
-            har = float(np.sum(riesz_convolve(Gv, ctx.hartree) * Gv) * hV)
-            C_emp = max(C_emp, 0.25 * har / (t ** 4 + t ** (2 * q)))
+    for U in shell_samples(ctx, 1.0, n_samples, seed):
+        absU = np.abs(U)
+        for t in ts:  # one stacked convolution per group and ray parameter
+            Gv = ctx.G_of((t * absU) ** 2)
+            har = ctx.grid.integrate(riesz_convolve(Gv, ctx.hartree) * Gv)
+            C_emp = max(C_emp, 0.25 * float(np.max(har)) / (t ** 4 + t ** (2 * q)))
     if C_emp == 0:
         raise ValueError("could not estimate the superquadratic constant")
     C_emp *= 5.0

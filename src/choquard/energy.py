@@ -63,7 +63,7 @@ class EnergyContext:
         return self.seminorm_sq(u, Lu) + self.potential_sq(u)
 
     def precond_multiplier(self) -> np.ndarray:
-        return 1.0 / (1.0 + SpectralOperator(self.grid, self.cfg.s).mult + self.cfg.V0)
+        return 1.0 / (1.0 + self.grid.wavenumber_mesh_sq() ** self.cfg.s + self.cfg.V0)
 
     def a0_plane_wave(self, vals: np.ndarray) -> np.ndarray:
         """`vals` times the plane wave e^{i A(0).x}, the gauge of the operator's
@@ -129,8 +129,8 @@ class EnergyReport:
     nehari_residual: float
 
 
-def energy(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
-           K: np.ndarray | None = None) -> EnergyReport:
+def energy_terms(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
+                 K: np.ndarray | None = None) -> EnergyReport:
     """All energy pieces of one field from shared quadratures. `Lu`, the
     operator image of u, and `K`, its Hartree potential, save the operator
     pass and the convolution when they are already known."""
@@ -150,7 +150,7 @@ def energy(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
 
 def energy_value(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
                  K: np.ndarray | None = None) -> float:
-    return energy(u, ctx, Lu, K).J
+    return energy_terms(u, ctx, Lu, K).J
 
 
 def gradient(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
@@ -172,7 +172,7 @@ def gradient(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
 
 def nehari_residual(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
                     K: np.ndarray | None = None) -> float:
-    return energy(u, ctx, Lu, K).nehari_residual
+    return energy_terms(u, ctx, Lu, K).nehari_residual
 
 
 # ------------------------------------------------------------------ Nehari
@@ -294,8 +294,14 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
 SAMPLE_GROUP_BYTES = 1 << 17
 
 
-def _shell_groups(ctx: EnergyContext, shell: float, n: int, seed: int):
-    """The samples of `shell_samples`, stacked a group at a time."""
+def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
+    """Random band-limited fields projected to ||u||_eps^2 = shell (the extreme
+    shell of the bounded set B), yielded in stacked groups of shape
+    (fields,) + grid shape; zero-norm draws are skipped. Complex draws when
+    the operator is magnetic.
+
+    The modes of all n fields are drawn at once (`sampling.draw_modes`), so
+    neither the fields nor their order depend on the group size."""
     k, c = draw_modes(ctx.grid, np.random.default_rng(seed), n)
     complex_valued = ctx.op.A is not None
     per_group = max(1, SAMPLE_GROUP_BYTES // (16 * ctx.grid.size))
@@ -308,24 +314,12 @@ def _shell_groups(ctx: EnergyContext, shell: float, n: int, seed: int):
             yield U[keep] * np.sqrt(shell / n2[keep]).reshape((-1,) + (1,) * ctx.grid.dim)
 
 
-def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
-    """Random band-limited fields projected to ||u||_eps^2 = shell (the extreme
-    shell of the bounded set B); zero-norm draws are skipped. Complex draws
-    when the operator is magnetic.
-
-    The modes of all n fields are drawn at once (`sampling.draw_modes`), so
-    neither the fields nor their order depend on the group size."""
-    for U in _shell_groups(ctx, shell, n, seed):
-        for v in U:
-            yield Field(v, ctx.grid)
-
-
 def sampled_hartree_sup(ctx: EnergyContext, shell: float, n: int, seed: int
                         ) -> tuple[float, int]:
     """The largest sup |K(u)| over the shell samples of `shell_samples`, and
     how many samples entered it; each group takes one stacked convolution."""
     sup, used = 0.0, 0
-    for U in _shell_groups(ctx, shell, n, seed):
+    for U in shell_samples(ctx, shell, n, seed):
         sup = max(sup, float(np.max(np.abs(ctx.hartree_potential(np.abs(U) ** 2)))))
         used += len(U)
     return sup, used

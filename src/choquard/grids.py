@@ -94,10 +94,6 @@ class Field:
             raise NonFiniteFieldError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
-
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume()))
 

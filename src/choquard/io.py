@@ -3,7 +3,10 @@
 Field files are raw little-endian binary64, interleaved (real, imaginary) per
 sample in row-major grid order, which is numpy's '<c16' layout (so signed
 zeros survive), with a JSON sidecar `<name>.meta.json` holding the grid
-geometry, problem scalars, phase gauge, and a payload sha256.
+geometry, problem scalars, phase gauge, and a payload sha256. `save_field`
+returns the names of the two files it wrote, and a run directory's
+`manifest.json` (`write_run`) lists `config.json` and the names its writers
+returned, with the package `__version__`.
 All writes are atomic (write to a temp file, then rename).
 """
 
@@ -21,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, ProblemConfig, PotentialSpec
 from .grids import Field, GridSpec
 from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
                          constant_V, sine_A)
 from .solver import SolverOptions
 
-TOOL_VERSION = "0.1.0"
 # the sidecar's name for the global phase of a stored field (solver.phase_gauge)
 PHASE_GAUGE = "argmax-real-positive"
 
@@ -54,8 +57,8 @@ def _atomic_write_json(path: Path, doc):
 
 # ------------------------------------------------------------ field storage
 
-def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> dict:
-    """Write the field payload and its sidecar; returns the sidecar document."""
+def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> list[str]:
+    """Write the field payload and its sidecar; returns their file names."""
     path = Path(path)
     payload = np.ascontiguousarray(u.values, dtype="<c16").tobytes()
     meta = {
@@ -67,9 +70,10 @@ def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> dict:
         "phase_gauge": PHASE_GAUGE,
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
+    meta_path = path.with_name(path.name + ".meta.json")
     _atomic_write_bytes(path, payload)
-    _atomic_write_json(path.with_name(path.name + ".meta.json"), meta)
-    return meta
+    _atomic_write_json(meta_path, meta)
+    return [path.name, meta_path.name]
 
 
 def load_field(path) -> tuple[Field, dict]:
@@ -294,31 +298,25 @@ class RunManifest:
     created_utc: str
     finished_utc: str
     artifacts: tuple[str, ...]
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
 
 
 def config_hash(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def write_run(out_dir, parsed: ParsedConfig, artifacts: dict[str, bytes | None],
-              started: datetime | None = None) -> RunManifest:
-    """Store the resolved config plus artifacts and the manifest listing them.
-
-    `artifacts` maps relative names already written under out_dir to None (the
-    writer records names only; files must exist)."""
+def write_run(out_dir, parsed: ParsedConfig, names: list[str],
+              started: datetime) -> RunManifest:
+    """Store the resolved config and the manifest listing it and `names`, the
+    files already written under out_dir, for a run begun at `started`."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg_path = out / "config.json"
-    _atomic_write_bytes(cfg_path, parsed.raw)
-    names = ["config.json"] + sorted(artifacts)
-    now = datetime.now(timezone.utc).isoformat()
+    _atomic_write_bytes(out / "config.json", parsed.raw)
     manifest = RunManifest(
         config_hash=config_hash(parsed.raw),
         seed=parsed.opts.seed,
-        created_utc=(started or datetime.now(timezone.utc)).isoformat(),
-        finished_utc=now,
-        artifacts=tuple(names),
+        created_utc=started.isoformat(),
+        finished_utc=datetime.now(timezone.utc).isoformat(),
+        artifacts=("config.json", *sorted(names)),
     )
     _atomic_write_json(out / "manifest.json", dataclasses.asdict(manifest))
     return manifest

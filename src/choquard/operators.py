@@ -24,8 +24,10 @@ with diag = c (h^N rowsums + tail) + 2N beta, beta = c W2 / (2N h^2) and the
 link factor l_a = e^{-i A_a(x_i + (h/2) e_a) h}; neighbours are zero outside
 the box.
 
-The row sums sum_j k(x_i - x_j) do not depend on A and come from
-one FFT convolution of the kernel block with the box indicator.  With A, the
+The kernel is evaluated once, on the displacements [-M, M-1]^N.  The row
+sums sum_j k(x_i - x_j) do not depend on A and come from one FFT convolution
+of the kernel with the box indicator zero-extended to the doubled box, the
+convolution that is the whole pair sum when A == 0.  With A, the
 pair weights W_ij = k(x_i - x_j) e^{i A((x_i+x_j)/2).(x_i - x_j)} are
 gathered from two tables built once per operator: the kernel on every
 displacement d in [-(M-1), M-1]^N, and A on the half-step lattice
@@ -66,11 +68,6 @@ def magnetic_on(A, grid: GridSpec) -> bool:
     """True when the vector potential A is given and not zero at every grid
     point, the points where an operator on `grid` evaluates it."""
     return A is not None and bool(np.max(np.abs(np.asarray(A(grid.points())))) > 0)
-
-
-def _check_s(s: float):
-    if not (0.0 < s < 1.0):
-        raise ValueError("fractional order s must lie in (0, 1)")
 
 
 # ------------------------------------------------------------------ helpers
@@ -157,7 +154,8 @@ class QuadratureOperator:
     A: object | None = None  # vector potential callable, or None for A == 0
 
     def __post_init__(self):
-        _check_s(self.s)
+        if not (0.0 < self.s < 1.0):
+            raise ValueError("fractional order s must lie in (0, 1)")
         g = self.grid
         N, M = g.dim, g.M
         self.c = frac_lap_constant(N, self.s)
@@ -166,15 +164,12 @@ class QuadratureOperator:
         self.blocks, self.links = [], None
         self.cutoff = g.L - g.h / 2
         tail = sphere_area(N) / (2 * self.s * self.cutoff ** (2 * self.s))
-        d = np.arange(2 * M)
-        d = np.where(d < M, d, d - 2 * M)  # offsets -M..M-1; |offset| M unused
-        self.kernel_fft = even_spectrum(_free_kernel(g, self.s, self.cutoff, d))
-        box = (Ellipsis,) + (slice(0, M),) * N
-        pad = np.zeros((2 * M,) * N)
-        pad[box] = 1.0
-        self.rowsums = fourier_multiply(self.kernel_fft, pad)[box].copy()
+        # the kernel on offsets -M..M-1, centred (|offset| M is unused)
+        k = _free_kernel(g, self.s, self.cutoff, np.arange(-M, M))
+        self.kernel_fft = even_spectrum(np.fft.ifftshift(k))
+        self.rowsums = self._box_convolve(np.ones(g.shape)).copy()
         if self.A is not None:
-            self._build_pair_tables()
+            self._build_pair_tables(k[(slice(1, None),) * N].reshape(-1))
             step = max(1, PAIR_BLOCK_PAIRS // g.size)
             self.blocks = [self._pair_block(slice(lo, min(lo + step, g.size)))
                            for lo in range(0, g.size, step)]
@@ -185,15 +180,15 @@ class QuadratureOperator:
 
     # ---------------- magnetic tables
 
-    def _build_pair_tables(self):
-        """The kernel by displacement and A on the half-step lattice, indexed
-        by the flat multi-indices S_i - S_j + S_off and S_i + S_j; the link
-        i -> i+e_a has its midpoint at 2 S_i + stride_a, so its factor
-        l_a = e^{-i A_a h} reads the same table."""
+    def _build_pair_tables(self, ktab: np.ndarray):
+        """The kernel by displacement (`ktab`, flat) and A on the half-step
+        lattice, indexed by the flat multi-indices S_i - S_j + S_off and
+        S_i + S_j; the link i -> i+e_a has its midpoint at 2 S_i + stride_a, so
+        its factor l_a = e^{-i A_a h} reads the same table."""
         g = self.grid
         M, N = g.M, g.dim
         n = 2 * M - 1
-        self.ktab = _free_kernel(g, self.s, self.cutoff, np.arange(-(M - 1), M)).reshape(-1)
+        self.ktab = ktab
         half = -g.L + 0.5 * g.h * np.arange(n)
         lattice = np.stack(np.meshgrid(*([half] * N), indexing="ij"), axis=-1)
         self.Atab = np.asarray(self.A(lattice.reshape(-1, N))).T.copy()
@@ -222,16 +217,22 @@ class QuadratureOperator:
 
     # ---------------- the two sums of apply
 
+    def _box_convolve(self, u: np.ndarray) -> np.ndarray:
+        """sum_j k(x_i - x_j) u_j, by one FFT convolution on the doubled box (a
+        view into it); leading axes of u stack fields."""
+        g = self.grid
+        box = (Ellipsis,) + (slice(0, g.M),) * g.dim
+        pad = np.zeros(u.shape[:u.ndim - g.dim] + (2 * g.M,) * g.dim,
+                       dtype=complex if np.iscomplexobj(u) else float)
+        pad[box] = u
+        return fourier_multiply(self.kernel_fft, pad)[box]
+
     def _pair_data(self, u: np.ndarray) -> np.ndarray:
         """W u for the pair quadrature; leading axes of u stack fields, all
         served by one pass over the pair weights."""
         g = self.grid
         if self.A is None:
-            box = (Ellipsis,) + (slice(0, g.M),) * g.dim
-            pad = np.zeros(u.shape[:u.ndim - g.dim] + (2 * g.M,) * g.dim,
-                           dtype=complex if np.iscomplexobj(u) else float)
-            pad[box] = u
-            return fourier_multiply(self.kernel_fft, pad)[box]
+            return self._box_convolve(u)
         flat = u.reshape(-1, g.size).T
         conj = flat.conj()
         Wu = np.empty(flat.shape, dtype=complex)

@@ -152,7 +152,7 @@ def phase_gauge(u: Field) -> Field:
     val = u.values[idx]
     if np.abs(val) == 0:
         return u
-    if not u.is_complex:
+    if not np.iscomplexobj(u.values):
         return u if val > 0 else Field(-u.values, u.grid)
     return Field(u.values * (np.abs(val) / val), u.grid)
 
@@ -413,12 +413,11 @@ def sweep_epsilon(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     prev_field: Field | None = None
     prev_eps: float | None = None
     for eps in eps_list:
-        cfg_e = cfg.with_eps(eps)
         initial = None
         if prev_field is not None:
             initial = rescale_field(prev_field, eps / prev_eps)
         try:
-            u, rep = solve_penalized(cfg_e, pot, grid, opts, initial=initial)
+            u, rep = solve_penalized(replace(cfg, eps=eps), pot, grid, opts, initial=initial)
             reports.append(rep)
             prev_field, prev_eps = u, eps
             if on_solution is not None:

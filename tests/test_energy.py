@@ -1,13 +1,16 @@
-import importlib
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import choquard.diagnostics as diagnostics_mod
+import choquard.energy as energy_mod
+import choquard.operators as operators_mod
+import choquard.sampling as sampling_mod
 from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
                       QuadratureOperator, SpectralOperator, build_limit_context,
-                      build_penalized_context, clipped_quadratic_V, energy,
+                      build_penalized_context, clipped_quadratic_V, energy_terms,
                       energy_value, gradient, mpg_shell_radius, nehari_project,
                       sine_A, zero_A)
 from choquard.nonlinearity import PenalizationParams
@@ -18,14 +21,14 @@ from conftest import central_diff_energy
 
 def test_zero_field_all_pieces_zero(plain_ctx):
     ctx, _, _ = plain_ctx
-    rep = energy(Field(np.zeros(ctx.grid.shape), ctx.grid), ctx)
+    rep = energy_terms(Field(np.zeros(ctx.grid.shape), ctx.grid), ctx)
     assert rep.seminorm_sq == rep.potential_sq == rep.hartree == rep.J == 0.0
     assert rep.nehari_residual == 0.0
 
 
 def test_energy_identity_decomposition(magnetic_ctx):
     ctx, _, u0 = magnetic_ctx
-    rep = energy(u0, ctx)
+    rep = energy_terms(u0, ctx)
     assert rep.J == pytest.approx(
         0.5 * (rep.seminorm_sq + rep.potential_sq) - 0.25 * rep.hartree, rel=1e-14)
     assert rep.hartree >= 0.0
@@ -37,7 +40,7 @@ def test_hartree_term_nonnegative_on_random_fields(magnetic_ctx):
     rng = np.random.default_rng(31)
     for _ in range(10):
         u = band_limited_field(ctx.grid, rng, complex_valued=True)
-        assert energy(u, ctx).hartree >= 0.0
+        assert energy_terms(u, ctx).hartree >= 0.0
 
 
 def test_penalized_equals_limit_when_region_covers(allcover_pot):
@@ -111,6 +114,26 @@ def test_small_shell_positivity(plain_ctx):
         assert energy_value(u, ctx) > 0.0
 
 
+def test_mpg_one_convolution_per_group_and_ray_parameter(plain_ctx, monkeypatch):
+    # the 12 shell samples of a 128-point grid form one group, so the 15 ray
+    # parameters take 15 stacked convolutions (180 one field at a time), and
+    # C matches the estimate built one field a group
+    ctx, _, _ = plain_ctx
+    convolve, shapes = diagnostics_mod.riesz_convolve, []
+
+    def counted(h, cache):
+        shapes.append(h.shape)
+        return convolve(h, cache)
+    monkeypatch.setattr(diagnostics_mod, "riesz_convolve", counted)
+    per_group = energy_mod.SAMPLE_GROUP_BYTES // (16 * ctx.grid.size)
+    assert per_group >= 12
+    rho, C = mpg_shell_radius(ctx, n_samples=12, seed=5)
+    assert shapes == [(12,) + ctx.grid.shape] * 15
+    monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 16 * ctx.grid.size)
+    assert mpg_shell_radius(ctx, n_samples=12, seed=5) == pytest.approx((rho, C), rel=1e-12)
+    assert len(shapes) == 15 + 12 * 15
+
+
 @pytest.mark.parametrize("A, op_type", [(zero_A(1), SpectralOperator),
                                         (sine_A(0.5, 4.0, 1), QuadratureOperator)],
                          ids=["zero", "sine"])
@@ -132,14 +155,13 @@ def test_grouped_shell_samples_match_one_at_a_time(request, monkeypatch):
     # the spectral backend the samples and C0 are bit-identical to building
     # them one at a time; the quadrature's stacked pair pass (a matrix-matrix
     # product) rounds its norms differently, within the 1e-12 bar
-    energy_mod = importlib.import_module("choquard.energy")  # not the function
     shell = 5.0
     for which, tol in [("plain_ctx", 0.0), ("magnetic_ctx", 1e-12)]:
         ctx, _, _ = request.getfixturevalue(which)
         runs = []
         for per_group in (1, 3, 50):
             monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", per_group * 16 * ctx.grid.size)
-            samples = np.array([f.values for f in energy_mod.shell_samples(ctx, shell, 50, seed=4)])
+            samples = np.concatenate(list(energy_mod.shell_samples(ctx, shell, 50, seed=4)))
             runs.append((samples, energy_mod.calibrate_penalization(ctx, seed=4).C0))
         samples, C0 = runs[0]
         assert samples.shape == (50,) + ctx.grid.shape
@@ -180,7 +202,6 @@ def _paper1d_ctx():
 def test_calibration_draws_in_three_generator_calls(monkeypatch):
     # paper1d's grid: the 50 samples' modes take one `integers` and two
     # `normal` calls, and the 1024-point fields are built in groups of 8
-    energy_mod = importlib.import_module("choquard.energy")  # not the function
     ctx = _paper1d_ctx()
     calls, builds = Counter(), []
     default_rng = np.random.default_rng
@@ -202,19 +223,18 @@ def test_zero_draw_is_skipped_without_warning(monkeypatch):
     # sample 17 draws twelve zero coefficients: its field is zero, so it is
     # skipped, with no division by its zero norm, and C0 is the supremum over
     # the other 49, which are the draws of the unstubbed generator
-    energy_mod = importlib.import_module("choquard.energy")  # not the function
     ctx = _paper1d_ctx()
     ref = energy_mod.calibrate_penalization(ctx, seed=7)
     shell = 4.0 * (ref.pen.kappa + 1.0)
     base = replace(ctx, pen=None)
-    full = [u.values for u in energy_mod.shell_samples(base, shell, 50, seed=7)]
+    full = [v for U in energy_mod.shell_samples(base, shell, 50, seed=7) for v in U]
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: _CountingGenerator(default_rng(seed), Counter(), zero_row=17))
     # every floating-point error raises but underflow (the bump's Gaussian tail)
     with np.errstate(all="raise", under="ignore"):
         cal = energy_mod.calibrate_penalization(ctx, seed=7)
-        kept = [u.values for u in energy_mod.shell_samples(base, shell, 50, seed=7)]
+        kept = [v for U in energy_mod.shell_samples(base, shell, 50, seed=7) for v in U]
     assert (cal.samples_used, cal.samples_skipped) == (49, 1)
     assert all(np.array_equal(a, b) for a, b in zip(kept, full[:17] + full[18:]))
     sups = [float(np.max(np.abs(base.hartree_potential(np.abs(v) ** 2)))) for v in kept]
@@ -226,13 +246,13 @@ def test_stacked_hartree_sup_matches_one_at_a_time(request, which, monkeypatch):
     # groups of four samples, each group convolved in one stacked call: C0
     # and the samples used are those of convolving the samples one at a time;
     # the largest sample is not the first of its group
-    energy_mod = importlib.import_module("choquard.energy")  # not the function
     ctx, _, _ = request.getfixturevalue(which)
     monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 4 * 16 * ctx.grid.size)
     cal = energy_mod.calibrate_penalization(ctx, n_samples=8, seed=3)
     base = replace(ctx, pen=None)
-    sups = [float(np.max(np.abs(base.hartree_potential(np.abs(u.values) ** 2))))
-            for u in energy_mod.shell_samples(base, 4.0 * (cal.pen.kappa + 1.0), 8, seed=3)]
+    sups = [float(np.max(np.abs(base.hartree_potential(np.abs(v) ** 2))))
+            for U in energy_mod.shell_samples(base, 4.0 * (cal.pen.kappa + 1.0), 8, seed=3)
+            for v in U]
     assert cal.C0 == max(sups) and int(np.argmax(sups)) % 4 != 0
     assert cal.samples_used == len(sups) == 8
 
@@ -242,9 +262,6 @@ def test_calibration_transform_count_3d_spectral(monkeypatch):
     # inverse transform batched over the last axis, one forward transform for
     # its norm (Parseval) and the two of its Riesz convolution; the kappa
     # projection of the bump takes one for its norm and two for its convolution
-    operators_mod = importlib.import_module("choquard.operators")
-    sampling_mod = importlib.import_module("choquard.sampling")
-    energy_mod = importlib.import_module("choquard.energy")
     grid = GridSpec(L=12.0, M=32, dim=3)
     cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=zero_A(3),

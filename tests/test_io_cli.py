@@ -1,11 +1,15 @@
 import json
 import hashlib
 import struct
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import choquard
+import choquard.cli as cli
 from choquard import (ConfigError, Field, GridSpec, QuadratureOperator, load_field,
                       parse_config, save_field, sine_A)
 from choquard.cli import main
@@ -44,6 +48,18 @@ def test_field_roundtrip_bitwise(tmp_path):
     assert np.array_equal(back.values, u.values)  # bitwise identity
     assert meta["dims"] == [32, 32]
     assert back.grid == grid
+
+
+def test_save_field_returns_the_names_it_wrote(tmp_path):
+    grid = GridSpec(L=8.0, M=16, dim=1)
+    names = save_field(tmp_path / "u.f64", Field(np.ones(16), grid), s=0.5, mu=0.4, eps=1.0)
+    assert names == ["u.f64", "u.f64.meta.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_version_is_the_project_version():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert choquard.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
 
 
 def test_field_roundtrip_keeps_signed_zeros(tmp_path):
@@ -423,7 +439,55 @@ def test_cli_sweep_subcommand(tmp_path):
     assert all(r["converged"] for r in summary["reports"])
     assert (out / "u_eps_0.25.f64").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "sweep.json" in manifest["artifacts"]
+    assert manifest["artifacts"] == [
+        "config.json", "sweep.json", "u_eps_0.25.f64", "u_eps_0.25.f64.meta.json",
+        "u_eps_0.5.f64", "u_eps_0.5.f64.meta.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        manifest["artifacts"] + ["manifest.json"])
+    assert manifest["tool_version"] == choquard.__version__
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("verb", ["solve", "limit"])
+def test_cli_config_that_is_a_directory_exits_1(tmp_path, capsys, verb):
+    assert main([verb, "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    assert _one_line_error(capsys).startswith("file error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_export_below_a_file_exits_1(tmp_path, capsys):
+    grid = GridSpec(L=8.0, M=16, dim=1)
+    path = tmp_path / "u.f64"
+    save_field(path, Field(np.ones(16), grid), s=0.5, mu=0.4, eps=1.0)
+    out = tmp_path / "u.f64" / "u.csv"
+    assert main(["export", "--field", str(path), "--out", str(out)]) == 1
+    assert _one_line_error(capsys).startswith("file error: ")
+
+
+@pytest.mark.parametrize("verb", ["solve", "limit", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_cli_out_that_is_a_file_is_refused_before_solving(tmp_path, capsys, monkeypatch,
+                                                          verb, below):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+    for name in ("solve_penalized", "solve_limit", "sweep_epsilon"):
+        monkeypatch.setattr(cli, name, no_solve)
+    cfg = write_config(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("x")
+    out = blocker / "run" if below else blocker
+    argv = [verb, "--config", str(cfg), "--out", str(out)]
+    if verb == "sweep":
+        argv += ["--eps-list", "0.5,0.25"]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    assert _one_line_error(capsys).startswith("file error: ")
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
 
 
 @pytest.mark.parametrize("flag, value", [("--grid", "97"), ("--tol", "0")])

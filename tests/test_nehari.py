@@ -1,9 +1,8 @@
-import importlib
-
 import numpy as np
 import pytest
 
-from choquard import (Field, NehariError, energy, energy_value, gradient,
+import choquard.energy as energy_mod
+from choquard import (Field, NehariError, energy_terms, energy_value, gradient,
                       nehari_project, nehari_residual, riesz_convolve)
 from choquard.sampling import band_limited_field, bump_in_region
 
@@ -68,7 +67,6 @@ def test_no_nehari_point_on_degenerate_ray(plain_ctx):
 
 
 def count_convolutions(monkeypatch):
-    energy_mod = importlib.import_module("choquard.energy")  # not the function
     calls = []
     convolve = energy_mod.riesz_convolve
 
@@ -160,7 +158,7 @@ def test_projection_returns_hartree_potential_of_projected_point(request, which,
     w = Field(ray.t * u.values, ctx.grid)
     K = ctx.hartree_potential(np.abs(w.values) ** 2)
     assert np.max(np.abs(ray.K - K)) <= 1e-12 * np.max(np.abs(K))
-    full, reused = energy(w, ctx), energy(w, ctx, K=ray.K)
+    full, reused = energy_terms(w, ctx), energy_terms(w, ctx, K=ray.K)
     n2 = full.seminorm_sq + full.potential_sq
     assert reused.hartree == pytest.approx(full.hartree, rel=1e-12)
     assert reused.J == pytest.approx(full.J, rel=1e-12)

@@ -249,6 +249,28 @@ def test_pair_blocks_match_literal_weights(grid, monkeypatch):
         assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("grid", [GridSpec(L=4.0, M=16, dim=1),
+                                  GridSpec(L=5.0, M=12, dim=2)], ids=["1d", "2d"])
+def test_kernel_evaluated_once_per_operator(grid, monkeypatch):
+    # one evaluation on offsets -M..M-1 serves the spectrum of the doubled box
+    # and the magnetic pair table on -(M-1)..M-1
+    free_kernel, calls = operators._free_kernel, []
+
+    def counted(*args):
+        calls.append(1)
+        return free_kernel(*args)
+    monkeypatch.setattr(operators, "_free_kernel", counted)
+    for A in (None, sine_A(0.5, 4.0, grid.dim)):
+        calls.clear()
+        op = QuadratureOperator(grid, 0.6, A)
+        assert len(calls) == 1
+    M = grid.M
+    table = free_kernel(grid, 0.6, op.cutoff, np.arange(-(M - 1), M)).reshape(-1)
+    assert np.array_equal(op.ktab, table)
+    doubled = free_kernel(grid, 0.6, op.cutoff, np.fft.ifftshift(np.arange(-M, M)))
+    assert np.array_equal(op.kernel_fft, operators.even_spectrum(doubled))
+
+
 def test_stored_pair_blocks_are_cut_at_the_cutoff():
     # the benchmark's magnetic2d grid: the columns past the kernel cutoff are
     # not stored, so the blocks hold well under the Hermitian upper triangle

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import choquard.energy as energy_mod
 from choquard import (BallRegion, ConfigError, Field, GridSpec, PotentialSpec,
                       ProblemConfig, SolverError, SolverOptions, build_limit_context,
                       clipped_quadratic_V, constant_A, constant_V, energy_value,
@@ -356,9 +357,7 @@ def test_descent_one_convolution_per_trial(plain_ctx, magnetic_ctx, monkeypatch,
     # and to the next gradient, so a descent whose projections all take the
     # closed form (the limit problem has no truncation; the magnetic descent
     # never reaches it) convolves once per trial and once for the start
-    import importlib
     from choquard.solver import minimize_on_nehari
-    energy_mod = importlib.import_module("choquard.energy")  # not the function
     if which == "limit":
         ctx, _, u0 = plain_ctx
         ctx = build_limit_context(ctx.cfg, ctx.grid)
@@ -379,6 +378,27 @@ def test_descent_one_convolution_per_trial(plain_ctx, magnetic_ctx, monkeypatch,
     run = minimize_on_nehari(ctx, u0, SolverOptions(grad_tol=1e-6, seed=0))
     assert run.iterations > 3 and roots == []
     assert len(convolutions) == sum(b + 1 for _, _, b, _, _ in run.steps) + 1
+
+
+@pytest.mark.parametrize("verb", ["penalized", "limit"])
+def test_spectral_solve_builds_one_operator(plain_ctx, monkeypatch, verb):
+    # the preconditioner reads |xi|^2s from the grid, so the context's
+    # operator is the only SpectralOperator a spectral solve builds
+    from choquard import SpectralOperator
+    build, built = SpectralOperator.__post_init__, []
+
+    def counted(self):
+        built.append(self.grid)
+        build(self)
+    monkeypatch.setattr(SpectralOperator, "__post_init__", counted)
+    ctx, pot, _ = plain_ctx
+    opts = SolverOptions(grad_tol=1e-6, seed=0)
+    if verb == "penalized":
+        _, rep = solve_penalized(ctx.cfg, pot, ctx.grid, opts)
+    else:
+        _, rep = solve_limit(ctx.cfg, ctx.grid, opts)
+    assert rep.converged and rep.backend == "spectral"
+    assert built == [ctx.grid]
 
 
 def test_midpoint_backtracks_keep_the_image_of_the_iterate(magnetic_ctx, monkeypatch):
