@@ -13,13 +13,12 @@ from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
                      calibrate_penalization, energy_terms, energy_value, gradient,
                      nehari_project, nehari_residual)
 from .grids import Field, GridSpec
-from .io import (ParsedConfig, RunManifest, load_field, parse_config,
-                 report_to_dict, save_field)
+from .io import ParsedConfig, load_field, parse_config, report_to_dict, save_field
 from .nonlinearity import PenalizationParams, PowerNonlinearity, G_eval, g_eval
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
                         build_hartree_cache, frac_lap_constant, near_zone_weight,
                         quadratic_form, riesz_convolve, sphere_area)
 from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
-                         constant_V, random_smooth_A, sine_A, zero_A)
+                         constant_V, random_smooth_A, sine_A)
 from .solver import (SolveReport, SolverError, SolverOptions, phase_gauge,
                      rescale_field, solve_limit, solve_penalized, sweep_epsilon)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ConfigError, pair_storage_refusal
 from .diagnostics import _tail_radii, check_decay, check_diamagnetic
-from .io import (ParsedConfig, load_field, parse_config, report_to_dict,
+from .io import (ParsedConfig, decode_json, load_field, parse_config, report_to_dict,
                  sanitize_json, save_field, write_report, write_run, _atomic_write_bytes,
                  _atomic_write_json)
 from .solver import (SolveReport, SolverError, phase_gauge, solve_limit,
@@ -30,10 +30,7 @@ def _load_parsed(args) -> ParsedConfig:
     is not a JSON object and an --eps-list that is not numbers are
     ConfigErrors; an override into a section that is not an object is left
     for `parse_config` to reject."""
-    try:
-        doc = json.loads(Path(args.config).read_bytes())
-    except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = decode_json(Path(args.config).read_bytes(), "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     overrides = [("grid", "M", args.grid), ("solver", "grad_tol", args.tol),

@@ -77,15 +77,19 @@ class ValidationReport:
         return self
 
 
-def boundary_mask(inside: np.ndarray) -> np.ndarray:
-    """Sampled boundary of the open region: cells outside the predicate whose
-    axis neighbors straddle it."""
-    out = np.zeros_like(inside)
-    for a in range(inside.ndim):
-        nb_f = np.roll(inside, -1, axis=a)
-        nb_b = np.roll(inside, 1, axis=a)
-        out |= ~inside & (nb_f | nb_b)
-    return out
+def sampled_well(pot: PotentialSpec, eps: float, grid: GridSpec):
+    """V(eps x) on the grid, the mask of the blown-up region Lambda/eps, and
+    the least V on the mask's sampled boundary (None when the grid resolves
+    no boundary), which the well condition of hypothesis (V2) asks to exceed
+    the least V inside. The sampled boundary is the cells outside the region
+    with an axis neighbour inside it."""
+    pts = eps * grid.mesh()
+    vvals = np.asarray(pot.V(pts))
+    inside = pot.region.contains(pts)
+    bnd = np.zeros_like(inside)
+    for a in range(grid.dim):
+        bnd |= ~inside & (np.roll(inside, -1, axis=a) | np.roll(inside, 1, axis=a))
+    return vvals, inside, float(np.min(vvals[bnd])) if bnd.any() else None
 
 
 def pair_storage_refusal(A, grid: GridSpec) -> str | None:
@@ -126,7 +130,7 @@ def check_problem(cfg: ProblemConfig, grid: GridSpec) -> ValidationReport:
         bad.append("grid dimension does not match problem dimension")
 
     # HLS enters here only: this q range gives 2 < tq < 2*_s with t = 2N/(2N - mu)
-    if cfg.q <= 2.0:
+    if not cfg.q > 2.0:
         bad.append("q must exceed 2")
     elif cfg.dim > 2 * cfg.s:
         if cfg.q >= cfg.q_upper_bound:
@@ -148,27 +152,20 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
         bad.append(refusal)
 
     # potential floor and well structure on the rescaled grid
-    pts = grid.points()
-    vvals = np.asarray(pot.V(cfg.eps * pts))
+    vvals, inside, v_bnd = sampled_well(pot, cfg.eps, grid)
     if np.min(vvals) < cfg.V0 - 1e-12 * max(1.0, abs(cfg.V0)):
         bad.append("V falls below the stated floor V0 on the grid")
 
-    inside = pot.region.contains(cfg.eps * pts).reshape(grid.shape)
     if not inside.any():
         bad.append("penalization region contains no grid point")
     else:
         if not bool(pot.region.contains(np.zeros((1, grid.dim)))[0]):
             bad.append("penalization region must contain the origin")
-        bnd = boundary_mask(inside).reshape(-1)
-        vgrid = vvals.reshape(-1)
-        v_in = float(np.min(vgrid[inside.reshape(-1)]))
-        if bnd.any():
-            v_bnd = float(np.min(vgrid[bnd]))
-            if not v_bnd > v_in:
-                bad.append("V must attain a strictly lower minimum inside the region "
-                           "than on its sampled boundary")
-        else:
+        if v_bnd is None:
             bad.append("penalization region boundary is not resolved by the grid")
+        elif not v_bnd > float(np.min(vvals[inside])):
+            bad.append("V must attain a strictly lower minimum inside the region "
+                       "than on its sampled boundary")
 
     if region_leaves_domain(cfg, grid, pot):
         bad.append(REGION_LEAVES_DOMAIN)

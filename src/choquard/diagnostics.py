@@ -9,8 +9,9 @@ from itertools import product
 
 import numpy as np
 
-from .config import ProblemConfig, PotentialSpec, boundary_mask
-from .energy import EnergyContext, root_decreasing, sampled_hartree_sup, shell_samples
+from .config import ProblemConfig, PotentialSpec, sampled_well
+from .energy import (EnergyContext, root_decreasing, sampled_hartree_sup, shell_of_B,
+                     shell_samples)
 from .grids import Field, GridSpec
 from .operators import QuadratureOperator, riesz_convolve
 
@@ -151,7 +152,7 @@ def check_hartree_bound(ctx: EnergyContext, *, n_samples: int = 50,
     pen = ctx.pen
     if pen is None or pen.kappa is None:
         raise ValueError("check_hartree_bound needs a calibrated context")
-    shell = 4.0 * (pen.kappa + 1.0)
+    shell = shell_of_B(pen.kappa)
     sup, used = sampled_hartree_sup(ctx, shell, n_samples, seed)
     ratio = sup / pen.ell0
     return CheckResult("hartree_bound", ratio < 0.5, ratio, 0.5, 0.0,
@@ -209,11 +210,8 @@ def check_concentration(reports, pot: PotentialSpec, cfg: ProblemConfig,
     monotone = all(b <= a + CONCENTRATION_STEP_SLACK for a, b in zip(gaps, gaps[1:]))
 
     smallest = good[-1]
-    pts = grid.points()
-    inside = pot.region.contains(smallest.eps * pts).reshape(grid.shape)
-    bnd = boundary_mask(inside)
-    vvals = np.asarray(pot.V(smallest.eps * pts)).reshape(grid.shape)
-    barrier = float(np.min(vvals[bnd])) - cfg.V0 if bnd.any() else float("nan")
+    v_bnd = sampled_well(pot, smallest.eps, grid)[2]
+    barrier = v_bnd - cfg.V0 if v_bnd is not None else float("nan")
     final_gap = gaps[-1]
     gap_ok = final_gap < CONCENTRATION_GAP_FACTOR * barrier
     x_in = bool(pot.region.contains(

@@ -63,6 +63,9 @@ class EnergyContext:
         return self.seminorm_sq(u, Lu) + self.potential_sq(u)
 
     def precond_multiplier(self) -> np.ndarray:
+        """The descent's preconditioner P = 1/(1 + |xi|^(2s) + V0), a Fourier
+        multiplier. The 1 has been there since the first version of the
+        solver, and no reason for it was recorded."""
         return 1.0 / (1.0 + self.grid.wavenumber_mesh_sq() ** self.cfg.s + self.cfg.V0)
 
     def a0_plane_wave(self, vals: np.ndarray) -> np.ndarray:
@@ -294,11 +297,17 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
 SAMPLE_GROUP_BYTES = 1 << 17
 
 
+def shell_of_B(kappa: float) -> float:
+    """The extreme shell ||u||_eps^2 = 4(kappa + 1) of the bounded set B of the
+    penalization, for the mountain-pass cap kappa."""
+    return 4.0 * (kappa + 1.0)
+
+
 def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
-    """Random band-limited fields projected to ||u||_eps^2 = shell (the extreme
-    shell of the bounded set B), yielded in stacked groups of shape
-    (fields,) + grid shape; zero-norm draws are skipped. Complex draws when
-    the operator is magnetic.
+    """Random band-limited fields projected to ||u||_eps^2 = shell (at
+    `shell_of_B`, the extreme shell of the bounded set B), yielded in stacked
+    groups of shape (fields,) + grid shape; zero-norm draws are skipped.
+    Complex draws when the operator is magnetic.
 
     The modes of all n fields are drawn at once (`sampling.draw_modes`), so
     neither the fields nor their order depend on the group size."""
@@ -345,7 +354,7 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
     kappa is twice the ray maximum of the energy of the canonical bump
     supported in the blown-up region (where the truncation is inactive, so the
     value does not depend on it); C0 is the sampled supremum of the Hartree
-    sup norm over the shell ||u||^2 = 4(kappa+1), taken with the un-truncated
+    sup norm over the shell of B (`shell_of_B`), taken with the un-truncated
     F; ell0 = 4*C0 keeps the bound ratio at 1/4; the threshold
     a = (V0/ell0)^(2/(q-2)) is closed form.
     """
@@ -353,7 +362,7 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
     u0 = bump_in_region(ctx.grid, ctx.lambda_mask)
     u0 = Field(ctx.a0_plane_wave(u0.values), ctx.grid)
     kappa = 2.0 * nehari_project(u0, base).J
-    C0, used = sampled_hartree_sup(base, 4.0 * (kappa + 1.0), n_samples, seed)
+    C0, used = sampled_hartree_sup(base, shell_of_B(kappa), n_samples, seed)
     if not C0 > 0:
         raise ValueError("calibration drew no nonzero field on the shell of B")
     ell0, V0 = 4.0 * C0, ctx.cfg.V0

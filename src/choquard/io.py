@@ -84,12 +84,9 @@ def load_field(path) -> tuple[Field, dict]:
     if not meta_path.exists():
         raise ConfigError(f"missing field sidecar {meta_path.name}")
     where = f"field sidecar {meta_path.name}"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
-    meta = _take(meta, where, {"dims": lambda v: [_int(n) for n in v], "L": float,
-                               "s": float, "mu": float, "eps": float, "sha256": str},
+    meta = _take(decode_json(meta_path.read_bytes(), where), where,
+                 {"dims": lambda v: [_int(n) for n in v], "L": float, "s": float,
+                  "mu": float, "eps": float, "sha256": str},
                  {"phase_gauge": str})
     if not 0 < meta["s"] < 1:
         raise ConfigError(f"{where}: s must lie in (0, 1)")
@@ -115,6 +112,20 @@ def load_field(path) -> tuple[Field, dict]:
 
 
 # ------------------------------------------------------------- config parse
+
+def _refuse_constant(name: str):
+    raise ConfigError(f"non-finite number {name}")
+
+
+def decode_json(raw: bytes, where: str):
+    """The JSON document in `raw`, read from outside the program; bytes that
+    are not JSON, and the NaN and infinities Python's reader would accept,
+    raise ConfigError."""
+    try:
+        return json.loads(raw, parse_constant=_refuse_constant)
+    except ValueError as exc:  # undecodable bytes, not JSON, or a non-finite number
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+
 
 def _int(value) -> int:
     """An integer: booleans, text and numbers with a fractional part are refused."""
@@ -173,6 +184,8 @@ def _parse_A(doc: dict, dim: int):
     if kind == "sine":
         vals = _take(doc, "potential.A", {"kind": str, "amplitude": float,
                                           "wavelength": float})
+        if not vals["wavelength"] > 0:
+            raise ConfigError("potential.A wavelength must be positive")
         return sine_A(vals["amplitude"], vals["wavelength"], dim)
     raise ConfigError(f"unknown potential.A kind '{kind}'")
 
@@ -213,11 +226,8 @@ def parse_config(source) -> ParsedConfig:
         raw = source
     else:
         raw = json.dumps(source).encode()
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # undecodable bytes, or not JSON
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    top = _take(doc, "config", {"problem": dict, "grid": dict, "potential": dict},
+    top = _take(decode_json(raw, "config"), "config",
+                {"problem": dict, "grid": dict, "potential": dict},
                 {"solver": dict, "sweep": dict})
 
     prob = _take(top["problem"], "problem",
@@ -242,9 +252,7 @@ def parse_config(source) -> ParsedConfig:
     odoc = _take(top.get("solver", {}), "solver", {},
                  {"max_iters": _int, "grad_tol": float, "seed": _int})
     try:
-        opts = SolverOptions(max_iters=odoc.get("max_iters", 2000),
-                             grad_tol=odoc.get("grad_tol", 1e-6),
-                             seed=odoc.get("seed", 0))
+        opts = SolverOptions(**odoc)
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
@@ -291,32 +299,20 @@ def write_report(path, report):
 
 # ----------------------------------------------------------------- manifest
 
-@dataclass(frozen=True)
-class RunManifest:
-    config_hash: str
-    seed: int
-    created_utc: str
-    finished_utc: str
-    artifacts: tuple[str, ...]
-    tool_version: str = __version__
-
-
 def config_hash(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def write_run(out_dir, parsed: ParsedConfig, names: list[str],
-              started: datetime) -> RunManifest:
+def write_run(out_dir, parsed: ParsedConfig, names: list[str], started: datetime):
     """Store the resolved config and the manifest listing it and `names`, the
     files already written under out_dir, for a run begun at `started`."""
     out = Path(out_dir)
     _atomic_write_bytes(out / "config.json", parsed.raw)
-    manifest = RunManifest(
-        config_hash=config_hash(parsed.raw),
-        seed=parsed.opts.seed,
-        created_utc=started.isoformat(),
-        finished_utc=datetime.now(timezone.utc).isoformat(),
-        artifacts=("config.json", *sorted(names)),
-    )
-    _atomic_write_json(out / "manifest.json", dataclasses.asdict(manifest))
-    return manifest
+    _atomic_write_json(out / "manifest.json", {
+        "config_hash": config_hash(parsed.raw),
+        "seed": parsed.opts.seed,
+        "created_utc": started.isoformat(),
+        "finished_utc": datetime.now(timezone.utc).isoformat(),
+        "artifacts": ["config.json", *sorted(names)],
+        "tool_version": __version__,
+    })

@@ -98,6 +98,13 @@ def even_spectrum(k: np.ndarray) -> np.ndarray:
     return np.real(fftn(k.astype(complex)))
 
 
+def offset_radii(offsets: np.ndarray, h: float, N: int) -> np.ndarray:
+    """|h d| on the N-dimensional mesh of integer displacements d with
+    components in `offsets`."""
+    axes = np.meshgrid(*([offsets * h] * N), indexing="ij")
+    return np.sqrt(sum(a ** 2 for a in axes))
+
+
 def near_zone_weight(N: int, s: float, h: float, r0: int) -> float:
     """Second-moment discrepancy of the kernel over the near ball |z| <= (r0+1/2)h.
 
@@ -107,9 +114,7 @@ def near_zone_weight(N: int, s: float, h: float, r0: int) -> float:
     """
     R0 = (r0 + 0.5) * h
     w_int = sphere_area(N) * R0 ** (2 - 2 * s) / (2 - 2 * s)
-    rng = np.arange(-r0 - 1, r0 + 2)
-    Z = np.stack(np.meshgrid(*([rng * h] * N), indexing="ij"), axis=-1).reshape(-1, N)
-    rr = np.linalg.norm(Z, axis=-1)
+    rr = offset_radii(np.arange(-r0 - 1, r0 + 2), h, N)
     mask = (rr > 0) & (rr <= R0)
     w_sum = float(np.sum(rr[mask] ** (2 - N - 2 * s))) * h ** N
     return w_int - w_sum
@@ -118,8 +123,7 @@ def near_zone_weight(N: int, s: float, h: float, r0: int) -> float:
 def _free_kernel(grid: GridSpec, s: float, cutoff: float, offsets: np.ndarray) -> np.ndarray:
     """k(h d) = |h d|^(-N-2s) on the mesh of integer displacements d with
     components in `offsets`; zero at d = 0 and beyond the cutoff."""
-    axes = np.meshgrid(*([offsets * grid.h] * grid.dim), indexing="ij")
-    rr = np.sqrt(sum(a ** 2 for a in axes))
+    rr = offset_radii(offsets, grid.h, grid.dim)
     k = np.zeros_like(rr)
     mask = (rr > 0) & (rr <= cutoff)
     k[mask] = rr[mask] ** (-grid.dim - 2 * s)
@@ -328,9 +332,7 @@ def build_hartree_cache(grid: GridSpec, mu: float) -> HartreeCache:
     if not (0.0 < mu < grid.dim):
         raise ValueError("kernel not locally integrable: mu must lie in (0, N)")
     M, h, N = grid.M, grid.h, grid.dim
-    zi = ((np.arange(M) + M // 2) % M) - M // 2
-    axes = np.meshgrid(*([zi * h] * N), indexing="ij")
-    rr = np.sqrt(sum(a ** 2 for a in axes))
+    rr = offset_radii(((np.arange(M) + M // 2) % M) - M // 2, h, N)
     k = np.zeros(grid.shape)
     nz = rr > 0
     k[nz] = rr[nz] ** (-mu)

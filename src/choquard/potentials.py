@@ -62,12 +62,6 @@ def clipped_quadratic_V(V0: float, coeff: float = 1.0, cap: float = 4.0):
 
 # ---------------------------------------------------------------- magnetic A
 
-def zero_A(dim: int):
-    def A(points):
-        return np.zeros(np.asarray(points).shape[:-1] + (dim,))
-    return A
-
-
 def constant_A(vec):
     v = np.asarray(vec, dtype=float)
 

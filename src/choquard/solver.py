@@ -53,8 +53,8 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.max_iters < 1:
@@ -85,7 +85,7 @@ class SolveReport:
     # sup |u| outside the region over min(a, sqrt(a)); the solve is a valid
     # penalization exactly when it is below 1 (None without a penalization)
     penalization_margin: float | None = None
-    # calibration inputs; None when the penalization was given, not calibrated
+    # calibration inputs; None for the limit problem
     C0: float | None = None
     calibration_samples_used: int | None = None
     calibration_samples_skipped: int | None = None
@@ -124,8 +124,8 @@ class SolveReport:
 
 
 # the phases of a solve timed in `SolveReport.timings`: building the energy
-# context, calibrating the penalization (0 for the limit problem and a given
-# one), the descent from the start (built here) and the finishing report
+# context, calibrating the penalization (0 for the limit problem), the descent
+# from the start (built here) and the finishing report
 PHASES = ("context_s", "calibrate_s", "descent_s", "finish_s")
 
 
@@ -327,10 +327,11 @@ def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
 
 def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
                     opts: SolverOptions | None = None, *,
-                    pen=None, initial: Field | None = None,
+                    initial: Field | None = None,
                     validate: bool = True) -> tuple[Field, SolveReport]:
-    """Ground state of the penalized rescaled problem at cfg.eps; ConfigError,
-    one violation per line, when `validate_config` refuses the problem.
+    """Ground state of the penalized rescaled problem at cfg.eps, with the
+    penalization calibrated for it; ConfigError, one violation per line, when
+    `validate_config` refuses the problem.
 
     `validate=False` skips the admissibility gate for deliberately degenerate
     diagnostic configurations (e.g. constant V, where the well condition
@@ -342,14 +343,11 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     marks = [perf_counter()]
     ctx = build_penalized_context(cfg, pot, grid)
     marks.append(perf_counter())
-    cal = None
-    if pen is None:
-        try:
-            cal = calibrate_penalization(ctx, seed=opts.seed)
-        except NehariError as exc:
-            raise SolverError(f"calibration: {exc}") from None
-        pen = cal.pen
-    ctx = replace(ctx, pen=pen)
+    try:
+        cal = calibrate_penalization(ctx, seed=opts.seed)
+    except NehariError as exc:
+        raise SolverError(f"calibration: {exc}") from None
+    ctx = replace(ctx, pen=cal.pen)
     marks.append(perf_counter())
     start = initial if initial is not None else _default_start(ctx, opts)
     return _descend(ctx, start, opts, marks, report.warnings, cal)

@@ -5,13 +5,15 @@ criterion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
-                      QuadratureOperator, SolverOptions, build_hartree_cache,
-                      check_concentration, check_diamagnetic, check_hartree_bound,
-                      clipped_quadratic_V, energy_value, gradient, load_field,
+from choquard import (BallRegion, Field, GridSpec, PenalizationParams, PotentialSpec,
+                      ProblemConfig, QuadratureOperator, SolverOptions,
+                      build_hartree_cache, check_concentration, check_diamagnetic,
+                      check_hartree_bound, clipped_quadratic_V, energy_value, gradient,
+                      load_field,
                       mpg_shell_radius, nehari_project, parse_config, random_smooth_A,
                       riesz_convolve, save_field, solve_limit, solve_penalized,
                       sweep_epsilon)
@@ -157,11 +159,13 @@ def test_criterion_07_mountain_pass_geometry(plain_ctx):
     ray = [energy_value(Field(t * u0.values, ctx.grid), ctx)
            for t in (1, 2, 4, 8, 16, 32, 64)]
     assert min(ray) < 0.0
-    # converged solution sits at the unique ray maximum
+    # converged solution sits at the unique ray maximum of its own energy
     u_star, rep = solve_penalized(ctx.cfg, pot, ctx.grid,
-                                  SolverOptions(grad_tol=1e-7, seed=73), pen=ctx.pen)
+                                  SolverOptions(grad_tol=1e-7, seed=73))
+    pen = PenalizationParams(rep.ell0, rep.a, ctx.cfg.V0, rep.kappa)
+    ctx_star = replace(ctx, pen=pen)
     ts = np.logspace(-0.9, 0.9, 64)
-    J = [energy_value(Field(t * u_star.values, ctx.grid), ctx) for t in ts]
+    J = [energy_value(Field(t * u_star.values, ctx.grid), ctx_star) for t in ts]
     d = np.diff(J)
     k = int(np.nonzero(d < 0)[0][0])
     assert np.all(d[:k] > 0) and np.all(d[k:] < 0)

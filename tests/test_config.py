@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choquard import (BallRegion, BoxRegion, ConfigError, GridSpec, PotentialSpec,
-                      ProblemConfig, clipped_quadratic_V, constant_V,
+                      ProblemConfig, check_problem, clipped_quadratic_V, constant_V,
                       region_mask, validate_config)
 
 
@@ -34,6 +34,34 @@ def test_constant_potential_violates_well_structure():
     grid = GridSpec(L=8.0, M=64, dim=1)
     rep = validate_config(cfg, make_pot(1, V=constant_V(1.0)), grid)
     assert any("strictly lower minimum" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("change, dim, violation", [
+    ({"s": 1.2}, 1, "s must lie in (0, 1)"),
+    ({"eps": 0.0}, 1, "eps must be positive"),
+    ({"eps": float("nan")}, 1, "eps must be positive"),
+    ({"V0": 0.0}, 1, "V0 must be positive"),
+    ({}, 2, "grid dimension does not match problem dimension"),
+    ({"q": 2.0}, 1, "q must exceed 2"),
+    ({"q": float("nan")}, 1, "q must exceed 2"),
+], ids=["s_above_1", "eps_zero", "eps_nan", "V0_zero", "grid_dim", "q_2", "q_nan"])
+def test_check_problem_names_each_scalar_violation(change, dim, violation):
+    cfg = ProblemConfig(**{"dim": 1, "s": 0.6, "mu": 0.5, "q": 3.0, "eps": 0.5,
+                           "V0": 1.0, **change})
+    rep = check_problem(cfg, GridSpec(L=8.0, M=64, dim=dim))
+    assert rep.violations == (violation,)
+
+
+@pytest.mark.parametrize("pot, violation", [
+    (make_pot(1, V=clipped_quadratic_V(0.5)),
+     "V falls below the stated floor V0 on the grid"),
+    (PotentialSpec(V=clipped_quadratic_V(1.0), A=None, region=BallRegion((0.05,), 0.01)),
+     "penalization region contains no grid point"),
+], ids=["V_below_floor", "empty_region"])
+def test_validate_config_names_each_potential_violation(pot, violation):
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    rep = validate_config(cfg, pot, GridSpec(L=8.0, M=64, dim=1))
+    assert rep.violations == (violation,)
 
 
 def test_desk_scale_warning_flags():

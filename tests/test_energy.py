@@ -10,9 +10,9 @@ import choquard.operators as operators_mod
 import choquard.sampling as sampling_mod
 from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
                       QuadratureOperator, SpectralOperator, build_limit_context,
-                      build_penalized_context, clipped_quadratic_V, energy_terms,
-                      energy_value, gradient, mpg_shell_radius, nehari_project,
-                      sine_A, zero_A)
+                      build_penalized_context, clipped_quadratic_V, constant_A,
+                      energy_terms, energy_value, gradient, mpg_shell_radius,
+                      nehari_project, sine_A)
 from choquard.nonlinearity import PenalizationParams
 from choquard.sampling import band_limited_field
 
@@ -134,7 +134,7 @@ def test_mpg_one_convolution_per_group_and_ray_parameter(plain_ctx, monkeypatch)
     assert len(shapes) == 15 + 12 * 15
 
 
-@pytest.mark.parametrize("A, op_type", [(zero_A(1), SpectralOperator),
+@pytest.mark.parametrize("A, op_type", [(constant_A([0.0]), SpectralOperator),
                                         (sine_A(0.5, 4.0, 1), QuadratureOperator)],
                          ids=["zero", "sine"])
 def test_context_holds_one_operator_built_once(A, op_type):
@@ -194,8 +194,8 @@ class _CountingGenerator:
 def _paper1d_ctx():
     grid = GridSpec(L=64.0, M=1024, dim=1)
     cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=0.5, V0=1.0)
-    pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0), A=zero_A(1),
-                        region=BallRegion((0.0,), 1.0))
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
+                        A=constant_A([0.0]), region=BallRegion((0.0,), 1.0))
     return build_penalized_context(cfg, pot, grid)
 
 
@@ -264,7 +264,7 @@ def test_calibration_transform_count_3d_spectral(monkeypatch):
     # projection of the bump takes one for its norm and two for its convolution
     grid = GridSpec(L=12.0, M=32, dim=3)
     cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)
-    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=zero_A(3),
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=constant_A([0.0] * 3),
                         region=BallRegion((0.0,) * 3, 1.0))
     ctx = build_penalized_context(cfg, pot, grid)
     assert type(ctx.op) is SpectralOperator

@@ -118,6 +118,32 @@ def test_field_dims_disagree(tmp_path):
         load_field(path)
 
 
+def _long_payload(path, meta):
+    payload = path.read_bytes() + bytes(16)
+    path.write_bytes(payload)
+    return {**meta, "sha256": hashlib.sha256(payload).hexdigest()}
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda path, meta: None, "missing field sidecar u.f64.meta.json"),
+    (lambda path, meta: {**meta, "dims": [16, 8]},
+     "field sidecar dims must be equal per axis"),
+    (_long_payload, "field payload longer than sidecar dims imply"),
+], ids=["no_sidecar", "unequal_dims", "long_payload"])
+def test_load_field_refusals(tmp_path, fault, message):
+    grid = GridSpec(L=8.0, M=16, dim=2)
+    path = tmp_path / "u.f64"
+    save_field(path, Field(np.ones(grid.shape), grid), s=0.5, mu=0.4, eps=1.0)
+    meta_path = tmp_path / "u.f64.meta.json"
+    meta = fault(path, json.loads(meta_path.read_text()))
+    if meta is None:
+        meta_path.unlink()
+    else:
+        meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match=message):
+        load_field(path)
+
+
 # ------------------------------------------------------------- config parsing
 
 def test_parse_config_happy(tmp_path):
@@ -125,6 +151,20 @@ def test_parse_config_happy(tmp_path):
     assert parsed.cfg.dim == 1 and parsed.cfg.s == 0.6
     assert parsed.opts.seed == 7
     assert parsed.grid.M == 96
+
+
+def test_parse_config_constant_potentials_and_box_region():
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["problem"]["N"] = 2
+    doc["grid"]["M"] = 16
+    doc["potential"] = {"V": {"kind": "constant"},
+                        "A": {"kind": "constant", "value": [0.3, -0.2]},
+                        "Lambda": {"kind": "box", "lo": [-1.0, -0.5], "hi": [1.0, 0.5]}}
+    pot = parse_config(doc).pot
+    pts = np.array([[0.0, 0.0], [0.9, 0.4], [0.0, 0.6], [-1.2, 0.0]])
+    assert np.array_equal(pot.V(pts), np.full(4, BASE_CONFIG["problem"]["V0"]))
+    assert np.array_equal(pot.A(pts), np.tile([0.3, -0.2], (4, 1)))
+    assert pot.region.contains(pts).tolist() == [True, True, False, False]
 
 
 def test_parse_config_unknown_key_named(tmp_path):
@@ -161,9 +201,17 @@ def test_parse_config_missing_key(tmp_path):
     (("solver", "seed"), 2.9),
     (("solver", "max_iters"), 0),
     (("solver", "max_iters"), 10.5),
+    (("potential", "Lambda", "center"), [0.0, 0.0]),
+    (("potential", "Lambda"), {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0]}),
+    (("potential", "Lambda"), {"kind": "box", "lo": [-1.0], "hi": [1.0, 1.0]}),
+    (("potential", "A"), {"kind": "constant", "value": [0.1, 0.2]}),
+    (("potential", "A"), {"kind": "sine", "amplitude": 0.5, "wavelength": 0.0}),
+    (("potential", "A"), {"kind": "sine", "amplitude": 0.5, "wavelength": -4.0}),
 ], ids=["top_level_int", "M_odd", "M_small", "L_zero", "N_4", "center_text",
         "A_value_text", "grad_tol_zero", "seed_negative", "M_fractional", "M_text",
-        "N_bool", "seed_fractional", "max_iters_zero", "max_iters_fractional"])
+        "N_bool", "seed_fractional", "max_iters_zero", "max_iters_fractional",
+        "center_length", "box_lo_length", "box_hi_length", "A_value_length",
+        "wavelength_zero", "wavelength_negative"])
 def test_parse_config_malformed_values_are_config_errors(path, value):
     doc = json.loads(json.dumps(BASE_CONFIG))
     if not path:
@@ -392,6 +440,19 @@ def test_cli_check_diamagnetic_uses_run_potential(tmp_path, capsys):
         > 1e-6 * expected
 
 
+def test_cli_check_refuses_run_config_of_another_dimension(tmp_path, capsys):
+    grid = GridSpec(L=8.0, M=16, dim=2)
+    save_field(tmp_path / "u.f64", Field(np.ones(grid.shape), grid), s=0.6, mu=0.5,
+               eps=0.5)
+    (tmp_path / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main(["check", "--field", str(tmp_path / "u.f64"),
+                 "--name", "diamagnetic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"config invalid: {tmp_path / 'config.json'} has N = 1, "
+                            "the field has 2 dimensions\n")
+    assert captured.out == ""
+
+
 def test_cli_check_unknown_name(tmp_path, capsys):
     grid = GridSpec(L=8.0, M=16, dim=1)
     path = tmp_path / "u.f64"
@@ -499,6 +560,25 @@ def test_cli_malformed_override_exits_1(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err.startswith("config invalid:")
 
 
+@pytest.mark.parametrize("path, value", [
+    (("problem", "q"), float("nan")),
+    (("solver", "grad_tol"), float("inf")),
+    (("potential", "A"), {"kind": "sine", "amplitude": 0.5, "wavelength": 0}),
+], ids=["q_nan", "grad_tol_inf", "wavelength_zero"])
+def test_cli_refuses_non_finite_numbers_and_zero_wavelength(tmp_path, capsys, path, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc[path[0]][path[1]] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))  # NaN and Infinity, as Python writes them
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config invalid:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, payload, extra", [
     ("solve", b'{"problem": ', ()),
     ("solve", b"\xff{}", ()),
@@ -530,8 +610,9 @@ def test_cli_input_errors_exit_1(tmp_path, capsys, verb, payload, extra):
     lambda meta: json.dumps({**meta, "eps": 0.0}),
     lambda meta: json.dumps({**meta, "eps": -0.5}),
     lambda meta: json.dumps({**meta, "eps": float("inf")}),
+    lambda meta: json.dumps({**meta, "mu": float("nan")}),
 ], ids=["not_json", "list", "no_eps", "no_dims", "L_negative", "dims_fractional",
-        "s_above_1", "s_zero", "eps_zero", "eps_negative", "eps_inf"])
+        "s_above_1", "s_zero", "eps_zero", "eps_negative", "eps_inf", "mu_nan"])
 def test_cli_check_malformed_sidecar_exits_1(tmp_path, capsys, edit):
     grid = GridSpec(L=8.0, M=16, dim=1)
     path = tmp_path / "u.f64"

@@ -6,7 +6,7 @@ import pytest
 from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
                       SpectralOperator, build_hartree_cache, build_limit_context,
                       constant_A, frac_lap_constant, random_smooth_A, riesz_convolve,
-                      sine_A, zero_A)
+                      sine_A)
 from choquard import operators
 from choquard.operators import fourier_multiply, quadratic_form
 
@@ -81,6 +81,24 @@ def test_constant_A_plane_wave_factorization(g128):
     rhs = QuadratureOperator(g128, 0.55, None).apply(v)
     assert np.max(np.abs(lhs - np.exp(1j * c * x) * rhs)) \
         < 1e-12 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("dim, M", [(1, 128), (2, 20), (3, 10)])
+def test_affine_A_gauge_oracle(dim, M):
+    # A = a + S x with S symmetric is the gradient of phi = a.x + x.S x / 2,
+    # which the midpoint phases and the links difference exactly, so
+    # L_A u = e^{i phi} L_0 (e^{-i phi} u)
+    rng = np.random.default_rng(dim)
+    grid = GridSpec(L=6.0, M=M, dim=dim)
+    a = rng.normal(size=dim)
+    S = rng.normal(size=(dim, dim))
+    S = 0.1 * (S + S.T)
+    x = grid.mesh()
+    gauge = np.exp(1j * (x @ a + 0.5 * np.einsum("...i,ij,...j->...", x, S, x)))
+    u = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    lhs = QuadratureOperator(grid, 0.75, lambda p: a + np.asarray(p) @ S).apply(u)
+    rhs = gauge * QuadratureOperator(grid, 0.75, None).apply(gauge.conj() * u)
+    assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
 
 def test_s_out_of_range_rejected(g128):
@@ -160,7 +178,7 @@ def test_operator_interface(g128, make_op):
 
 def test_zero_A_stores_no_pair_weights(g128):
     # a vector potential that is zero on the grid is no magnetic potential
-    op = QuadratureOperator(g128, 0.6, zero_A(1))
+    op = QuadratureOperator(g128, 0.6, constant_A([0.0]))
     assert op.A is None and op.blocks == [] and op.pair_weights_mb == 0.0
 
 

@@ -7,7 +7,7 @@ from choquard import (BallRegion, ConfigError, Field, GridSpec, PotentialSpec,
                       clipped_quadratic_V, constant_A, constant_V, energy_value,
                       rescale_field, solve_limit, solve_penalized, sweep_epsilon)
 
-from choquard.nonlinearity import PenalizationParams, threshold_for
+from choquard.nonlinearity import threshold_for
 from choquard.solver import INCONCLUSIVE_DECAY_WARNING
 
 from conftest import align_phase
@@ -35,8 +35,7 @@ def test_penalized_reproduces_limit(coincident_setup):
 def test_converged_report_consistency(magnetic_ctx, request):
     ctx, pot, _ = magnetic_ctx
     opts = SolverOptions(grad_tol=1e-6, seed=2, max_iters=4000)
-    pen = ctx.pen
-    u, rep = solve_penalized(ctx.cfg, pot, ctx.grid, opts, pen=pen)
+    u, rep = solve_penalized(ctx.cfg, pot, ctx.grid, opts)
     assert rep.converged
     assert rep.residual < opts.grad_tol
     n2 = ctx.norm_eps_sq(u.values)
@@ -73,6 +72,22 @@ def test_limit_solution_real_up_to_phase(coincident_setup):
     u_c, rep_c = solve_penalized(cfg, pot, grid, opts, initial=start, validate=False)
     aligned = align_phase(u_c.values, u_real.values.astype(complex))
     assert np.max(np.abs(np.imag(aligned))) < 1e-6 * np.max(np.abs(aligned))
+
+
+@pytest.mark.parametrize("eps, x0", [(0.5, 1.0), (0.25, 2.0)])
+def test_off_centre_start_ends_at_the_well(eps, x0):
+    # paper1d's problem from a bump halfway to the edge of Lambda/eps: the
+    # descent moves the peak to the minimizer of V and reaches the centred level
+    grid = GridSpec(L=64.0, M=1024, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=eps, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0,), 1.0))
+    opts = SolverOptions(grad_tol=1e-8)
+    _, centred = solve_penalized(cfg, pot, grid, opts)
+    start = Field(np.exp(-(grid.axis() - x0) ** 2 / 2), grid)
+    _, moved = solve_penalized(cfg, pot, grid, opts, initial=start)
+    assert abs(moved.x_eps[0]) <= grid.h
+    assert abs(moved.c_eps - centred.c_eps) < 1e-9
 
 
 def test_bb_step_hand_values():
@@ -465,10 +480,6 @@ def test_report_keeps_calibration_inputs():
     assert rep.spectrum_clip == 0.0
     assert rep.line_search_trials >= rep.iterations
     assert rep.nehari_projections <= rep.line_search_trials + 1
-    # a given penalization is not calibrated: no calibration inputs
-    _, rep2 = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31),
-                              pen=PenalizationParams(rep.ell0, rep.a, cfg.V0))
-    assert rep2.C0 is None and rep2.calibration_samples_used is None
 
 
 @pytest.mark.parametrize("verb", ["penalized", "limit"])
