@@ -27,12 +27,14 @@ EXIT_SOLVER = 2
 
 def _load_parsed(args) -> ParsedConfig:
     """The config file with the command-line overrides applied. A file that
-    is not a JSON object and an --eps-list that is not numbers are
-    ConfigErrors; an override into a section that is not an object is left
-    for `parse_config` to reject."""
+    is not a JSON object, a non-finite --tol and an --eps-list that is not
+    finite numbers are ConfigErrors naming their source; an override into a
+    section that is not an object is left for `parse_config` to reject."""
     doc = decode_json(Path(args.config).read_bytes(), "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    if args.tol is not None and not np.isfinite(args.tol):
+        raise ConfigError(f"--tol must be finite, got {args.tol}")
     overrides = [("grid", "M", args.grid), ("solver", "grad_tol", args.tol),
                  ("solver", "seed", args.seed)]
     if getattr(args, "eps_list", None):
@@ -40,6 +42,8 @@ def _load_parsed(args) -> ParsedConfig:
             eps_list = [float(x) for x in args.eps_list.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --eps-list: {exc}") from exc
+        if not np.all(np.isfinite(eps_list)):
+            raise ConfigError(f"bad --eps-list: {args.eps_list} is not all finite")
         overrides.append(("sweep", "eps_list", eps_list))
     for section, key, value in overrides:
         if value is not None and isinstance(doc.setdefault(section, {}), dict):
@@ -126,20 +130,15 @@ def _cmd_sweep(args) -> int:
     reports = sweep_epsilon(parsed.cfg, parsed.pot, parsed.grid, parsed.eps_list,
                             parsed.opts, on_solution=on_solution)
     _print_warnings(reports)
-    summary = {
-        "eps_list": list(parsed.eps_list),
-        "V_at_max": [r.V_at_max for r in reports],
-        "c_eps": [r.c_eps for r in reports],
-        "valid_penalization": [r.valid_penalization for r in reports],
-        "reports": [report_to_dict(r) for r in reports],
-    }
+    summary = {"eps_list": list(parsed.eps_list),
+               "reports": [report_to_dict(r) for r in reports]}
     _atomic_write_json(out / "sweep.json", sanitize_json(summary))
     write_run(out, parsed, names + ["sweep.json"], started)
     if not all(r.converged for r in reports):
         print("sweep finished with failed entries", file=sys.stderr)
         return EXIT_SOLVER
-    print(json.dumps(sanitize_json({"V_at_max": summary["V_at_max"],
-                                    "c_eps": summary["c_eps"]})))
+    print(json.dumps(sanitize_json({"V_at_max": [r.V_at_max for r in reports],
+                                    "c_eps": [r.c_eps for r in reports]})))
     return EXIT_OK
 
 

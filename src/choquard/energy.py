@@ -338,13 +338,12 @@ def sampled_hartree_sup(ctx: EnergyContext, shell: float, n: int, seed: int
 class Calibration:
     """The calibrated penalization and the inputs a report keeps: the sampled
     bound C0, how many shell samples entered the supremum (`samples_used`) and
-    how many did not (`samples_skipped`: zero-norm draws), and the canonical bump."""
+    how many did not (`samples_skipped`: zero-norm draws)."""
 
     pen: PenalizationParams
     C0: float
     samples_used: int
     samples_skipped: int
-    u0: Field = field(repr=False)
 
 
 def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
@@ -367,4 +366,4 @@ def calibrate_penalization(ctx: EnergyContext, *, n_samples: int = 50,
         raise ValueError("calibration drew no nonzero field on the shell of B")
     ell0, V0 = 4.0 * C0, ctx.cfg.V0
     pen = PenalizationParams(ell0, threshold_for(ell0, V0, ctx.cfg.q), V0, kappa)
-    return Calibration(pen, C0, used, n_samples - used, u0)
+    return Calibration(pen, C0, used, n_samples - used)

@@ -31,9 +31,10 @@ class PowerNonlinearity:
 
 @dataclass(frozen=True)
 class PenalizationParams:
-    """Calibrated truncation data: cap value f(a) = V0/ell0 at threshold a,
-    and the mountain-pass cap kappa that sets the bounded set B (None when
-    the penalization was given rather than calibrated)."""
+    """Truncation data: cap value f(a) = V0/ell0 at threshold a, and the
+    mountain-pass cap kappa that sets the bounded set B. `calibrate_penalization`
+    always sets kappa; it is None only for params built directly, which
+    `check_hartree_bound` refuses."""
 
     ell0: float
     a: float

@@ -25,14 +25,6 @@ def _window(grid: GridSpec) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=4)
-def _unit_roots(M: int) -> np.ndarray:
-    """e^{2 pi i m / M} for m = 0 .. M-1, built once per M and read-only."""
-    r = np.exp(2j * np.pi * np.arange(M) / M)
-    r.setflags(write=False)
-    return r
-
-
 def draw_modes(grid: GridSpec, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The 12 modes of each of n fields in three generator calls: wavenumbers
     uniform on [-max(2, M/8), max(2, M/8)]^N as indices mod M, (n, 12, N), then
@@ -55,7 +47,8 @@ def band_limited_field(grid: GridSpec, draws, *, complex_valued: bool = True):
     n fields), and one batched 1-D inverse transform sums the last axis."""
     single = not isinstance(draws, tuple)
     k, c = draw_modes(grid, draws, 1) if single else draws
-    M, n, roots = grid.M, len(c), _unit_roots(grid.M)
+    M, n = grid.M, len(c)
+    roots = np.exp(2j * np.pi * np.arange(M) / M)  # e^{2 pi i m / M}
     cols = np.zeros((n,) + grid.shape, dtype=complex)
     for j in range(12):
         wave = c[:, j]

@@ -79,38 +79,21 @@ class SolveReport:
     eps: float
     seed: int
     backend: str
-    kappa: float | None = None
-    ell0: float | None = None
-    a: float | None = None
+    # the calibrated penalization and its inputs; None for the limit problem
+    calibration: Calibration | None = None
     # sup |u| outside the region over min(a, sqrt(a)); the solve is a valid
     # penalization exactly when it is below 1 (None without a penalization)
     penalization_margin: float | None = None
-    # calibration inputs; None for the limit problem
-    C0: float | None = None
-    calibration_samples_used: int | None = None
-    calibration_samples_skipped: int | None = None
     spectrum_clip: float = 0.0  # clip applied to the Riesz kernel spectrum
     pair_weights_mb: float = 0.0  # stored magnetic pair weights of the operator
-    # descent work, the start's included: line-search trials (one convolution
-    # each), projections that found a ray parameter, operator passes (one per line search)
-    line_search_trials: int = 0
-    nehari_projections: int = 0
-    operator_passes: int = 0
-    short_steps: int = 0  # steps that took the short Barzilai-Borwein step
+    nehari_projections: int = 0  # projections that found a ray parameter, the start's included
     warnings: tuple[str, ...] = ()
     error: str | None = None
     decay_status: str = "ok"
     # seconds per phase of the solve, keys `PHASES` (empty for a failed solve)
     timings: dict[str, float] = field(default_factory=dict)
     energy_history: tuple[float, ...] = field(default=(), repr=False)
-    # one entry per step, from the iterate it leaves: ||Pg|| there, the
-    # accepted step tau, its backtracks, the ray parameter t* of the new
-    # iterate and whether tau was the short step (`bb_step`)
-    grad_norm_history: tuple[float, ...] = field(default=(), repr=False)
-    step_history: tuple[float, ...] = field(default=(), repr=False)
-    backtrack_history: tuple[int, ...] = field(default=(), repr=False)
-    ray_history: tuple[float, ...] = field(default=(), repr=False)
-    short_step_history: tuple[bool, ...] = field(default=(), repr=False)
+    steps: tuple[Step, ...] = field(default=(), repr=False)
 
     @classmethod
     def failed(cls, eps: float, seed: int, error: str) -> "SolveReport":
@@ -129,11 +112,23 @@ class SolveReport:
 PHASES = ("context_s", "calibrate_s", "descent_s", "finish_s")
 
 
+class Step(NamedTuple):
+    """One descent step, read at the iterate it leaves: ||Pg|| there, the
+    accepted step tau, its backtracks, the ray parameter t* of the new
+    iterate and whether tau was the short step (`bb_step`). A step costs one
+    operator pass and backtracks + 1 line-search trials."""
+
+    grad_norm: float
+    tau: float
+    backtracks: int
+    t: float
+    short: bool
+
+
 class Descent(NamedTuple):
     """Result of `minimize_on_nehari`; `Lu` is the operator image of u and
-    `K` its Hartree potential; `steps` holds one record (||Pg||, tau,
-    backtracks, t*, short) per step (see `SolveReport`). The benchmark's
-    trace reads `iterations` by position, as index 2."""
+    `K` its Hartree potential; `steps` holds one `Step` per step. The
+    benchmark's trace reads `iterations` by position, as index 2."""
 
     u: Field
     J: float
@@ -246,7 +241,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         Lw *= t
         u, J, Lu, K = Field(w, ctx.grid), J_new, Lw, Kw
         history.append(J)
-        steps.append((gn, tau, halvings, float(t), short))
+        steps.append(Step(gn, tau, halvings, float(t), short))
     raise SolverError(f"no convergence in {opts.max_iters} iterations "
                       f"(grad norm {gn:.3e})", u)
 
@@ -283,7 +278,6 @@ def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
     the clock readings that open the context, calibration and descent phases."""
     run = minimize_on_nehari(ctx, start, opts)
     marks.append(perf_counter())
-    grad_norms, taus, backtracks, rays, shorts = tuple(zip(*run.steps)) or ((),) * 5
     u = phase_gauge(run.u)
     idx, sup = u.argmax_index(), u.sup_norm()
     pen = ctx.pen
@@ -306,21 +300,12 @@ def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
         nehari_residual=nehari_residual(run.u, ctx, run.Lu, K=run.K),
         sup_norm=sup, boundary_ratio=outer_layer_max(u) / sup if sup > 0 else 0.0,
         eps=ctx.cfg.eps, seed=opts.seed, backend=ctx.op.backend,
-        kappa=pen.kappa if pen else None, ell0=pen.ell0 if pen else None,
-        a=pen.a if pen else None,
-        penalization_margin=margin,
-        C0=cal.C0 if cal else None,
-        calibration_samples_used=cal.samples_used if cal else None,
-        calibration_samples_skipped=cal.samples_skipped if cal else None,
+        calibration=cal, penalization_margin=margin,
         spectrum_clip=ctx.hartree.spectrum_clip,
         pair_weights_mb=ctx.op.pair_weights_mb,
-        line_search_trials=sum(backtracks) + len(backtracks),
         nehari_projections=run.nehari_projections,
-        operator_passes=run.iterations + 1, short_steps=sum(shorts),
         warnings=warnings, decay_status=status,
-        energy_history=tuple(run.history), grad_norm_history=grad_norms,
-        step_history=taus, backtrack_history=backtracks, ray_history=rays,
-        short_step_history=shorts)
+        energy_history=tuple(run.history), steps=tuple(run.steps))
     report.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
     return u, report
 

@@ -112,6 +112,16 @@ def align_phase(u: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- fixtures
 
+def _calibrated(ctx):
+    """The context with its penalization calibrated (20 samples, seed 3), and
+    the canonical bump the calibration reads kappa from: the region's bump
+    carrying the plane-wave phase of A(0)."""
+    from choquard.sampling import bump_in_region
+    cal = calibrate_penalization(ctx, n_samples=20, seed=3)
+    u0 = bump_in_region(ctx.grid, ctx.lambda_mask)
+    return replace(ctx, pen=cal.pen), Field(ctx.a0_plane_wave(u0.values), ctx.grid)
+
+
 @pytest.fixture(scope="session")
 def grid1d() -> GridSpec:
     return GridSpec(L=16.0, M=128, dim=1)
@@ -124,9 +134,8 @@ def magnetic_ctx(grid1d):
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
                         A=random_smooth_A(1, grid1d.L * cfg.eps, 0.4, seed=11),
                         region=BallRegion((0.0,), 1.0))
-    ctx = build_penalized_context(cfg, pot, grid1d)
-    cal = calibrate_penalization(ctx, n_samples=20, seed=3)
-    return replace(ctx, pen=cal.pen), pot, cal.u0
+    ctx, u0 = _calibrated(build_penalized_context(cfg, pot, grid1d))
+    return ctx, pot, u0
 
 
 @pytest.fixture(scope="session")
@@ -135,9 +144,8 @@ def plain_ctx(grid1d):
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     pot = PotentialSpec(V=clipped_quadratic_V(1.0, coeff=1.0, cap=4.0),
                         A=None, region=BallRegion((0.0,), 1.0))
-    ctx = build_penalized_context(cfg, pot, grid1d)
-    cal = calibrate_penalization(ctx, n_samples=20, seed=3)
-    return replace(ctx, pen=cal.pen), pot, cal.u0
+    ctx, u0 = _calibrated(build_penalized_context(cfg, pot, grid1d))
+    return ctx, pot, u0
 
 
 @pytest.fixture(scope="session")

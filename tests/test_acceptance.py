@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from choquard import (BallRegion, Field, GridSpec, PenalizationParams, PotentialSpec,
+from choquard import (BallRegion, Field, GridSpec, PotentialSpec,
                       ProblemConfig, QuadratureOperator, SolverOptions,
                       build_hartree_cache, check_concentration, check_diamagnetic,
                       check_hartree_bound, clipped_quadratic_V, energy_value, gradient,
@@ -162,8 +162,7 @@ def test_criterion_07_mountain_pass_geometry(plain_ctx):
     # converged solution sits at the unique ray maximum of its own energy
     u_star, rep = solve_penalized(ctx.cfg, pot, ctx.grid,
                                   SolverOptions(grad_tol=1e-7, seed=73))
-    pen = PenalizationParams(rep.ell0, rep.a, ctx.cfg.V0, rep.kappa)
-    ctx_star = replace(ctx, pen=pen)
+    ctx_star = replace(ctx, pen=rep.calibration.pen)
     ts = np.logspace(-0.9, 0.9, 64)
     J = [energy_value(Field(t * u_star.values, ctx.grid), ctx_star) for t in ts]
     d = np.diff(J)

@@ -1,7 +1,6 @@
 import json
 import hashlib
 import struct
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +57,7 @@ def test_save_field_returns_the_names_it_wrote(tmp_path):
 
 
 def test_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert choquard.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
 
@@ -302,20 +302,12 @@ def test_cli_solve_warns_on_invalid_penalization(tmp_path, capsys):
     assert report["valid_penalization"] is False
     assert any(w.startswith("invalid penalization") for w in report["warnings"])
     assert "invalid penalization" in capsys.readouterr().err
-    assert report["C0"] > 0 and report["spectrum_clip"] == 0.0
-    assert report["calibration_samples_used"] + report["calibration_samples_skipped"] == 50
-    assert report["line_search_trials"] >= report["iterations"]
-    assert 0 < report["nehari_projections"] <= report["line_search_trials"] + 1
-
-
-def test_cli_report_counts_operator_passes(tmp_path):
-    # one pass for the start and one per line search, however many trials
-    cfg = write_config(tmp_path)
-    out = tmp_path / "run"
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["operator_passes"] == report["iterations"] + 1
-    assert report["line_search_trials"] >= report["iterations"]
+    cal = report["calibration"]
+    assert cal["C0"] > 0 and report["spectrum_clip"] == 0.0
+    assert cal["samples_used"] + cal["samples_skipped"] == 50
+    trials = sum(backtracks + 1 for _, _, backtracks, _, _ in report["steps"])
+    assert trials >= report["iterations"]
+    assert 0 < report["nehari_projections"] <= trials + 1
 
 
 def test_descent_histories_roundtrip_report_and_sweep(tmp_path):
@@ -332,12 +324,26 @@ def test_descent_histories_roundtrip_report_and_sweep(tmp_path):
     written = [json.loads((tmp_path / "run" / "report.json").read_text())]
     written += json.loads((tmp_path / "sw" / "sweep.json").read_text())["reports"]
     for doc, r in zip(written, [rep, *reps], strict=True):
-        for name in ("energy_history", "grad_norm_history", "step_history",
-                     "backtrack_history", "ray_history", "short_step_history"):
-            assert doc[name] == list(getattr(r, name))
-            assert len(doc[name]) == doc["iterations"] + (name == "energy_history")
-        assert sum(b + 1 for b in doc["backtrack_history"]) == doc["line_search_trials"]
-        assert doc["short_steps"] == sum(doc["short_step_history"])
+        assert doc["energy_history"] == list(r.energy_history)
+        assert doc["steps"] == [list(step) for step in r.steps]
+        assert len(doc["energy_history"]) == doc["iterations"] + 1
+        assert len(doc["steps"]) == doc["iterations"]
+
+
+def test_readme_names_every_report_key(tmp_path):
+    # every key of the 1-D base solve's report.json, the fields of its
+    # calibration and of a steps row, and the work counts that follow from
+    # the steps are named in README
+    from choquard.solver import Step
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert len(report) == 27
+    names = [*report, *report["timings"], *report["calibration"],
+             *report["calibration"]["pen"], *Step._fields,
+             "line_search_trials", "operator_passes", "short_steps"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [name for name in names if f"`{name}`" not in readme] == []
 
 
 def test_cli_mu_at_2s_rejected(tmp_path, capsys):
@@ -495,6 +501,7 @@ def test_cli_sweep_subcommand(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--eps-list", "0.5,0.25"]) == 0
     summary = json.loads((out / "sweep.json").read_text())
+    assert list(summary) == ["eps_list", "reports"]
     assert summary["eps_list"] == [0.5, 0.25]
     assert len(summary["reports"]) == 2
     assert all(r["converged"] for r in summary["reports"])
@@ -551,13 +558,28 @@ def test_cli_out_that_is_a_file_is_refused_before_solving(tmp_path, capsys, monk
     assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
 
 
-@pytest.mark.parametrize("flag, value", [("--grid", "97"), ("--tol", "0")])
+@pytest.mark.parametrize("flag, value", [("--grid", "97"), ("--tol", "0"),
+                                         ("--tol", "inf"), ("--tol", "nan")])
 def test_cli_malformed_override_exits_1(tmp_path, capsys, flag, value):
     cfg = write_config(tmp_path)
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  flag, value])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config invalid:")
+    err = _one_line_error(capsys)
+    assert err.startswith("config invalid:")
+    if value in ("inf", "nan"):  # the override is named, not the config file
+        assert flag in err and "not valid JSON" not in err
+
+
+@pytest.mark.parametrize("eps_list", ["0.5,inf", "nan,0.25"])
+def test_cli_sweep_non_finite_eps_list_exits_1(tmp_path, capsys, eps_list):
+    cfg = write_config(tmp_path)
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--eps-list", eps_list])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config invalid: bad --eps-list:") and "not valid JSON" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("path, value", [

@@ -116,13 +116,10 @@ def test_magnetic1d_cold_solve_takes_short_steps(seed):
     _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-8, seed=seed))
     assert rep.converged and rep.valid_penalization
     assert rep.iterations <= 120
-    assert rep.short_steps == sum(rep.short_step_history) > 0
-    for name in ("grad_norm_history", "step_history", "backtrack_history",
-                 "ray_history", "short_step_history"):
-        assert len(getattr(rep, name)) == rep.iterations
+    assert sum(step.short for step in rep.steps) > 0
+    assert len(rep.steps) == rep.iterations
     assert len(rep.energy_history) == rep.iterations + 1
-    assert sum(b + 1 for b in rep.backtrack_history) == rep.line_search_trials
-    assert min(rep.grad_norm_history) >= 1e-8 > rep.residual
+    assert min(step.grad_norm for step in rep.steps) >= 1e-8 > rep.residual
 
 
 def test_limit_translation_invariance(coincident_setup):
@@ -347,7 +344,7 @@ def test_solver_deterministic_under_seed():
     u1, r1 = solve_penalized(cfg, pot, grid, opts)
     u2, r2 = solve_penalized(cfg, pot, grid, opts)
     assert np.array_equal(u1.values, u2.values)
-    assert r1.c_eps == r2.c_eps and r1.ell0 == r2.ell0
+    assert r1.c_eps == r2.c_eps and r1.calibration.pen.ell0 == r2.calibration.pen.ell0
 
 
 def test_sweep_records_failures_and_continues():
@@ -459,7 +456,7 @@ def test_magnetic_2d_one_pair_pass_per_line_search(monkeypatch):
     monkeypatch.setattr(QuadratureOperator, "_pair_data", counted)
     _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=0))
     assert rep.converged and rep.backend == "quadrature"
-    assert rep.line_search_trials >= rep.iterations
+    assert sum(step.backtracks + 1 for step in rep.steps) >= rep.iterations
     per_group = SAMPLE_GROUP_BYTES // (16 * grid.size)
     groups = -(-50 // per_group)
     assert 1 < per_group < 50
@@ -473,13 +470,15 @@ def test_report_keeps_calibration_inputs():
     pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
                         region=BallRegion((0.0,), 1.0))
     _, rep = solve_penalized(cfg, pot, grid, SolverOptions(grad_tol=1e-6, seed=31))
-    assert rep.C0 > 0 and rep.ell0 == pytest.approx(4 * rep.C0, rel=1e-15)
-    assert rep.a == threshold_for(rep.ell0, cfg.V0, cfg.q)
-    assert rep.calibration_samples_used + rep.calibration_samples_skipped == 50
-    assert rep.calibration_samples_used > 0
+    cal = rep.calibration
+    assert cal.C0 > 0 and cal.pen.ell0 == pytest.approx(4 * cal.C0, rel=1e-15)
+    assert cal.pen.a == threshold_for(cal.pen.ell0, cfg.V0, cfg.q)
+    assert cal.samples_used + cal.samples_skipped == 50
+    assert cal.samples_used > 0
     assert rep.spectrum_clip == 0.0
-    assert rep.line_search_trials >= rep.iterations
-    assert rep.nehari_projections <= rep.line_search_trials + 1
+    trials = sum(step.backtracks + 1 for step in rep.steps)
+    assert trials >= rep.iterations
+    assert rep.nehari_projections <= trials + 1
 
 
 @pytest.mark.parametrize("verb", ["penalized", "limit"])
@@ -543,7 +542,8 @@ def test_penalization_margin_decides_validity(q):
                         A=sine_A(0.5, 4.0, 1), region=BallRegion((0.0,), 1.0))
     u, rep = solve_penalized(cfg, pot, grid, SolverOptions(seed=7))
     outside = ~pot.region.contains(cfg.eps * grid.points()).reshape(grid.shape)
-    want = np.max(np.abs(u.values[outside])) / min(rep.a, np.sqrt(rep.a))
+    a = rep.calibration.pen.a
+    want = np.max(np.abs(u.values[outside])) / min(a, np.sqrt(a))
     assert rep.penalization_margin == pytest.approx(want, rel=1e-12)
     assert (rep.penalization_margin < 1) == rep.valid_penalization
     assert rep.valid_penalization == (q == 4.0)
