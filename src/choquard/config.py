@@ -181,4 +181,4 @@ def region_mask(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> np.nd
     """
     if region_leaves_domain(cfg, grid, pot):
         raise ConfigError(REGION_LEAVES_DOMAIN)
-    return pot.region.contains(cfg.eps * grid.points()).reshape(grid.shape)
+    return sampled_well(pot, cfg.eps, grid)[1]

@@ -8,7 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ProblemConfig, PotentialSpec, region_mask
+from .config import (REGION_LEAVES_DOMAIN, ConfigError, ProblemConfig, PotentialSpec,
+                     region_leaves_domain, sampled_well)
 from .grids import Field, GridSpec
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval, g_eval,
                            threshold_for)
@@ -64,9 +65,12 @@ class EnergyContext:
 
     def precond_multiplier(self) -> np.ndarray:
         """The descent's preconditioner P = 1/(1 + |xi|^(2s) + V0), a Fourier
-        multiplier. The 1 has been there since the first version of the
+        multiplier; |xi|^(2s) is the spectral operator's own symbol when it
+        has one. The 1 has been there since the first version of the
         solver, and no reason for it was recorded."""
-        return 1.0 / (1.0 + self.grid.wavenumber_mesh_sq() ** self.cfg.s + self.cfg.V0)
+        symbol = (self.op.mult if isinstance(self.op, SpectralOperator)
+                  else self.grid.wavenumber_mesh_sq() ** self.cfg.s)
+        return 1.0 / (1.0 + symbol + self.cfg.V0)
 
     def a0_plane_wave(self, vals: np.ndarray) -> np.ndarray:
         """`vals` times the plane wave e^{i A(0).x}, the gauge of the operator's
@@ -98,8 +102,9 @@ def build_penalized_context(cfg: ProblemConfig, pot: PotentialSpec,
     The operator is the singular-integral quadrature when the magnetic
     potential A(eps x) is nonzero on the grid, else the faster spectral operator.
     """
-    lambda_mask = region_mask(cfg, grid, pot)
-    V_eps = np.asarray(pot.V(cfg.eps * grid.mesh()))
+    if region_leaves_domain(cfg, grid, pot):
+        raise ConfigError(REGION_LEAVES_DOMAIN)
+    V_eps, lambda_mask, _ = sampled_well(pot, cfg.eps, grid)
     A = pot.A_eps(cfg.eps)
     if magnetic_on(A, grid):
         op = QuadratureOperator(grid, cfg.s, A)

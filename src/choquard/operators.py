@@ -9,39 +9,41 @@ squared L2 norm of (-Delta)^(s/2) u.
 The quadrature approximates the whole-space operator on R^N: true
 displacements inside the box, the kernel cut at a ball of radius R_cut, and
 the far tail approximated under zero extension of the field by
-c_{N,s} * u(x) * |S^{N-1}| / (2s * R_cut^{2s}).  Midpoint phases use the
-literal arithmetic midpoint, which makes gauge covariance under constant
-shifts exact in floating point.  The singular cell is excluded from the pair
-sum and accuracy restored with the analytic integral of the second-order
-Taylor model over a near zone of `NEAR_RADIUS` cells; the model derivatives
-are formed with link-phase covariant differences so the correction is also
-exactly gauge covariant.  Every constant part is assembled once, so `apply`
-is one expression,
+c_{N,s} * u(x) * |S^{N-1}| / (2s * R_cut^{2s}).  Every pair carries the
+midpoint phase e^{i A((x_i+x_j)/2).(x_i - x_j)}, with the literal arithmetic
+midpoint, which makes gauge covariance under constant shifts exact in
+floating point.  The singular cell is excluded from the pair sum and accuracy
+restored with the analytic integral of the second-order Taylor model over a
+near zone of `NEAR_RADIUS` cells: the correction -c (W2/2N) Lap_h u, a
+discrete Laplacian that is part of the kernel table, with weight
+w = W2 / (2N h^(N+2)) at the 2N unit displacements and -2N w at 0.  On the
+pair i, i +- e_a the stencil takes the pair phase e^{-+i h A_a(x_i +- (h/2) e_a)},
+so it is a covariant second difference and the correction is also exactly
+gauge covariant.  Every constant part is assembled once, so `apply` is one
+pair sum,
 
-    Lu = diag u - c h^N W u - beta sum_a (l_a u(i+e_a) + conj l_a u(i-e_a)),
+    Lu = diag u - c h^N W u,    diag = c (h^N rowsums + tail),
 
-with diag = c (h^N rowsums + tail) + 2N beta, beta = c W2 / (2N h^2) and the
-link factor l_a = e^{-i A_a(x_i + (h/2) e_a) h}; neighbours are zero outside
-the box.
+with W_ij = k(x_i - x_j) e^{i A((x_i+x_j)/2).(x_i - x_j)} over the box (the
+field is zero outside it) and rowsums = sum_j k(x_i - x_j) over the box of
+the kernel without the stencil (the stencil sums to zero).
 
 The kernel is evaluated once, on the displacements [-M, M-1]^N.  The row
-sums sum_j k(x_i - x_j) do not depend on A and come from one FFT convolution
-of the kernel with the box indicator zero-extended to the doubled box, the
-convolution that is the whole pair sum when A == 0.  With A, the
-pair weights W_ij = k(x_i - x_j) e^{i A((x_i+x_j)/2).(x_i - x_j)} are
-gathered from two tables built once per operator: the kernel on every
-displacement d in [-(M-1), M-1]^N, and A on the half-step lattice
--L + m h/2, m in [0, 2M-2]^N, which holds every pair midpoint and every link
-midpoint.  With flat multi-indices S of stride 2M-1, a pair reads the kernel
-at S_i - S_j and A at S_i + S_j, a link i -> i+e_a reads A at 2 S_i + stride_a.
-The weight matrix is Hermitian (the phase is odd under i <-> j), so only
-row blocks on and above the diagonal are generated, once per operator, each
-of about `PAIR_BLOCK_PAIRS` pairs and cut at its last column inside the
-kernel cutoff (the columns past it are exact zeros).  A pair pass is two
-products per stored block: the block on its own rows, and its transpose on
-the conjugated field for the rows below, conjugated once at the end.  A pass
-acts on a stack of fields at once (leading axes), so one pass serves a whole
-group.
+sums do not depend on A and come from one FFT convolution of the kernel with
+the box indicator zero-extended to the doubled box; with the stencil added,
+that convolution is the whole pair sum when A == 0.  With A, the pair weights
+are gathered from two tables built once per operator: the kernel with the
+stencil on every displacement d in [-(M-1), M-1]^N, and A on the half-step
+lattice -L + m h/2, m in [0, 2M-2]^N, which holds every pair midpoint.  With
+flat multi-indices S of stride 2M-1, a pair reads the kernel at S_i - S_j and
+A at S_i + S_j.  The weight matrix is Hermitian (the phase is odd under
+i <-> j), so only row blocks on and above the diagonal are generated, once
+per operator, each of about `PAIR_BLOCK_PAIRS` pairs and cut at its last
+column inside the kernel cutoff (the columns past it are exact zeros).  A
+pair pass is two products per stored block: the block on its own rows, and
+its transpose on the conjugated field for the rows below, conjugated once at
+the end.  A pass acts on a stack of fields at once (leading axes), so one
+pass serves a whole group.
 """
 
 from __future__ import annotations
@@ -138,14 +140,6 @@ NEAR_RADIUS = {1: 8, 2: 2, 3: 2}
 PAIR_BLOCK_PAIRS = 1 << 14
 
 
-def _layers(N: int, a: int) -> tuple[tuple, tuple]:
-    """Index tuples selecting all but the last and all but the first layer
-    along grid axis a of N (counted from the end, so leading axes may stack
-    fields): the tails and the heads of the links i -> i+e_a."""
-    rest = (slice(None),) * (N - 1 - a)
-    return (Ellipsis, slice(None, -1)) + rest, (Ellipsis, slice(1, None)) + rest
-
-
 @dataclass
 class QuadratureOperator:
     """Assembled singular-integral quadrature of the fractional magnetic
@@ -165,30 +159,35 @@ class QuadratureOperator:
         self.c = frac_lap_constant(N, self.s)
         if not magnetic_on(self.A, g):
             self.A = None  # a zero A stores no pair weights
-        self.blocks, self.links = [], None
+        self.blocks = []
         self.cutoff = g.L - g.h / 2
         tail = sphere_area(N) / (2 * self.s * self.cutoff ** (2 * self.s))
         # the kernel on offsets -M..M-1, centred (|offset| M is unused)
         k = _free_kernel(g, self.s, self.cutoff, np.arange(-M, M))
         self.kernel_fft = even_spectrum(np.fft.ifftshift(k))
         self.rowsums = self._box_convolve(np.ones(g.shape)).copy()
-        if self.A is not None:
+        # the near-zone correction -c (W2/2N) Lap_h as kernel weights: w at the
+        # 2N unit displacements, -2N w at 0; it sums to zero
+        w = near_zone_weight(N, self.s, g.h, NEAR_RADIUS[N]) / (2 * N * g.h ** (N + 2))
+        d = offset_radii(np.arange(-1, 2), 1.0, N)
+        k[(slice(M - 1, M + 2),) * N] += w * np.where(d == 0, -2 * N, d == 1)
+        if self.A is None:
+            self.kernel_fft = even_spectrum(np.fft.ifftshift(k))
+        else:
+            self.kernel_fft = None  # the pair blocks hold the pair sum
             self._build_pair_tables(k[(slice(1, None),) * N].reshape(-1))
             step = max(1, PAIR_BLOCK_PAIRS // g.size)
             self.blocks = [self._pair_block(slice(lo, min(lo + step, g.size)))
                            for lo in range(0, g.size, step)]
         self.pair_weights_mb = sum(B.nbytes for _, B in self.blocks) / 2 ** 20
-        W2 = near_zone_weight(N, self.s, g.h, NEAR_RADIUS[N])
-        self.beta = self.c * W2 / (2 * N * g.h ** 2)
-        self.diag = self.c * (g.cell_volume() * self.rowsums + tail) + 2 * N * self.beta
+        self.diag = self.c * (g.cell_volume() * self.rowsums + tail)
 
     # ---------------- magnetic tables
 
     def _build_pair_tables(self, ktab: np.ndarray):
-        """The kernel by displacement (`ktab`, flat) and A on the half-step
-        lattice, indexed by the flat multi-indices S_i - S_j + S_off and
-        S_i + S_j; the link i -> i+e_a has its midpoint at 2 S_i + stride_a, so
-        its factor l_a = e^{-i A_a h} reads the same table."""
+        """The kernel with the near-zone stencil by displacement (`ktab`,
+        flat) and A on the half-step lattice, indexed by the flat
+        multi-indices S_i - S_j + S_off and S_i + S_j."""
         g = self.grid
         M, N = g.M, g.dim
         n = 2 * M - 1
@@ -200,9 +199,6 @@ class QuadratureOperator:
         self.S = strides @ np.indices(g.shape).reshape(N, -1)
         self.S_off = int((M - 1) * strides.sum())
         self.xT = g.points().T.copy()
-        S = self.S.reshape(g.shape)
-        self.links = [np.exp(-1j * g.h * self.Atab[a, 2 * S[_layers(N, a)[0]] + strides[a]])
-                      for a in range(N)]
 
     def _pair_block(self, rows: slice) -> tuple[slice, np.ndarray]:
         """Rows `rows` of the pair weights W_ij = k(x_i - x_j) e^{i A(mid).(x_i - x_j)},
@@ -219,7 +215,7 @@ class QuadratureOperator:
         th = np.einsum("aij,aij->ij", A_mid, xT[:, rows, None] - xT[:, None, cols])
         return rows, K * np.exp(1j * th)
 
-    # ---------------- the two sums of apply
+    # ---------------- the pair sum of apply
 
     def _box_convolve(self, u: np.ndarray) -> np.ndarray:
         """sum_j k(x_i - x_j) u_j, by one FFT convolution on the doubled box (a
@@ -249,26 +245,11 @@ class QuadratureOperator:
         Wu += below.conj()
         return Wu.T.reshape(u.shape)
 
-    def _neighbour_sum(self, u: np.ndarray) -> np.ndarray:
-        """sum_a l_a u(i+e_a) + conj l_a(i-e_a) u(i-e_a), zero outside the box."""
-        N = self.grid.dim
-        out = np.zeros(u.shape, dtype=complex if self.links or np.iscomplexobj(u)
-                       else float)
-        for a in range(N):
-            lo, hi = _layers(N, a)
-            up, down = u[hi], u[lo]
-            if self.links is not None:
-                up, down = self.links[a] * up, self.links[a].conj() * down
-            out[lo] += up
-            out[hi] += down
-        return out
-
     # ---------------- public evaluations
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The operator on u; leading axes of u stack fields, one pair pass."""
-        return (self.diag * u - self.c * self.grid.cell_volume() * self._pair_data(u)
-                - self.beta * self._neighbour_sum(u))
+        return self.diag * u - self.c * self.grid.cell_volume() * self._pair_data(u)
 
     def seminorm_sq(self, u: np.ndarray):
         """[u]^2 = Re<apply(u), u> h^N; leading axes of u stack fields."""

@@ -174,8 +174,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     unless s and y are nearly orthogonal (cos^2 below `BB_SHORT_RATIO` = 0.2),
     where the short step BB2 = <s,y>/<y,y> is taken, inner products being
     Re<.,.> h^N. Where the short step never fires, the iterates are those of
-    plain BB1. On magnetic1d's sweep (seeds 7000-7023) it cut the iterations
-    per sweep from 396 to 140 and the line-search trials from 633 to 169.
+    plain BB1.
 
     A line search takes one operator pass, for its first trial w: a backtrack
     halves the step, so its trial and image are the midpoints of u and w and of

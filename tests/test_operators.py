@@ -238,15 +238,21 @@ def test_free_quadrature_matches_closed_form_at_centre(dim, L, Ms, bound):
 
 def _literal_pair_weights(grid, s, A):
     """W_ij = k(x_i - x_j) e^{i A((x_i + x_j)/2).(x_i - x_j)} over all pairs,
-    with k(z) = |z|^(-N-2s) for 0 < |z| <= L - h/2 and 0 elsewhere."""
+    with k(z) = |z|^(-N-2s) for 0 < |z| <= L - h/2 and 0 elsewhere, plus the
+    near-zone stencil: W2/(2N h^(N+2)) more at |z| = h, and -N W2/h^(N+2) at
+    z = 0."""
+    N, h = grid.dim, grid.h
     pts = grid.points()
     z = pts[:, None, :] - pts[None, :, :]
     r = np.linalg.norm(z, axis=-1)
     K = np.zeros_like(r)
-    inside = (r > 0) & (r <= grid.L - grid.h / 2)
-    K[inside] = r[inside] ** (-grid.dim - 2 * s)
+    inside = (r > 0) & (r <= grid.L - h / 2)
+    K[inside] = r[inside] ** (-N - 2 * s)
+    w = operators.near_zone_weight(N, s, h, operators.NEAR_RADIUS[N]) / (2 * N * h ** (N + 2))
+    K[np.isclose(r, h, rtol=1e-9, atol=0.0)] += w
+    K[r == 0] = -2 * N * w
     mid = (pts[:, None, :] + pts[None, :, :]) / 2
-    A_mid = np.asarray(A(mid.reshape(-1, grid.dim))).reshape(z.shape)
+    A_mid = np.asarray(A(mid.reshape(-1, N))).reshape(z.shape)
     return K * np.exp(1j * np.sum(A_mid * z, axis=-1))
 
 
@@ -270,23 +276,37 @@ def test_pair_blocks_match_literal_weights(grid, monkeypatch):
 @pytest.mark.parametrize("grid", [GridSpec(L=4.0, M=16, dim=1),
                                   GridSpec(L=5.0, M=12, dim=2)], ids=["1d", "2d"])
 def test_kernel_evaluated_once_per_operator(grid, monkeypatch):
-    # one evaluation on offsets -M..M-1 serves the spectrum of the doubled box
-    # and the magnetic pair table on -(M-1)..M-1
+    # one evaluation on offsets -M..M-1 serves the row sums, and with the
+    # near-zone stencil added, the spectrum of the doubled box (A = 0) and the
+    # magnetic pair table on -(M-1)..M-1
     free_kernel, calls = operators._free_kernel, []
 
     def counted(*args):
         calls.append(1)
         return free_kernel(*args)
     monkeypatch.setattr(operators, "_free_kernel", counted)
-    for A in (None, sine_A(0.5, 4.0, grid.dim)):
+    N, M, h = grid.dim, grid.M, grid.h
+    table = free_kernel(grid, 0.6, grid.L - h / 2, np.arange(-(M - 1), M))
+    # w at the 2N unit displacements, -2N w at 0
+    w = operators.near_zone_weight(N, 0.6, h, operators.NEAR_RADIUS[N]) / (2 * N * h ** (N + 2))
+    stencilled = table.copy()
+    centre = (M - 1,) * N
+    stencilled[centre] = -2 * N * w
+    for a in range(N):
+        for step in (-1, 1):
+            stencilled[centre[:a] + (M - 1 + step,) + centre[a + 1:]] += w
+    assert abs(stencilled.sum() - table.sum()) <= 1e-12 * table.sum()
+    doubled = np.zeros((2 * M,) * N)
+    doubled[(slice(1, None),) * N] = stencilled
+    for A in (None, sine_A(0.5, 4.0, N)):
         calls.clear()
         op = QuadratureOperator(grid, 0.6, A)
         assert len(calls) == 1
-    M = grid.M
-    table = free_kernel(grid, 0.6, op.cutoff, np.arange(-(M - 1), M)).reshape(-1)
-    assert np.array_equal(op.ktab, table)
-    doubled = free_kernel(grid, 0.6, op.cutoff, np.fft.ifftshift(np.arange(-M, M)))
-    assert np.array_equal(op.kernel_fft, operators.even_spectrum(doubled))
+        if A is None:
+            spectrum = operators.even_spectrum(np.fft.ifftshift(doubled))
+            assert np.array_equal(op.kernel_fft, spectrum)
+        else:
+            assert np.array_equal(op.ktab, stencilled.reshape(-1))
 
 
 def test_stored_pair_blocks_are_cut_at_the_cutoff():
@@ -512,6 +532,51 @@ def test_free_mode_matches_literal_formula(grid, A):
             lap[i] -= 2 * u[i]
     expected += -c * (W2 / (2 * N)) * lap / h ** 2
     got = QuadratureOperator(grid, s, A).apply(u)
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("A", [None, random_smooth_A(3, 3.0, 0.5, seed=47)],
+                         ids=["A0", "magnetic"])
+def test_operator_matches_literal_formula_3d(A):
+    # independent oracle in 3-D over all 512^2 pairs at once: the pair sum
+    # with midpoint phases, the far tail and the covariant second difference
+    grid = GridSpec(L=3.0, M=8, dim=3)
+    N, h, s = grid.dim, grid.h, 0.6
+    rng = np.random.default_rng(48)
+    u = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    c = frac_lap_constant(N, s)
+    rc = grid.L - h / 2
+
+    def A_at(x):
+        """A at the points x (last axis the components); zero when A is None."""
+        if A is None:
+            return np.zeros(x.shape)
+        return np.asarray(A(x.reshape(-1, N))).reshape(x.shape)
+
+    pts = grid.points()
+    z = pts[:, None, :] - pts[None, :, :]
+    r = np.linalg.norm(z, axis=-1)
+    K = np.zeros_like(r)
+    inside = (r > 0) & (r <= rc)
+    K[inside] = r[inside] ** (-N - 2 * s)
+    phase = np.exp(1j * np.sum(A_at((pts[:, None, :] + pts[None, :, :]) / 2) * z, axis=-1))
+    flat = u.reshape(-1)
+    expected = c * h ** N * (K.sum(axis=1) * flat - (K * phase) @ flat)
+    # far tail under zero extension; the unit sphere of R^3 has area 4 pi
+    expected += c * (4 * np.pi / (2 * s * rc ** (2 * s))) * flat
+    # the near zone has 2 cells in 3-D; the link x -> x + h e_a carries
+    # e^{-i A_a(x + (h/2) e_a) h}, and the field is zero outside the box
+    W2 = operators.near_zone_weight(N, s, h, 2)
+    x = grid.mesh()
+    lap = -2 * N * u
+    for a in range(N):
+        tails = tuple(slice(None, -1) if b == a else slice(None) for b in range(N))
+        heads = tuple(slice(1, None) if b == a else slice(None) for b in range(N))
+        link = np.exp(-1j * h * A_at(x + 0.5 * h * np.eye(N)[a])[..., a])[tails]
+        lap[tails] += link * u[heads]
+        lap[heads] += link.conj() * u[tails]
+    expected += -c * (W2 / (2 * N)) * lap.reshape(-1) / h ** 2
+    got = QuadratureOperator(grid, s, A).apply(u).reshape(-1)
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 

@@ -32,6 +32,25 @@ def test_penalized_reproduces_limit(coincident_setup):
     assert rep_p.c_eps == pytest.approx(rep_l.c_eps, rel=1e-6)
 
 
+@pytest.mark.parametrize("limit", [False, True], ids=["penalized", "limit"])
+def test_spectral_solve_builds_the_symbol_once(coincident_setup, monkeypatch, limit):
+    # the preconditioner reads |xi|^(2s) from the spectral operator
+    grid, cfg, pot = coincident_setup
+    mesh_sq, calls = GridSpec.wavenumber_mesh_sq, []
+
+    def counted(self):
+        calls.append(1)
+        return mesh_sq(self)
+    monkeypatch.setattr(GridSpec, "wavenumber_mesh_sq", counted)
+    opts = SolverOptions(grad_tol=1e-6, seed=1)
+    if limit:
+        _, rep = solve_limit(cfg, grid, opts)
+    else:
+        _, rep = solve_penalized(cfg, pot, grid, opts, validate=False)
+    assert rep.converged
+    assert len(calls) == 1
+
+
 def test_converged_report_consistency(magnetic_ctx, request):
     ctx, pot, _ = magnetic_ctx
     opts = SolverOptions(grad_tol=1e-6, seed=2, max_iters=4000)
