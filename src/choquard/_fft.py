@@ -1,10 +1,14 @@
-"""FFT entry points on numpy.fft: a real array takes the real transforms.
+"""FFT entry points on numpy.fft: real transforms, one axis at a time, in place.
 
-Every transform of the package goes through `fftn` and `ifftn`. A real input
-to `fftn` returns the half spectrum (the last transformed axis keeps M//2 + 1
-entries); `ifftn` with the signal length `n` of that axis inverts a half
-spectrum to a real array. One axis calls the 1-D transform, which skips the
-n-D wrapper's per-call overhead.
+Every transform of the package goes through `fftn` and `ifftn`. `fftn` takes
+a real array to its half spectrum (the last transformed axis keeps M//2 + 1
+entries): `rfft` on the last axis, then `fft` on the others in reverse order,
+each written into the spectrum it transforms. `ifftn` with the signal length
+`n` of the last axis inverts a half spectrum to a real array; without `n` it
+is the complex inverse. Either way its `ifft` steps are written into the
+array it is given, which the caller gives up. The axis order is numpy's, so
+the results are those of `rfftn`, `irfftn` and `ifftn` bit for bit, without
+their temporaries (`out=` needs numpy >= 2.0).
 """
 
 from __future__ import annotations
@@ -17,27 +21,25 @@ def _axes(a: np.ndarray, axes) -> tuple[int, ...]:
 
 
 def fftn(a: np.ndarray, axes=None) -> np.ndarray:
-    """Forward transform over `axes` (all by default); half spectrum for a
-    real `a`."""
+    """Half spectrum of the real array `a` over `axes` (all by default); `a`
+    is left as it was."""
     axes = _axes(a, axes)
-    if np.iscomplexobj(a):
-        if len(axes) == 1:
-            return np.fft.fft(a, axis=axes[0])
-        return np.fft.fftn(a, axes=axes)
-    if len(axes) == 1:
-        return np.fft.rfft(a, axis=axes[0])
-    return np.fft.rfftn(a, axes=axes)
+    y = np.fft.rfft(a, axis=axes[-1])
+    for ax in reversed(axes[:-1]):
+        np.fft.fft(y, axis=ax, out=y)
+    return y
 
 
 def ifftn(a: np.ndarray, axes=None, n: int | None = None) -> np.ndarray:
-    """Inverse transform over `axes` (all by default). Given `n`, the length
-    of the last transformed axis of the signal, `a` is a half spectrum and
-    the result is real."""
+    """Inverse transform over `axes` (all by default) of the complex array
+    `a`, which is overwritten. Given `n`, the length of the last transformed
+    axis of the signal, `a` is a half spectrum and the result is real;
+    without it the result is `a` itself."""
     axes = _axes(a, axes)
     if n is None:
-        if len(axes) == 1:
-            return np.fft.ifft(a, axis=axes[0])
-        return np.fft.ifftn(a, axes=axes)
-    if len(axes) == 1:
-        return np.fft.irfft(a, n, axis=axes[0])
-    return np.fft.irfftn(a, [a.shape[ax] for ax in axes[:-1]] + [n], axes=axes)
+        for ax in reversed(axes):
+            np.fft.ifft(a, axis=ax, out=a)
+        return a
+    for ax in axes[:-1]:
+        np.fft.ifft(a, axis=ax, out=a)
+    return np.fft.irfft(a, n, axis=axes[-1])

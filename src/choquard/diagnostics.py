@@ -46,10 +46,14 @@ def outer_layer_max(u: Field) -> float:
 
 
 def _tail_radii(u: Field, x_max_index) -> np.ndarray:
-    """Euclidean distance from the argmax, zero-extension view (no wrap)."""
-    mesh = u.grid.mesh()
-    x0 = u.grid.index_to_point(tuple(x_max_index))
-    return np.linalg.norm(mesh - x0, axis=-1)
+    """Euclidean distance from the argmax, zero-extension view (no wrap): the
+    squared offsets along each axis summed by broadcasting."""
+    g = u.grid
+    x0 = g.index_to_point(tuple(x_max_index))
+    r2 = 0.0
+    for a in range(g.dim):
+        r2 = r2 + ((g.axis() - x0[a]) ** 2).reshape((-1,) + (1,) * (g.dim - 1 - a))
+    return np.sqrt(r2)
 
 
 def _periodized_envelope(u: Field, x_max_index, power: float) -> np.ndarray:
@@ -107,7 +111,10 @@ def _fit_tail(u: Field, s: float, x_max_index):
     m_slope = (r >= g.L / 4) & (r <= g.L / 2) & (absu > 0)
     if np.count_nonzero(m_slope) < 4:
         return float("-inf"), C, status, r, envp
-    slope = float(np.polyfit(np.log(r[m_slope]), np.log(absu[m_slope]), 1)[0])
+    # least-squares slope in closed form: sum(x~ y) / sum(x~^2), x~ = x - mean(x)
+    x = np.log(r[m_slope])
+    x -= x.mean()
+    slope = float(np.sum(x * np.log(absu[m_slope])) / np.sum(x * x))
     return slope, C, status, r, envp
 
 

@@ -65,9 +65,12 @@ class EnergyContext:
 
     def precond_multiplier(self) -> np.ndarray:
         """The descent's preconditioner P = 1/(1 + |xi|^(2s) + V0), a Fourier
-        multiplier; |xi|^(2s) is the spectral operator's own symbol when it
-        has one. The 1 has been there since the first version of the
-        solver, and no reason for it was recorded."""
+        multiplier on the half spectrum; |xi|^(2s) is the spectral operator's
+        own symbol when it has one. The 1 is load-bearing: without it the
+        benchmark solves take more iterations (seeds 7000-7003: solve3d
+        18-21 -> 28-31, paper1d 23-24 -> 28-32 per eps of the sweep,
+        magnetic2d 19 -> 26-27, magnetic1d sweep totals 137-148 -> 151-174);
+        only paper1d's limit solve takes fewer, 15 -> 13."""
         symbol = (self.op.mult if isinstance(self.op, SpectralOperator)
                   else self.grid.wavenumber_mesh_sq() ** self.cfg.s)
         return 1.0 / (1.0 + symbol + self.cfg.V0)

@@ -57,9 +57,10 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.h)
 
     def wavenumber_mesh_sq(self) -> np.ndarray:
-        """|xi|^2 on the full wavenumber mesh, shape (M, ..., M)."""
+        """|xi|^2 on the half spectrum of a real transform, shape
+        (M, ..., M, M//2 + 1): the last axis keeps wavenumbers 0 to M/2."""
         xi = self.wavenumbers()
-        grids = np.meshgrid(*([xi] * self.dim), indexing="ij")
+        grids = np.meshgrid(*([xi] * (self.dim - 1) + [xi[:self.M // 2 + 1]]), indexing="ij")
         return sum(g ** 2 for g in grids)
 
     def index_to_point(self, index: int | tuple[int, ...]) -> np.ndarray:

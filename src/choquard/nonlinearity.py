@@ -22,11 +22,11 @@ class PowerNonlinearity:
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
-        return np.where(t > 0, np.maximum(t, 0.0) ** ((self.q - 2.0) / 2.0), 0.0)
+        return np.maximum(t, 0.0) ** ((self.q - 2.0) / 2.0)
 
     def F(self, t):
         t = np.asarray(t, dtype=float)
-        return (2.0 / self.q) * np.where(t > 0, np.maximum(t, 0.0) ** (self.q / 2.0), 0.0)
+        return (2.0 / self.q) * np.maximum(t, 0.0) ** (self.q / 2.0)
 
 
 @dataclass(frozen=True)

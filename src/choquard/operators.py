@@ -76,15 +76,18 @@ def magnetic_on(A, grid: GridSpec) -> bool:
 
 def fourier_multiply(mult: np.ndarray, u: np.ndarray) -> np.ndarray:
     """ifft(mult * fft(u)) over the trailing `mult.ndim` axes of u (leading
-    axes stack fields), for a real multiplier on the full spectrum that is
-    even in each axis. Complex in gives complex out; real in takes the real
-    transforms with the half multiplier mult[..., :M//2+1] and gives real
-    out, the real part of the complex route."""
-    axes = tuple(range(-mult.ndim, 0))
+    axes stack fields), for a real multiplier that is even in each axis,
+    stored on the half spectrum of the real transform (M//2 + 1 last-axis
+    columns). The product is taken in place on u's spectrum. Real in gives
+    real out; a complex u goes through as its real and imaginary parts,
+    stacked so that each transform is one call."""
     if np.iscomplexobj(u):
-        return ifftn(mult * fftn(u, axes), axes)
-    M = u.shape[-1]
-    return ifftn(mult[..., :M // 2 + 1] * fftn(u, axes), axes, M)
+        re, im = fourier_multiply(mult, np.stack((u.real, u.imag)))
+        return re + 1j * im
+    axes = tuple(range(-mult.ndim, 0))
+    uh = fftn(u, axes)
+    uh *= mult
+    return ifftn(uh, axes, u.shape[-1])
 
 
 def quadratic_form(grid: GridSpec, u: np.ndarray, Lu: np.ndarray):
@@ -95,9 +98,9 @@ def quadratic_form(grid: GridSpec, u: np.ndarray, Lu: np.ndarray):
 
 
 def even_spectrum(k: np.ndarray) -> np.ndarray:
-    """The full spectrum of a real kernel that is even in each axis: real,
+    """The half spectrum of a real kernel that is even in each axis: real,
     and a multiplier for `fourier_multiply`."""
-    return np.real(fftn(k.astype(complex)))
+    return fftn(k).real.copy()
 
 
 def offset_radii(offsets: np.ndarray, h: float, N: int) -> np.ndarray:
@@ -271,18 +274,18 @@ class SpectralOperator:
 
     grid: GridSpec
     s: float
+    # |xi|^(2s) on the half spectrum of the real transform
     mult: np.ndarray = field(init=False, repr=False)
-    # mult on the half spectrum of a real field, each column weighted by the
-    # times it occurs in the full one: 1 at columns 0 and M/2, 2 elsewhere
+    # mult with each column weighted by the times it occurs in the full
+    # spectrum: 1 at columns 0 and M/2, 2 elsewhere
     half_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.s <= 1.0):
             raise ValueError("spectral path requires s in (0, 1]")
         self.mult = self.grid.wavenumber_mesh_sq() ** self.s
-        M = self.grid.M
-        self.half_weights = 2.0 * self.mult[..., :M // 2 + 1]
-        self.half_weights[..., [0, M // 2]] *= 0.5
+        self.half_weights = 2.0 * self.mult
+        self.half_weights[..., [0, self.grid.M // 2]] *= 0.5
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The multiplier on u; leading axes of u stack fields."""
@@ -290,18 +293,22 @@ class SpectralOperator:
 
     def seminorm_sq(self, u: np.ndarray):
         """[u]^2 = Re<apply(u), u> h^N by Parseval, h^N / M^N sum |xi|^(2s)
-        |u^|^2: one forward transform; leading axes of u stack fields."""
+        |u^|^2: one forward transform, the sum over the half spectrum with
+        `half_weights`; a complex u is the sum of its real and imaginary
+        parts' values. Leading axes of u stack fields."""
+        if np.iscomplexobj(u):
+            return self.seminorm_sq(u.real) + self.seminorm_sq(u.imag)
         g = self.grid
         uh = fftn(u, tuple(range(-g.dim, 0)))
-        w = self.mult if np.iscomplexobj(u) else self.half_weights
-        return g.integrate(w * (uh.real ** 2 + uh.imag ** 2)) / g.size
+        return g.integrate(self.half_weights * (uh.real ** 2 + uh.imag ** 2)) / g.size
 
 
 # ------------------------------------------------------------ Riesz potential
 
 @dataclass(frozen=True)
 class HartreeCache:
-    """Transform of the Riesz kernel |x|^(-mu) sampled on the box."""
+    """Transform of the Riesz kernel |x|^(-mu) sampled on the box, on the
+    half spectrum of the real transform."""
 
     kernel_spectrum: np.ndarray = field(repr=False)
     spectrum_clip: float = 0.0

@@ -164,6 +164,64 @@ def test_periodized_envelope_matches_image_loop(dim, M, index):
                                rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("dim, M, index", [(1, 64, (29,)), (2, 24, (9, 8)),
+                                           (3, 16, (5, 11, 7))], ids=["1d", "2d", "3d"])
+def test_tail_radii_match_mesh_norm(dim, M, index):
+    from choquard.diagnostics import _tail_radii
+    grid = GridSpec(L=6.0, M=M, dim=dim)
+    u = Field(np.zeros(grid.shape), grid)
+    x0 = grid.index_to_point(index)
+    np.testing.assert_array_equal(_tail_radii(u, index),
+                                  np.linalg.norm(grid.mesh() - x0, axis=-1))
+
+
+def _tail_field(grid, power, seed):
+    """A decaying field with a rough tail: 1/(1 + r^power) times noise."""
+    r2 = np.sum(grid.mesh() ** 2, axis=-1)
+    noise = 1.0 + 0.2 * np.random.default_rng(seed).uniform(size=grid.shape)
+    return Field(noise / (1.0 + r2 ** (power / 2)), grid)
+
+
+@pytest.mark.parametrize("dim, M", [(1, 256), (2, 48), (3, 24)], ids=["1d", "2d", "3d"])
+def test_tail_slope_is_the_least_squares_slope(dim, M, monkeypatch):
+    # oracle: np.polyfit on the fit's own shell; the fit itself builds no
+    # coordinate mesh and makes no LAPACK call
+    from choquard import diagnostics
+    grid = GridSpec(L=20.0, M=M, dim=dim)
+    for seed in range(3):
+        u = _tail_field(grid, dim + 1.5, seed)
+        idx = u.argmax_index()
+        with monkeypatch.context() as m:
+            def refused(*args, **kwargs):
+                raise AssertionError("fit_decay called a refused function")
+            m.setattr(GridSpec, "mesh", refused)
+            m.setattr(np.linalg, "lstsq", refused)
+            slope, _, status = diagnostics.fit_decay(u, 0.75, idx)
+        assert status == "ok"
+        r = diagnostics._tail_radii(u, idx)
+        absu = np.abs(u.values)
+        shell = (r >= grid.L / 4) & (r <= grid.L / 2) & (absu > 0)
+        ref = np.polyfit(np.log(r[shell]), np.log(absu[shell]), 1)[0]
+        assert abs(slope - ref) <= 1e-12 * abs(ref)
+
+
+def test_fit_decay_peak_memory_is_a_few_fields():
+    # measured: 6.0 field sizes here, 12.0 with the mesh and np.polyfit
+    import tracemalloc
+    from choquard.diagnostics import fit_decay
+    grid = GridSpec(L=12.0, M=32, dim=3)
+    u = _tail_field(grid, 3 + 1.5, 0)
+    idx = u.argmax_index()
+    fit_decay(u, 0.75, idx)  # first-call allocations are not the fit's
+    tracemalloc.start()
+    try:
+        fit_decay(u, 0.75, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * u.values.nbytes
+
+
 def test_concentration_monotone_gaps_pass():
     grid, cfg, pot = make_conc_inputs()
     reports = [fake_report(0.5, 1.05), fake_report(0.25, 1.01),

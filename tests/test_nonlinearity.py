@@ -20,6 +20,18 @@ def test_f_vanishes_at_zero_and_below():
     assert nl.F(-2.0) == 0.0
 
 
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 6.0])
+def test_power_model_bits_match_the_branch_form(q):
+    # f, F = t^p for t > 0 and +0.0 otherwise, bit for bit; -0.0 included
+    nl = PowerNonlinearity(q)
+    t = np.concatenate([[-0.0, 0.0, -1.0, -1e-300, 5e-324, 1e30],
+                        np.random.default_rng(0).normal(size=64) * 10.0])
+    for got, p, scale in ((nl.f(t), (q - 2.0) / 2.0, 1.0), (nl.F(t), q / 2.0, 2.0 / q)):
+        ref = scale * np.where(t > 0, np.where(t > 0, t, 0.0) ** p, 0.0)
+        np.testing.assert_array_equal(got, ref)
+        assert not np.any(np.signbit(got))
+
+
 def test_q4_hand_values():
     nl = PowerNonlinearity(4.0)
     # f(t) = t, F(t) = t^2/2

@@ -417,17 +417,32 @@ def _multipliers(grid):
             "precond": ctx.precond_multiplier()}
 
 
+def _full_spectrum(half, M):
+    """A half-spectrum multiplier that is even in each axis on the full
+    spectrum: column k > M/2 is column M - k."""
+    return np.concatenate([half, half[..., M // 2 - 1:0:-1]], axis=-1)
+
+
 @pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("stack", [(), (3,)])
 def test_real_route_matches_complex_transform(dim, M, stack):
-    # oracle: the full complex transform, real part kept
+    # oracle: the full complex transform of the stored half multiplier,
+    # expanded by even reflection; real part kept for a real field
     grid = GridSpec(L=6.0, M=M, dim=dim)
-    u = np.random.default_rng(dim).normal(size=stack + grid.shape)
+    rng = np.random.default_rng(dim)
+    u = rng.normal(size=stack + grid.shape)
+    z = u + 1j * rng.normal(size=u.shape)
     axes = tuple(range(-dim, 0))
     for name, mult in _multipliers(grid).items():
-        ref = np.real(np.fft.ifftn(mult * np.fft.fftn(u, axes=axes), axes=axes))
+        assert mult.shape == grid.shape[:-1] + (M // 2 + 1,), name
+        full = _full_spectrum(mult, M)
+        ref = np.real(np.fft.ifftn(full * np.fft.fftn(u, axes=axes), axes=axes))
         out = fourier_multiply(mult, u)
         assert out.dtype == np.float64 and out.shape == u.shape, name
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+        ref = np.fft.ifftn(full * np.fft.fftn(z, axes=axes), axes=axes)
+        out = fourier_multiply(mult, z)
+        assert out.dtype == np.complex128 and out.shape == z.shape, name
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
 
