@@ -82,10 +82,14 @@ def sampled_well(pot: PotentialSpec, eps: float, grid: GridSpec):
     the least V on the mask's sampled boundary (None when the grid resolves
     no boundary), which the well condition of hypothesis (V2) asks to exceed
     the least V inside. The sampled boundary is the cells outside the region
-    with an axis neighbour inside it."""
-    pts = eps * grid.mesh()
-    vvals = np.asarray(pot.V(pts))
-    inside = pot.region.contains(pts)
+    with an axis neighbour inside it. V and the region are evaluated on the
+    grid's chunks (`GridSpec.chunks`), so no coordinate mesh is built."""
+    vvals = np.empty(grid.shape)
+    inside = np.empty(grid.shape, dtype=bool)
+    for rows, x in grid.chunks():
+        x *= eps
+        vvals[rows] = pot.V(x)
+        inside[rows] = pot.region.contains(x)
     bnd = np.zeros_like(inside)
     for a in range(grid.dim):
         bnd |= ~inside & (np.roll(inside, -1, axis=a) | np.roll(inside, 1, axis=a))

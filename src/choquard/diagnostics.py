@@ -12,7 +12,7 @@ import numpy as np
 from .config import ProblemConfig, PotentialSpec, sampled_well
 from .energy import (EnergyContext, root_decreasing, sampled_hartree_sup, shell_of_B,
                      shell_samples)
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, axis_sum
 from .operators import QuadratureOperator, riesz_convolve
 
 
@@ -40,8 +40,7 @@ class CheckResult:
 
 def outer_layer_max(u: Field) -> float:
     """Largest |u| over the outermost layer of grid cells."""
-    absu = np.abs(u.values)
-    return max(float(np.max(np.take(absu, [0, u.grid.M - 1], axis=a)))
+    return max(float(np.max(np.abs(np.take(u.values, [0, u.grid.M - 1], axis=a))))
                for a in range(u.grid.dim))
 
 
@@ -50,16 +49,15 @@ def _tail_radii(u: Field, x_max_index) -> np.ndarray:
     squared offsets along each axis summed by broadcasting."""
     g = u.grid
     x0 = g.index_to_point(tuple(x_max_index))
-    r2 = 0.0
-    for a in range(g.dim):
-        r2 = r2 + ((g.axis() - x0[a]) ** 2).reshape((-1,) + (1,) * (g.dim - 1 - a))
-    return np.sqrt(r2)
+    r2 = axis_sum([(g.axis() - x0[a]) ** 2 for a in range(g.dim)])
+    return np.sqrt(r2, out=r2)
 
 
 def _periodized_envelope(u: Field, x_max_index, power: float) -> np.ndarray:
     """Shape 1/(1 + r^power) summed over the 3^N neighbor box images, which is
     what the truncated periodic grid actually resolves of the decay bound.
-    An image's r^2 is the outer sum of the squared offsets along each axis."""
+    An image's r^2 is the outer sum of the squared offsets along each axis,
+    and its term is formed in place in that one buffer."""
     g = u.grid
     x0 = g.index_to_point(tuple(x_max_index))
     # sq[a][k]: squared offsets along axis a to image k (shift -2L, 0, +2L)
@@ -67,10 +65,12 @@ def _periodized_envelope(u: Field, x_max_index, power: float) -> np.ndarray:
           for a in range(g.dim)]
     env = np.zeros(g.shape)
     for image in product(range(3), repeat=g.dim):
-        r2 = sq[0][image[0]]
-        for a in range(1, g.dim):
-            r2 = np.add.outer(r2, sq[a][image[a]])
-        env += 1.0 / (1.0 + np.sqrt(r2) ** power)
+        term = axis_sum([sq[a][k] for a, k in enumerate(image)])
+        np.sqrt(term, out=term)
+        term **= power
+        term += 1.0
+        env += np.reciprocal(term, out=term)
+        del term  # one image's buffer at a time
     return env
 
 
@@ -93,10 +93,10 @@ def _fit_tail(u: Field, s: float, x_max_index):
     sup = u.sup_norm()
     if sup == 0:
         return float("nan"), float("nan"), "inconclusive", None, None
-    absu = np.abs(u.values)
     status = "inconclusive" if outer_layer_max(u) > 1e-3 * sup else "ok"
     r = _tail_radii(u, x_max_index)
     envp = _periodized_envelope(u, x_max_index, power)
+    absu = np.abs(u.values)
     m_fit = (r >= g.L / 8) & (r <= g.L / 2)
     if np.count_nonzero(m_fit) < 4 or not np.any(absu[m_fit] > 0):
         return float("nan"), float("nan"), "inconclusive", r, envp

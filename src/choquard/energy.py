@@ -177,7 +177,15 @@ def gradient(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
     density = np.abs(v) ** 2
     if K is None:
         K = ctx.hartree_potential(density)
-    out = (ctx.apply_op(v) if Lu is None else Lu) + ctx.V_eps * v - K * ctx.g_of(density) * v
+    if Lu is None:
+        Lu = ctx.apply_op(v)
+    # one output of the result's type (Lu is complex for a real u on a
+    # magnetic operator), the terms added into it in the order of the formula
+    out = np.multiply(ctx.V_eps, v, out=np.empty(v.shape, np.result_type(Lu, v)))
+    out += Lu
+    Kg = ctx.g_of(density)
+    Kg *= K
+    out -= np.multiply(Kg, v, out=None if np.iscomplexobj(v) else Kg)
     return Field(out, u.grid)
 
 
@@ -190,6 +198,9 @@ def nehari_residual(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
 
 # Relative bracket width at which a root search stops.
 ROOT_REL_TOL = 1e-12
+# Doublings of t a Nehari projection tries for an upper bracket when the
+# region alone pairs to zero, before it reports that the ray has no root.
+NEHARI_BRACKET_DOUBLINGS = 64
 
 
 def root_decreasing(fn, lo: float, hi: float) -> float:
@@ -252,9 +263,11 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
     (1/2 - 1/(2q)) t^2 ||u||_eps^2: one convolution in all. That is the
     answer when `ctx.pen` is None or t^2 |u|^2 <= a outside the region.
     Otherwise it is a lower bound (the truncation only lowers G and g), the
-    same formula with F and f cut to the region an upper bound, and the root
-    between them is found by `root_decreasing` (about 8 pairings of one
-    convolution each), plus one convolution for the potential at the root,
+    same formula with F and f cut to the region an upper bound (where the
+    region alone pairs to zero, t doubled from the lower bound until the
+    pairing turns negative, at most `NEHARI_BRACKET_DOUBLINGS` times), and
+    the root between them is found by `root_decreasing` (about 8 pairings of
+    one convolution each), plus one convolution for the potential at the root,
     whose G also gives J. `Lu`, the operator image of u when it is already
     known, saves the operator pass.
     """
@@ -266,11 +279,20 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
     hV = ctx.grid.cell_volume()
     q = ctx.cfg.q
 
-    def closed_form(keep) -> tuple[float, np.ndarray]:
-        """t of the pure power model on the points `keep` selects (1.0: all),
-        and the convolution K1 it was computed from."""
-        K1 = riesz_convolve(keep * ctx.nl.F(density), ctx.hartree)
-        X = float(np.sum(K1 * keep * ctx.nl.f(density) * density) * hV)
+    def closed_form(keep=None) -> tuple[float, np.ndarray]:
+        """t of the pure power model on the points the mask `keep` selects
+        (None: all), and the convolution K1 it was computed from."""
+        F = ctx.nl.F(density)
+        if keep is not None:
+            F *= keep
+        K1 = riesz_convolve(F, ctx.hartree)
+        del F
+        Kfr = ctx.nl.f(density)  # K1 f(|u|^2) |u|^2 (times keep), in place
+        if keep is not None:
+            Kfr *= keep
+        Kfr *= K1
+        Kfr *= density
+        X = float(np.sum(Kfr) * hV)
         t = (n2 / X) ** (1.0 / (2.0 * q - 2.0)) if X > 0 else np.inf
         if not 0 < t < np.inf:
             raise NehariError("ray has no Nehari point")
@@ -279,16 +301,34 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
     def phi_over_t2(t: float) -> float:
         w = (t * t) * density
         K = riesz_convolve(ctx.G_of(w), ctx.hartree)
-        val = n2 - float(np.sum(K * ctx.g_of(w) * density) * hV)
+        Kgr = ctx.g_of(w)  # K g(t^2 |u|^2) |u|^2, in place
+        Kgr *= K
+        Kgr *= density
+        val = n2 - float(np.sum(Kgr) * hV)
         if not np.isfinite(val):
             raise NehariError(f"ray has no Nehari point: non-finite pairing at t={t:g}")
         return val
 
-    t_lo, K1 = closed_form(1.0)
-    if ctx.pen is None or not np.any(t_lo * t_lo * density[~ctx.lambda_mask] > ctx.pen.a):
+    t_lo, K1 = closed_form()
+    # t^2 max |u|^2 is the largest t^2 |u|^2 (rounding is monotone)
+    if ctx.pen is None or not t_lo * t_lo * np.max(
+            density, where=np.logical_not(ctx.lambda_mask), initial=0.0) > ctx.pen.a:
         K1 *= t_lo ** q
         return Ray(t_lo, K1, (0.5 - 0.5 / q) * t_lo * t_lo * n2)
-    t = root_decreasing(phi_over_t2, t_lo, closed_form(ctx.lambda_mask)[0])
+    del K1
+    try:
+        t_hi = closed_form(ctx.lambda_mask)[0]
+    except NehariError:
+        # no pairing on the region (its mass underflows): the truncated G
+        # grows linearly past a, so doubling t finds an upper bracket
+        t_hi = t_lo
+        for _ in range(NEHARI_BRACKET_DOUBLINGS):
+            t_hi *= 2.0
+            if phi_over_t2(t_hi) < 0:
+                break
+        else:
+            raise NehariError("ray has no Nehari point") from None
+    t = root_decreasing(phi_over_t2, t_lo, t_hi)
     G = ctx.G_of((t * t) * density)
     K = riesz_convolve(G, ctx.hartree)
     return Ray(t, K, 0.5 * t * t * n2 - 0.25 * float(np.sum(K * G) * hV))

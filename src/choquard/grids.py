@@ -6,6 +6,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# points per chunk when a callable of the coordinates is evaluated on a grid
+# (`GridSpec.chunks`): whole first-axis rows, so a 1-D grid of up to this many
+# points is one chunk
+CHUNK_POINTS = 4096
+
+
+def axis_sum(terms) -> np.ndarray:
+    """sum_a terms[a][i_a] on the grid of indices (i_0, ..., i_{N-1}), one 1-D
+    term per axis, added in axis order by broadcasting: each value is the same
+    sum, bit for bit, as the sum over the last axis of a coordinate mesh."""
+    n = len(terms)
+    total = 0.0
+    for a, t in enumerate(terms):
+        total = total + np.reshape(t, (-1,) + (1,) * (n - 1 - a))
+    return total
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -52,6 +68,17 @@ class GridSpec:
         """Flat list of grid points, shape (M^dim, dim)."""
         return self.mesh().reshape(-1, self.dim)
 
+    def chunks(self):
+        """The coordinates `mesh()[rows]` of consecutive first-axis rows, at
+        most `CHUNK_POINTS` points at a time (one row where a row holds more),
+        as pairs (rows, coordinates); the rows cover the grid in order."""
+        ax = self.axis()
+        step = max(1, CHUNK_POINTS // self.M ** (self.dim - 1))
+        for lo in range(0, self.M, step):
+            rows = slice(lo, min(lo + step, self.M))
+            yield rows, np.stack(np.meshgrid(ax[rows], *([ax] * (self.dim - 1)),
+                                             indexing="ij"), axis=-1)
+
     def wavenumbers(self) -> np.ndarray:
         """Angular wavenumbers along one axis for the period-2L torus."""
         return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.h)
@@ -59,9 +86,8 @@ class GridSpec:
     def wavenumber_mesh_sq(self) -> np.ndarray:
         """|xi|^2 on the half spectrum of a real transform, shape
         (M, ..., M, M//2 + 1): the last axis keeps wavenumbers 0 to M/2."""
-        xi = self.wavenumbers()
-        grids = np.meshgrid(*([xi] * (self.dim - 1) + [xi[:self.M // 2 + 1]]), indexing="ij")
-        return sum(g ** 2 for g in grids)
+        xi2 = self.wavenumbers() ** 2
+        return axis_sum([xi2] * (self.dim - 1) + [xi2[:self.M // 2 + 1]])
 
     def index_to_point(self, index: int | tuple[int, ...]) -> np.ndarray:
         idx = np.atleast_1d(np.array(np.unravel_index(index, self.shape)

@@ -20,13 +20,19 @@ class PowerNonlinearity:
         if not self.q > 2:
             raise ValueError("growth exponent q must exceed 2")
 
+    # Both raise the array np.maximum returns in place; `**=` takes numpy's
+    # sqrt and square paths as `**` does, so the values are the same.
+
     def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.maximum(t, 0.0) ** ((self.q - 2.0) / 2.0)
+        out = np.maximum(np.asarray(t, dtype=float), 0.0)
+        out **= (self.q - 2.0) / 2.0
+        return out
 
     def F(self, t):
-        t = np.asarray(t, dtype=float)
-        return (2.0 / self.q) * np.maximum(t, 0.0) ** (self.q / 2.0)
+        out = np.maximum(np.asarray(t, dtype=float), 0.0)
+        out **= self.q / 2.0
+        out *= 2.0 / self.q
+        return out
 
 
 @dataclass(frozen=True)
@@ -47,21 +53,27 @@ class PenalizationParams:
 
 
 def g_eval(t, inside, nl: PowerNonlinearity, pen: PenalizationParams | None):
-    """g(x, t): f inside the region, f capped at f(a) outside."""
+    """g(x, t): f inside the region, f capped at f(a) outside; the cap is
+    applied in place, to the points outside only."""
     f = nl.f(t)
     if pen is None:
         return f
-    return np.where(inside, f, np.minimum(f, pen.cap))
+    f = np.asarray(f)
+    return np.minimum(f, pen.cap, out=f, where=np.logical_not(inside))
 
 
 def G_eval(t, inside, nl: PowerNonlinearity, pen: PenalizationParams | None):
     """G(x, t) = integral of g(x, .) from 0 to t: F inside the region and up
     to the threshold a, continued linearly with slope f(a) past it."""
     t = np.asarray(t, dtype=float)
-    F = nl.F(t)
+    G = nl.F(t)
     if pen is None:
-        return F
-    return np.where(inside | (t <= pen.a), F, nl.F(pen.a) + pen.cap * (t - pen.a))
+        return G
+    # in place, on the points outside the region past the threshold only
+    G, past = np.asarray(G), np.logical_not(inside | (t <= pen.a))
+    np.subtract(t, pen.a, out=G, where=past)
+    np.multiply(G, pen.cap, out=G, where=past)
+    return np.add(G, nl.F(pen.a), out=G, where=past)
 
 
 def threshold_for(ell0: float, V0: float, q: float) -> float:

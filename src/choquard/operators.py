@@ -54,7 +54,7 @@ from math import gamma
 import numpy as np
 
 from ._fft import fftn, ifftn
-from .grids import GridSpec
+from .grids import GridSpec, axis_sum
 
 
 def frac_lap_constant(N: int, s: float) -> float:
@@ -68,8 +68,10 @@ def sphere_area(N: int) -> float:
 
 def magnetic_on(A, grid: GridSpec) -> bool:
     """True when the vector potential A is given and not zero at every grid
-    point, the points where an operator on `grid` evaluates it."""
-    return A is not None and bool(np.max(np.abs(np.asarray(A(grid.points())))) > 0)
+    point, the points where an operator on `grid` evaluates it; A is read on
+    the grid's chunks, up to the first that holds a nonzero value."""
+    return A is not None and any(np.any(np.abs(A(x.reshape(-1, grid.dim))) > 0)
+                                 for _, x in grid.chunks())
 
 
 # ------------------------------------------------------------------ helpers
@@ -94,7 +96,7 @@ def quadratic_form(grid: GridSpec, u: np.ndarray, Lu: np.ndarray):
     """[u]^2 = Re<Lu, u> h^N from the image Lu of u under a self-adjoint
     operator, the one form of both operators; leading axes of u stack
     fields, each getting its own value."""
-    return grid.integrate(np.real(np.conj(u) * Lu))
+    return grid.integrate(np.real(u.conj() * Lu))
 
 
 def even_spectrum(k: np.ndarray) -> np.ndarray:
@@ -106,8 +108,7 @@ def even_spectrum(k: np.ndarray) -> np.ndarray:
 def offset_radii(offsets: np.ndarray, h: float, N: int) -> np.ndarray:
     """|h d| on the N-dimensional mesh of integer displacements d with
     components in `offsets`."""
-    axes = np.meshgrid(*([offsets * h] * N), indexing="ij")
-    return np.sqrt(sum(a ** 2 for a in axes))
+    return np.sqrt(axis_sum([(offsets * h) ** 2] * N))
 
 
 def near_zone_weight(N: int, s: float, h: float, r0: int) -> float:
@@ -245,14 +246,18 @@ class QuadratureOperator:
             Wu[rows] = B @ flat[rows.start:stop]
             # the rows below the block take its conjugate transpose
             below[rows.stop:stop] += B[:, rows.stop - rows.start:].T @ conj[rows]
-        Wu += below.conj()
+        Wu += np.conjugate(below, out=below)
         return Wu.T.reshape(u.shape)
 
     # ---------------- public evaluations
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """The operator on u; leading axes of u stack fields, one pair pass."""
-        return self.diag * u - self.c * self.grid.cell_volume() * self._pair_data(u)
+        """The operator on u; leading axes of u stack fields, one pair pass,
+        scaled in place and taken from diag u (in place when the types agree)."""
+        Wu = self._pair_data(u)
+        Wu *= self.c * self.grid.cell_volume()
+        Lu = self.diag * u
+        return np.subtract(Lu, Wu, out=Lu if Lu.dtype == Wu.dtype else None)
 
     def seminorm_sq(self, u: np.ndarray):
         """[u]^2 = Re<apply(u), u> h^N; leading axes of u stack fields."""

@@ -7,13 +7,13 @@ from functools import lru_cache
 import numpy as np
 
 from ._fft import ifftn
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, axis_sum
 
 
 @lru_cache(maxsize=4)
 def _window(grid: GridSpec) -> np.ndarray:
     """exp(-sum (x/0.6L)^8) on the grid, built once per grid and read-only."""
-    w = np.exp(-np.sum((grid.mesh() / (0.6 * grid.L)) ** 8, axis=-1))
+    w = np.exp(-axis_sum([(grid.axis() / (0.6 * grid.L)) ** 8] * grid.dim))
     # exact zeros on the outermost layer keep zero-extension identities exact
     for a in range(grid.dim):
         sl = [slice(None)] * grid.dim
@@ -70,14 +70,17 @@ def _gaussian(grid: GridSpec, center=None, region: np.ndarray | None = None,
     """exp(-|x - center|^2 / (2 w^2)) on the grid, w = `width`. With a
     `region` mask, w = max(the region's narrowest extent / 6, 2h) instead,
     and a `center` of None is the region's centroid."""
-    mesh = grid.mesh()
+    ax = grid.axis()
     if region is not None:
-        pts = mesh[region]
+        # the region's points as mesh()[region] has them, (n, N) in C order
+        # (np.argwhere's transposed layout would sum the centroid differently)
+        pts = ax[np.stack(np.nonzero(region), axis=-1)]
         extent = float(np.min(pts.max(axis=0) - pts.min(axis=0))) if pts.size else 0.0
         width = max(extent / 6.0, 2 * grid.h)
         if center is None:
             center = pts.mean(axis=0)
-    return np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width ** 2))
+    center = np.broadcast_to(center, (grid.dim,))
+    return np.exp(-axis_sum([(ax - c) ** 2 for c in center]) / (2 * width ** 2))
 
 
 def gaussian_bump(grid: GridSpec, width: float = 1.0) -> Field:

@@ -15,7 +15,7 @@ from .diagnostics import fit_decay, outer_layer_max
 from .energy import (Calibration, EnergyContext, NehariError, build_limit_context,
                      build_penalized_context, calibrate_penalization, gradient,
                      nehari_project, nehari_residual)
-from .grids import Field, GridSpec, NonFiniteFieldError
+from .grids import Field, GridSpec, NonFiniteFieldError, axis_sum
 from .operators import fourier_multiply
 from .sampling import _gaussian, band_limited_field, gaussian_bump
 
@@ -206,29 +206,37 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         gn = d.l2_norm()
         if gn < opts.grad_tol:
             return Descent(u, J, it, gn, history, projections, Lu, K, steps)
+        # each field is dropped at its last use, so that the line search holds
+        # only u, Lu, d and the trial (`conj` of a real array is the array)
+        del K
+        slope = float(np.real(np.sum(g.values.conj() * d.values)) * hV)
+        del g
         short = False
         if u_prev is not None:
             sv = u.values - u_prev.values
+            u_prev = None
             yv = d.values - d_prev.values
+            d_prev = None
             tau, short = bb_step(float(np.sum(np.abs(sv) ** 2) * hV),
-                                 float(np.real(np.sum(np.conj(sv) * yv)) * hV),
+                                 float(np.real(np.sum(sv.conj() * yv)) * hV),
                                  float(np.sum(np.abs(yv) ** 2) * hV), tau)
             tau = min(max(tau, BB_TAU_MIN), BB_TAU_MAX)
+            del sv, yv
         u_prev, d_prev = u, d
-        slope = float(np.real(np.sum(np.conj(g.values) * d.values)) * hV)
-        del g, K  # not needed in the line search; freeing them bounds peak memory
         w = u.values - tau * d.values
         Lw = ctx.apply_op(w)
         for halvings in range(MAX_BACKTRACKS):
             try:
-                t, Kw, J_new = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
+                t, K, J_new = nehari_project(Field(w, ctx.grid), ctx, Lu=Lw)
             except NehariError:
                 J_new = np.nan
             else:
                 projections += 1
             if np.isfinite(J_new) and J_new <= J - ARMIJO_C1 * tau * slope + ARMIJO_SLACK:
                 break
-            # half the step: the unscaled w and Lw move, in place, to midpoints
+            # half the step: the failed trial's potential goes, and the
+            # unscaled w and Lw move, in place, to midpoints
+            K = None
             tau *= 0.5
             w += u.values
             w *= 0.5
@@ -238,7 +246,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             raise SolverError("line search stalled before reaching tolerance", u)
         w *= t  # in place: the accepted trial and its image become u and Lu
         Lw *= t
-        u, J, Lu, K = Field(w, ctx.grid), J_new, Lw, Kw
+        u, J, Lu = Field(w, ctx.grid), J_new, Lw
         history.append(J)
         steps.append(Step(gn, tau, halvings, float(t), short))
     raise SolverError(f"no convergence in {opts.max_iters} iterations "
@@ -264,7 +272,7 @@ def _default_start(ctx: EnergyContext, opts: SolverOptions) -> Field:
     vmin = float(np.min(V_masked))
     at_min = V_masked <= vmin + 1e-12 * max(1.0, abs(vmin))
     # tie-break toward the origin (the natural normalization of the well)
-    r2 = np.where(at_min, np.sum(g.mesh() ** 2, axis=-1), np.inf)
+    r2 = np.where(at_min, axis_sum([g.axis() ** 2] * g.dim), np.inf)
     center = g.index_to_point(np.unravel_index(int(np.argmin(r2)), g.shape))
     vals = _gaussian(g, center, ctx.lambda_mask)
     return Field(ctx.a0_plane_wave(vals * _seeded_perturbation(g, opts.seed)), g)

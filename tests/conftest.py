@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,38 @@ def central_diff_energy(ctx, u: Field, v: Field, delta: float = 1e-6) -> float:
     up = Field(u.values + delta * v.values, u.grid)
     um = Field(u.values - delta * v.values, u.grid)
     return (energy_value(up, ctx) - energy_value(um, ctx)) / (2 * delta)
+
+
+def mesh_sampled_well(pot: PotentialSpec, eps: float, grid: GridSpec):
+    """`config.sampled_well` by its formula on the whole coordinate mesh: V
+    and the region at eps x, the cells outside with an axis neighbour inside,
+    and the least V on them (None when there are none)."""
+    pts = eps * grid.mesh()
+    vvals = np.asarray(pot.V(pts))
+    inside = pot.region.contains(pts)
+    bnd = np.zeros_like(inside)
+    for a in range(grid.dim):
+        bnd |= ~inside & (np.roll(inside, -1, axis=a) | np.roll(inside, 1, axis=a))
+    return vvals, inside, float(np.min(vvals[bnd])) if bnd.any() else None
+
+
+def mesh_magnetic_on(A, grid: GridSpec) -> bool:
+    """`operators.magnetic_on` by its formula on the flat list of all grid points."""
+    return A is not None and bool(np.max(np.abs(np.asarray(A(grid.points())))) > 0)
+
+
+def traced_peak(call, field_bytes: int) -> float:
+    """The peak of the memory traced by tracemalloc while `call()` runs, above
+    what is traced when it starts, in units of `field_bytes`. The call is made
+    once untraced first, so that caches it fills are not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / field_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def align_phase(u: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choquard import (BallRegion, BoxRegion, ConfigError, GridSpec, PotentialSpec,
-                      ProblemConfig, check_problem, clipped_quadratic_V, constant_V,
-                      region_mask, validate_config)
+                      ProblemConfig, check_problem, clipped_quadratic_V, constant_A,
+                      constant_V, random_smooth_A, region_mask, sine_A, validate_config)
+from choquard.config import sampled_well
+from choquard.operators import magnetic_on
+
+from conftest import mesh_magnetic_on, mesh_sampled_well, traced_peak
 
 
 def make_pot(dim, V=None, radius=1.0):
@@ -173,3 +177,47 @@ def test_region_leaves_domain_one_predicate():
                 region_mask(cfg, grid, pot)
         else:
             assert region_mask(cfg, grid, pot).any()
+
+
+def _last_row_A(grid, eps):
+    """A(eps x) nonzero only on the grid's last first-axis row: only the last
+    chunk sees it."""
+    edge = eps * (grid.L - 1.5 * grid.h)
+    return lambda p: np.where(np.asarray(p)[..., :1] > edge, 1.0, 0.0) * np.ones(grid.dim)
+
+
+@pytest.mark.parametrize("dim, M", [(1, 256), (1, 6000), (2, 28), (2, 96), (3, 24),
+                                    (3, 32), (3, 80)],
+                         ids=["1d", "1d-two-chunks", "2d", "2d-ragged", "3d-ragged",
+                              "3d", "3d-row-per-chunk"])
+def test_chunked_grid_callables_match_the_mesh_formula(dim, M):
+    # V(eps x), the region, the boundary minimum and whether A is on: bit for
+    # bit the values of the formula on the whole coordinate mesh
+    grid = GridSpec(L=8.0, M=M, dim=dim)
+    eps = 0.5
+
+    def twin(p):
+        p = np.asarray(p)
+        return 1.0 + np.minimum(np.minimum(np.sum(p ** 2, axis=-1),
+                                           np.sum((p - 1.5) ** 2, axis=-1)), 4.0)
+    pots = [PotentialSpec(clipped_quadratic_V(1.0, 0.7, 3.0), None,
+                          BallRegion((0.3,) * dim, 1.2)),
+            PotentialSpec(twin, None, BoxRegion((-1.0,) * dim, (0.8,) * dim))]
+    for pot in pots:
+        got, ref = sampled_well(pot, eps, grid), mesh_sampled_well(pot, eps, grid)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+    for A in (None, constant_A([0.0] * dim), sine_A(0.5, 4.0, dim),
+              random_smooth_A(dim, grid.L, 0.4, seed=2), _last_row_A(grid, 1.0)):
+        assert magnetic_on(A, grid) == mesh_magnetic_on(A, grid)
+    assert magnetic_on(_last_row_A(grid, 1.0), grid)
+
+
+def test_validate_config_peaks_below_a_few_fields():
+    # solve3d's grid: V and the region on chunks, the mask and the boundary as
+    # bytes; measured 2.5 field sizes, 12.0 with the coordinate mesh
+    cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    grid = GridSpec(L=12.0, M=32, dim=3)
+    pot = make_pot(3)
+    assert traced_peak(lambda: validate_config(cfg, pot, grid), 8 * grid.size) < 4

@@ -6,6 +6,8 @@ from choquard import (Field, GridSpec, check_concentration,
                       constant_A, random_smooth_A)
 from choquard.solver import SolveReport
 
+from conftest import traced_peak
+
 
 @pytest.fixture(scope="module")
 def g96():
@@ -175,6 +177,24 @@ def test_tail_radii_match_mesh_norm(dim, M, index):
                                   np.linalg.norm(grid.mesh() - x0, axis=-1))
 
 
+@pytest.mark.parametrize("dim, M, index", [(1, 64, (5,)), (2, 24, (3, 20)),
+                                           (3, 16, (2, 9, 15))], ids=["1d", "2d", "3d"])
+def test_periodized_envelope_bits_match_the_image_formula(dim, M, index):
+    # oracle: each image's 1 / (1 + |x - x0 - 2L k|^p) on the coordinate mesh,
+    # summed in the same image order; the in-place steps keep every bit
+    from itertools import product
+    from choquard.diagnostics import _periodized_envelope
+    grid = GridSpec(L=6.0, M=M, dim=dim)
+    u = Field(np.zeros(grid.shape), grid)
+    x0 = grid.index_to_point(index)
+    for power in (dim + 1.5, 2.0):
+        ref = np.zeros(grid.shape)
+        for image in product((-1.0, 0.0, 1.0), repeat=dim):
+            r2 = np.sum((grid.mesh() - x0 + 2 * grid.L * np.array(image)) ** 2, axis=-1)
+            ref += 1.0 / (1.0 + np.sqrt(r2) ** power)
+        np.testing.assert_array_equal(_periodized_envelope(u, index, power), ref)
+
+
 def _tail_field(grid, power, seed):
     """A decaying field with a rough tail: 1/(1 + r^power) times noise."""
     r2 = np.sum(grid.mesh() ** 2, axis=-1)
@@ -206,20 +226,14 @@ def test_tail_slope_is_the_least_squares_slope(dim, M, monkeypatch):
 
 
 def test_fit_decay_peak_memory_is_a_few_fields():
-    # measured: 6.0 field sizes here, 12.0 with the mesh and np.polyfit
-    import tracemalloc
+    # measured: 3.6 field sizes (the radii, the envelope and one image's term,
+    # then |u|), 6.0 with the envelope's per-image temporaries, 12.0 with the
+    # mesh and np.polyfit
     from choquard.diagnostics import fit_decay
     grid = GridSpec(L=12.0, M=32, dim=3)
     u = _tail_field(grid, 3 + 1.5, 0)
     idx = u.argmax_index()
-    fit_decay(u, 0.75, idx)  # first-call allocations are not the fit's
-    tracemalloc.start()
-    try:
-        fit_decay(u, 0.75, idx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * u.values.nbytes
+    assert traced_peak(lambda: fit_decay(u, 0.75, idx), u.values.nbytes) < 4
 
 
 def test_concentration_monotone_gaps_pass():

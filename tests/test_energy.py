@@ -101,6 +101,25 @@ def test_gradient_matches_finite_differences(which, magnetic_ctx, plain_ctx, req
         assert lhs == pytest.approx(rhs, rel=1e-5)
 
 
+@pytest.mark.parametrize("which", ["magnetic", "plain"])
+def test_gradient_bits_match_the_formula(which, magnetic_ctx, plain_ctx):
+    # Lu + V u - K g(|u|^2) u in that order, written into one output of the
+    # result type: complex for a real u on the magnetic operator
+    ctx, _, _ = magnetic_ctx if which == "magnetic" else plain_ctx
+    rng = np.random.default_rng(23)
+    for complex_valued in (False, True):
+        u = band_limited_field(ctx.grid, rng, complex_valued=complex_valued)
+        v = u.values
+        density = np.abs(v) ** 2
+        Lu, K = ctx.apply_op(v), ctx.hartree_potential(density)
+        ref = Lu + ctx.V_eps * v - K * ctx.g_of(density) * v
+        got = gradient(u, ctx).values
+        assert got.dtype == ref.dtype
+        assert np.iscomplexobj(got) == (complex_valued or which == "magnetic")
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(gradient(u, ctx, Lu, K=K).values, ref)
+
+
 def test_small_shell_positivity(plain_ctx):
     ctx, _, _ = plain_ctx
     rho, C = mpg_shell_radius(ctx, n_samples=12, seed=5)

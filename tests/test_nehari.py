@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import choquard.energy as energy_mod
-from choquard import (Field, NehariError, energy_terms, energy_value, gradient,
-                      nehari_project, nehari_residual, riesz_convolve)
+from choquard import (BallRegion, Field, GridSpec, NehariError, PotentialSpec,
+                      ProblemConfig, build_penalized_context, calibrate_penalization,
+                      energy_terms, energy_value, gradient, nehari_project,
+                      nehari_residual, riesz_convolve, validate_config)
 from choquard.sampling import band_limited_field, bump_in_region
 
 from conftest import nehari_closed_form
@@ -63,6 +67,45 @@ def test_no_nehari_point_on_degenerate_ray(plain_ctx):
     ctx, _, _ = plain_ctx
     u = Field(1e-80 * np.exp(-ctx.grid.axis() ** 2), ctx.grid)
     with pytest.raises(NehariError, match="ray has no Nehari point"):
+        nehari_project(u, ctx)
+
+
+@pytest.fixture(scope="module")
+def twin_well_ray():
+    """ROADMAP item 14's twin wells on paper1d's grid at eps = 1/8, calibrated
+    at seed 7, and a bump in the twin well at 3/eps: its largest value on the
+    region Lambda/eps is 3.5e-57, so the region alone pairs to zero."""
+    grid = GridSpec(L=64.0, M=1024, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=0.125, V0=1.0)
+
+    def V(p):
+        x = np.asarray(p)[..., 0]
+        return 1.0 + np.minimum(np.minimum(x ** 2, (x - 3.0) ** 2), 4.0)
+    pot = PotentialSpec(V=V, A=None, region=BallRegion((0.0,), 1.0))
+    assert validate_config(cfg, pot, grid).ok
+    ctx = build_penalized_context(cfg, pot, grid)
+    ctx = replace(ctx, pen=calibrate_penalization(ctx, seed=7).pen)
+    u = Field(np.exp(-(grid.axis() - 3.0 / cfg.eps) ** 2 / 2), grid)
+    assert 0 < np.max(u.values[ctx.lambda_mask]) < 1e-56
+    return ctx, u
+
+
+def test_twin_well_ray_is_bracketed_by_doubling(twin_well_ray):
+    # the truncated G grows linearly past a, so the pairing on this ray
+    # crosses ||u||^2 (one doubling of t_lo = 1.0915 brackets it)
+    ctx, u = twin_well_ray
+    t, K, J = nehari_project(u, ctx)
+    assert t == pytest.approx(1.1298, abs=1e-4)
+    w = Field(t * u.values, ctx.grid)
+    n2 = ctx.norm_eps_sq(w.values)
+    assert abs(nehari_residual(w, ctx, K=K)) < 1e-10 * n2
+    assert J == pytest.approx(energy_value(w, ctx), rel=1e-12)
+
+
+def test_twin_well_ray_past_the_doubling_cap_has_no_point(twin_well_ray, monkeypatch):
+    ctx, u = twin_well_ray
+    monkeypatch.setattr(energy_mod, "NEHARI_BRACKET_DOUBLINGS", 0)
+    with pytest.raises(NehariError, match="^ray has no Nehari point$"):
         nehari_project(u, ctx)
 
 

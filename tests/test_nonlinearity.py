@@ -30,6 +30,38 @@ def test_power_model_bits_match_the_branch_form(q):
         ref = scale * np.where(t > 0, np.where(t > 0, t, 0.0) ** p, 0.0)
         np.testing.assert_array_equal(got, ref)
         assert not np.any(np.signbit(got))
+        # 0-d inputs, raised as numpy scalars, take the same values
+        fn = nl.f if scale == 1.0 else nl.F
+        for x, r in zip(t[:8], ref[:8]):
+            for arg in (float(x), x, np.array(x)):
+                assert np.shape(fn(arg)) == () and fn(arg) == r
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 6.0])
+def test_penalized_pair_bits_match_the_where_forms(q):
+    # g capped and G continued in place on the points outside only: bit for
+    # bit the np.where forms, on arrays, stacked fields and 0-d inputs, with
+    # `inside` a mask or a bool (where `~True` would be -2, which is true)
+    nl = PowerNonlinearity(q)
+    pen = PenalizationParams(ell0=3.0, a=threshold_for(3.0, 1.0, q), V0=1.0)
+    rng = np.random.default_rng(1)
+    t = np.concatenate([[-1.0, -0.0, 0.0, pen.a, np.nextafter(pen.a, 0.0), 5e-324],
+                        rng.uniform(-0.5, 3.0 * pen.a, size=58)])
+    mask = rng.uniform(size=t.shape) < 0.5
+    t0 = t.copy()
+    for tt, inside in ((t, mask), (np.stack([t, t[::-1]]), mask), (t, True), (t, False),
+                       (np.float64(2.0 * pen.a), False), (np.array(2.0 * pen.a), False),
+                       (2.0 * pen.a, True), (0.5 * pen.a, np.False_)):
+        f, F = nl.f(tt), nl.F(tt)
+        x = np.asarray(tt, dtype=float)
+        g_ref = np.where(inside, f, np.minimum(f, pen.cap))
+        G_ref = np.where(inside | (x <= pen.a), F, nl.F(pen.a) + pen.cap * (x - pen.a))
+        for got, ref in ((g_eval(tt, inside, nl, pen), g_ref),
+                         (G_eval(tt, inside, nl, pen), G_ref)):
+            assert np.shape(got) == np.shape(ref)
+            np.testing.assert_array_equal(got, ref)
+            assert not np.any(np.signbit(got))
+    np.testing.assert_array_equal(t, t0)  # the argument is left as it was
 
 
 def test_q4_hand_values():

@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from choquard import Field, GridSpec
 from choquard.sampling import band_limited_field, draw_modes
 
-from conftest import reference_band_limited_field
+from conftest import reference_band_limited_field, traced_peak
 
 
 @pytest.mark.parametrize("complex_valued", [True, False], ids=["complex", "real"])
@@ -41,11 +39,5 @@ def test_stacked_build_peaks_below_three_group_arrays(dim, M, n):
     # place: its peak stays within 3x the complex bytes of the group
     grid = GridSpec(L=8.0, M=M, dim=dim)
     modes = draw_modes(grid, np.random.default_rng(0), n)
-    band_limited_field(grid, modes)  # builds the cached window and roots
-    tracemalloc.start()
-    try:
-        band_limited_field(grid, modes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 16 * n * grid.size
+    # the untraced first call builds the cached window and roots
+    assert traced_peak(lambda: band_limited_field(grid, modes), 16 * n * grid.size) <= 3

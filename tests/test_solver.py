@@ -10,7 +10,7 @@ from choquard import (BallRegion, ConfigError, Field, GridSpec, PotentialSpec,
 from choquard.nonlinearity import threshold_for
 from choquard.solver import INCONCLUSIVE_DECAY_WARNING
 
-from conftest import align_phase
+from conftest import align_phase, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -675,3 +675,26 @@ def test_library_source_imports_no_scipy():
             found += [f"{path.name}:{node.lineno}" for n in names
                       if n.split(".")[0] == "scipy"]
     assert not found, found
+
+
+def test_descent_peaks_below_its_line_search_fields():
+    # solve3d's grid: the line search holds u, Lu, d, the trial and its image,
+    # and a projection adds |u|^2, F, its spectrum and the convolution. Measured
+    # 9.6 field sizes above the entry, 12.6 with g, K, s, y, a failed trial's
+    # potential and the previous iterate alive into the line search
+    from dataclasses import replace
+    from choquard import build_penalized_context, calibrate_penalization
+    from choquard.solver import _default_start, minimize_on_nehari
+    grid = GridSpec(L=12.0, M=32, dim=3)
+    cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0, 0.0, 0.0), 1.0))
+    ctx = build_penalized_context(cfg, pot, grid)
+    ctx = replace(ctx, pen=calibrate_penalization(ctx, seed=7).pen)
+    opts = SolverOptions(grad_tol=1e-6, seed=7)
+    start = _default_start(ctx, opts)
+    runs = []
+    peak = traced_peak(lambda: runs.append(minimize_on_nehari(ctx, start, opts)),
+                       8 * grid.size)
+    assert runs[-1].iterations > 10 and any(s.backtracks for s in runs[-1].steps)
+    assert peak < 10
