@@ -157,17 +157,27 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
 
     # potential floor and well structure on the rescaled grid
     vvals, inside, v_bnd = sampled_well(pot, cfg.eps, grid)
-    if np.min(vvals) < cfg.V0 - 1e-12 * max(1.0, abs(cfg.V0)):
+    slack = 1e-12 * max(1.0, abs(cfg.V0))
+    v_min = float(np.min(vvals))
+    if v_min < cfg.V0 - slack:
         bad.append("V falls below the stated floor V0 on the grid")
 
     if not inside.any():
         bad.append("penalization region contains no grid point")
     else:
+        v_in = float(np.min(vvals[inside]))
         if not bool(pot.region.contains(np.zeros((1, grid.dim)))[0]):
             bad.append("penalization region must contain the origin")
+        # the concentration point is in the region, so the limit level and
+        # the c_eps / c_V0 check need the floor to be attained there: the
+        # region holds the least sample (a well between samples has no
+        # sample at V0, wherever it is)
+        if v_in > v_min + slack:
+            bad.append("V is lower outside the penalization region than inside it, "
+                       "so the floor V0 is not attained in the region")
         if v_bnd is None:
             bad.append("penalization region boundary is not resolved by the grid")
-        elif not v_bnd > float(np.min(vvals[inside])):
+        elif not v_bnd > v_in:
             bad.append("V must attain a strictly lower minimum inside the region "
                        "than on its sampled boundary")
 

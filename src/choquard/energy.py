@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import (REGION_LEAVES_DOMAIN, ConfigError, ProblemConfig, PotentialSpec,
                      region_leaves_domain, sampled_well)
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, axis_sum
 from .nonlinearity import (PenalizationParams, PowerNonlinearity, G_eval, g_eval,
                            threshold_for)
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
@@ -77,11 +77,12 @@ class EnergyContext:
 
     def a0_plane_wave(self, vals: np.ndarray) -> np.ndarray:
         """`vals` times the plane wave e^{i A(0).x}, the gauge of the operator's
-        A at the origin."""
+        A at the origin; the phase A(0).x is a sum of per-axis terms."""
         if self.op.A is not None:
             A0 = np.asarray(self.op.A(np.zeros((1, self.grid.dim))))[0]
             if np.any(A0 != 0):
-                vals = vals * np.exp(1j * np.tensordot(self.grid.mesh(), A0, axes=([-1], [0])))
+                ax = self.grid.axis()
+                vals = vals * np.exp(1j * axis_sum([ax * a for a in A0]))
         return vals
 
     # ------------- nonlinear pieces
@@ -299,9 +300,10 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
         return t, K1
 
     def phi_over_t2(t: float) -> float:
-        w = (t * t) * density
-        K = riesz_convolve(ctx.G_of(w), ctx.hartree)
-        Kgr = ctx.g_of(w)  # K g(t^2 |u|^2) |u|^2, in place
+        # t^2 |u|^2 is formed where G and g read it, so that it is not held
+        # across the convolution
+        K = riesz_convolve(ctx.G_of((t * t) * density), ctx.hartree)
+        Kgr = ctx.g_of((t * t) * density)  # K g(t^2 |u|^2) |u|^2, in place
         Kgr *= K
         Kgr *= density
         val = n2 - float(np.sum(Kgr) * hV)

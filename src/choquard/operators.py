@@ -281,16 +281,11 @@ class SpectralOperator:
     s: float
     # |xi|^(2s) on the half spectrum of the real transform
     mult: np.ndarray = field(init=False, repr=False)
-    # mult with each column weighted by the times it occurs in the full
-    # spectrum: 1 at columns 0 and M/2, 2 elsewhere
-    half_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.s <= 1.0):
             raise ValueError("spectral path requires s in (0, 1]")
         self.mult = self.grid.wavenumber_mesh_sq() ** self.s
-        self.half_weights = 2.0 * self.mult
-        self.half_weights[..., [0, self.grid.M // 2]] *= 0.5
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The multiplier on u; leading axes of u stack fields."""
@@ -299,13 +294,18 @@ class SpectralOperator:
     def seminorm_sq(self, u: np.ndarray):
         """[u]^2 = Re<apply(u), u> h^N by Parseval, h^N / M^N sum |xi|^(2s)
         |u^|^2: one forward transform, the sum over the half spectrum with
-        `half_weights`; a complex u is the sum of its real and imaginary
-        parts' values. Leading axes of u stack fields."""
+        each column counted as often as it occurs in the full spectrum (once
+        at columns 0 and M/2, twice elsewhere: doubled in place, which is
+        exact); a complex u is the sum of its real and imaginary parts'
+        values. Leading axes of u stack fields."""
         if np.iscomplexobj(u):
             return self.seminorm_sq(u.real) + self.seminorm_sq(u.imag)
         g = self.grid
         uh = fftn(u, tuple(range(-g.dim, 0)))
-        return g.integrate(self.half_weights * (uh.real ** 2 + uh.imag ** 2)) / g.size
+        power = uh.real ** 2 + uh.imag ** 2
+        power[..., 1:g.M // 2] *= 2.0
+        power *= self.mult
+        return g.integrate(power) / g.size
 
 
 # ------------------------------------------------------------ Riesz potential

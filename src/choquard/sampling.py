@@ -2,26 +2,19 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ._fft import ifftn
 from .grids import Field, GridSpec, axis_sum
 
 
-@lru_cache(maxsize=4)
-def _window(grid: GridSpec) -> np.ndarray:
-    """exp(-sum (x/0.6L)^8) on the grid, built once per grid and read-only."""
-    w = np.exp(-axis_sum([(grid.axis() / (0.6 * grid.L)) ** 8] * grid.dim))
-    # exact zeros on the outermost layer keep zero-extension identities exact
-    for a in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[a] = 0
-        w[tuple(sl)] = 0.0
-        sl[a] = grid.M - 1
-        w[tuple(sl)] = 0.0
-    w.setflags(write=False)
+def _window_factor(grid: GridSpec) -> np.ndarray:
+    """One axis's factor exp(-(x/0.6L)^8) of the sample window
+    exp(-sum (x/0.6L)^8), zero at both ends: the window is the product of the
+    factors of its axes, so it is zero on the grid's outermost layer, which
+    keeps zero-extension identities exact."""
+    w = np.exp(-(grid.axis() / (0.6 * grid.L)) ** 8)
+    w[[0, -1]] = 0.0
     return w
 
 
@@ -44,22 +37,26 @@ def band_limited_field(grid: GridSpec, draws, *, complex_valued: bool = True):
     The sum is the inverse transform of the coefficients: the leading axes
     are summed directly, each mode as a product of one-axis plane waves, into
     the column of its last-axis wavenumber (one scatter per mode slot for all
-    n fields), and one batched 1-D inverse transform sums the last axis."""
+    n fields), and one batched 1-D inverse transform sums the last axis. The
+    window is a product of one factor per axis (`_window_factor`): each
+    leading axis's factor multiplies that axis's plane waves, and the last
+    axis's factor the transformed values, so no grid-sized window is built."""
     single = not isinstance(draws, tuple)
     k, c = draw_modes(grid, draws, 1) if single else draws
     M, n = grid.M, len(c)
     roots = np.exp(2j * np.pi * np.arange(M) / M)  # e^{2 pi i m / M}
+    window = _window_factor(grid)
     cols = np.zeros((n,) + grid.shape, dtype=complex)
     for j in range(12):
         wave = c[:, j]
         for a in range(grid.dim - 1):
-            wave = wave[..., None] * roots[np.outer(k[:, j, a], np.arange(M)) % M].reshape(
-                (n,) + (1,) * a + (M,))
+            factor = roots[np.outer(k[:, j, a], np.arange(M)) % M] * window
+            wave = wave[..., None] * factor.reshape((n,) + (1,) * a + (M,))
         cols[np.arange(n), ..., k[:, j, -1]] += wave
     vals = ifftn(cols, axes=(-1,))
     del cols  # from here about two group-sized arrays at the peak
     vals = (vals if complex_valued else vals.real) * M
-    vals *= _window(grid)
+    vals *= window
     nrm = np.max(np.abs(vals), axis=tuple(range(1, grid.dim + 1)))
     vals /= np.where(nrm > 0, nrm, 1.0).reshape((n,) + (1,) * grid.dim)
     return Field(vals[0], grid) if single else vals

@@ -188,6 +188,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     except NehariError as exc:
         raise SolverError(f"start: {exc}", start) from None
     u = Field(t0 * start.values, ctx.grid)
+    del start  # a start built where the descent takes it is freed here
     Lu *= t0
     if not np.isfinite(J):
         raise SolverError("quadrature blow-up", u)
@@ -278,12 +279,20 @@ def _default_start(ctx: EnergyContext, opts: SolverOptions) -> Field:
     return Field(ctx.a0_plane_wave(vals * _seeded_perturbation(g, opts.seed)), g)
 
 
-def _descend(ctx: EnergyContext, start: Field, opts: SolverOptions, marks: list,
-             warnings: tuple[str, ...], cal: Calibration | None = None
+def _limit_start(grid: GridSpec, opts: SolverOptions) -> Field:
+    """Unit Gaussian at the origin times the seeded perturbation."""
+    base = gaussian_bump(grid, width=1.0).values
+    return Field(base * _seeded_perturbation(grid, opts.seed), grid)
+
+
+def _descend(ctx: EnergyContext, initial: Field | None, default_start, opts: SolverOptions,
+             marks: list, warnings: tuple[str, ...], cal: Calibration | None = None
              ) -> tuple[Field, SolveReport]:
-    """The descent from `start` and its report, timed by phase: `marks` holds
-    the clock readings that open the context, calibration and descent phases."""
-    run = minimize_on_nehari(ctx, start, opts)
+    """The descent from `initial`, or from `default_start()` when it is None,
+    and its report, timed by phase: `marks` holds the clock readings that open
+    the context, calibration and descent phases. A default start is built
+    where the descent takes it, so no caller holds it through the descent."""
+    run = minimize_on_nehari(ctx, default_start() if initial is None else initial, opts)
     marks.append(perf_counter())
     u = phase_gauge(run.u)
     idx, sup = u.argmax_index(), u.sup_norm()
@@ -341,8 +350,8 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
         raise SolverError(f"calibration: {exc}") from None
     ctx = replace(ctx, pen=cal.pen)
     marks.append(perf_counter())
-    start = initial if initial is not None else _default_start(ctx, opts)
-    return _descend(ctx, start, opts, marks, report.warnings, cal)
+    return _descend(ctx, initial, lambda: _default_start(ctx, opts), opts, marks,
+                    report.warnings, cal)
 
 
 def solve_limit(cfg: ProblemConfig, grid: GridSpec,
@@ -356,10 +365,7 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
     marks = [perf_counter()]
     ctx = build_limit_context(cfg, grid)
     marks += [perf_counter()] * 2  # no calibration phase
-    if initial is None:
-        base = gaussian_bump(grid, width=1.0).values
-        initial = Field(base * _seeded_perturbation(grid, opts.seed), grid)
-    return _descend(ctx, initial, opts, marks, warnings)
+    return _descend(ctx, initial, lambda: _limit_start(grid, opts), opts, marks, warnings)
 
 
 def rescale_field(u: Field, ratio: float) -> Field:

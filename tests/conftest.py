@@ -51,8 +51,7 @@ def reference_band_limited_field(grid: GridSpec, rng: np.random.Generator,
     `normal` call for the real and one for the imaginary parts of their
     coefficients, shape (n, 12); each field's coefficients scattered onto the
     full spectrum, one full inverse transform (np.fft.ifftn) times M^N, then
-    the same window and normalization."""
-    from choquard.sampling import _window
+    the window by its mesh formula (`mesh_window`) and the normalization."""
     max_mode = max(2, grid.M // 8)
     k = rng.integers(-max_mode, max_mode + 1, size=(n, 12, grid.dim)) % grid.M
     re, im = rng.normal(size=(n, 12)), rng.normal(size=(n, 12))
@@ -64,8 +63,30 @@ def reference_band_limited_field(grid: GridSpec, rng: np.random.Generator,
     vals = np.fft.ifftn(coeffs, axes=axes) * grid.size
     if not complex_valued:
         vals = vals.real
-    vals = vals * _window(grid)
+    vals = vals * mesh_window(grid)
     return vals / np.max(np.abs(vals), axis=axes, keepdims=True)
+
+
+def mesh_window(grid: GridSpec) -> np.ndarray:
+    """The sample window exp(-sum (x/0.6L)^8) on the whole coordinate mesh,
+    zero on the grid's outermost layer."""
+    w = np.exp(-np.sum((grid.mesh() / (0.6 * grid.L)) ** 8, axis=-1))
+    for a in range(grid.dim):
+        np.moveaxis(w, a, 0)[[0, -1]] = 0.0
+    return w
+
+
+def weighted_seminorm_sq(op, u: np.ndarray):
+    """The spectral seminorm h^N / M^N sum |xi|^(2s) |u^|^2 with the half
+    spectrum weighted by a table: 2 |xi|^(2s), halved at columns 0 and M/2,
+    times |u^|^2; a complex u is the sum of its two parts' values."""
+    if np.iscomplexobj(u):
+        return weighted_seminorm_sq(op, u.real) + weighted_seminorm_sq(op, u.imag)
+    g = op.grid
+    weights = 2.0 * op.mult
+    weights[..., [0, g.M // 2]] *= 0.5
+    uh = np.fft.rfftn(u, axes=tuple(range(-g.dim, 0)))
+    return g.integrate(weights * (uh.real ** 2 + uh.imag ** 2)) / g.size
 
 
 def nehari_closed_form(u: Field, ctx) -> float:

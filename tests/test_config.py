@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,49 @@ def test_chunked_grid_callables_match_the_mesh_formula(dim, M):
               random_smooth_A(dim, grid.L, 0.4, seed=2), _last_row_A(grid, 1.0)):
         assert magnetic_on(A, grid) == mesh_magnetic_on(A, grid)
     assert magnetic_on(_last_row_A(grid, 1.0), grid)
+
+
+NOT_ATTAINED = ("V is lower outside the penalization region than inside it, "
+                "so the floor V0 is not attained in the region")
+
+
+def test_floor_attained_only_outside_the_region_is_refused():
+    # paper1d's grid: V0 = 0.6 is attained at x = 3 only, outside Lambda =
+    # B(0, 1), where V >= 1; the well itself is admissible
+    def twin(p):
+        x = np.asarray(p)[..., 0]
+        return np.minimum(np.minimum(1.0 + x ** 2, 0.6 + (x - 3.0) ** 2), 5.0)
+    cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=0.5, V0=0.6)
+    rep = validate_config(cfg, make_pot(1, V=twin), GridSpec(L=64.0, M=1024, dim=1))
+    assert rep.violations == (NOT_ATTAINED,)
+
+
+def test_floor_attained_in_the_region_is_accepted(monkeypatch):
+    # the benchmark's configs at every eps they solve, and a constant V (which
+    # fails only the well condition)
+    import importlib.util
+    import sys
+    from pathlib import Path
+    from choquard.io import parse_config
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    assert len(workloads.WORKLOADS) == 4
+    for work in workloads.WORKLOADS.values():
+        parsed = parse_config(work.config)
+        for eps in parsed.eps_list or (parsed.cfg.eps,):
+            cfg = replace(parsed.cfg, eps=eps)
+            assert validate_config(cfg, parsed.pot, parsed.grid).ok, work.name
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    rep = validate_config(cfg, make_pot(1, V=constant_V(1.0)), GridSpec(L=8.0, M=64, dim=1))
+    assert NOT_ATTAINED not in rep.violations and not rep.ok
+    # a well in the region between samples: no sample is V0, the least is inside
+    off_grid = make_pot(1, V=lambda p: 1.0 + np.minimum((np.asarray(p)[..., 0] - 0.3) ** 2, 4.0))
+    grid = GridSpec(L=10.0, M=96, dim=1)
+    assert np.min(sampled_well(off_grid, cfg.eps, grid)[0]) > cfg.V0 + 1e-5
+    assert validate_config(cfg, off_grid, grid).ok
 
 
 def test_validate_config_peaks_below_a_few_fields():

@@ -120,6 +120,28 @@ def count_convolutions(monkeypatch):
     return calls
 
 
+def test_truncated_projection_peaks_within_the_closed_form_budget(monkeypatch):
+    # solve3d's grid at seed 7: the start's projection takes the truncated
+    # branch; t^2 |u|^2 is not held across a convolution, so the projection
+    # peaks about 4.1 field sizes above its entry, as a closed-form trial
+    # does (5.07 with it bound)
+    from conftest import traced_peak
+    from choquard import SolverOptions, clipped_quadratic_V
+    from choquard.solver import _default_start
+    grid = GridSpec(L=12.0, M=32, dim=3)
+    cfg = ProblemConfig(dim=3, s=0.75, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0, 0.0, 0.0), 1.0))
+    ctx = build_penalized_context(cfg, pot, grid)
+    ctx = replace(ctx, pen=calibrate_penalization(ctx, seed=7).pen)
+    start = _default_start(ctx, SolverOptions(seed=7))
+    Lu = ctx.apply_op(start.values)
+    calls = count_convolutions(monkeypatch)
+    nehari_project(start, ctx, Lu=Lu)
+    assert len(calls) > 2
+    assert traced_peak(lambda: nehari_project(start, ctx, Lu=Lu), 8 * grid.size) <= 4.5
+
+
 def test_inactive_truncation_takes_one_convolution(plain_ctx, monkeypatch):
     ctx, _, _ = plain_ctx
     u = region_supported_field(ctx, 5)

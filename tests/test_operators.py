@@ -11,7 +11,7 @@ from choquard import operators
 from choquard.operators import fourier_multiply, quadratic_form
 
 from conftest import (brute_force_riesz, gaussian_frac_lap, gaussian_seminorm_sq,
-                      riesz_kernel_table)
+                      riesz_kernel_table, weighted_seminorm_sq)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,21 @@ def test_spectral_seminorm_by_parseval_matches_quadratic_form(dim, M):
         got = op.seminorm_sq(u)
         assert np.shape(got) == np.shape(want)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 16), (3, 8)], ids=["1d", "2d", "3d"])
+def test_spectral_seminorm_bits_match_the_weighted_form(dim, M):
+    # doubling |u^|^2 on the interior columns is exact, so the product with
+    # |xi|^(2s) has the bits of the weighted table's product; real, complex
+    # and stacked fields, with energy in the zero and Nyquist columns too
+    grid = GridSpec(L=5.0, M=M, dim=dim)
+    op = SpectralOperator(grid, 0.6)
+    rng = np.random.default_rng(dim)
+    real = rng.normal(size=(3,) + grid.shape)
+    nyquist = (-1.0) ** np.arange(M) * (1.0 + rng.normal(size=grid.shape))
+    for u in (real, real[0], real + 1j * rng.normal(size=real.shape),
+              real[1] + 1j * real[2], nyquist, 1e-150 * real[0]):
+        np.testing.assert_array_equal(op.seminorm_sq(u), weighted_seminorm_sq(op, u))
 
 
 def test_spectral_constant_is_zero(g128):
