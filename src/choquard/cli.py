@@ -72,16 +72,14 @@ def _print_warnings(reports) -> None:
 
 def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
     """Run `solve`, write its field, report and run files under `out` and
-    print the report's warnings. A SolverError that carries the last iterate
-    writes that iterate with a `converged: false` report before it
-    propagates (exit 2)."""
+    print the report's warnings. A SolverError writes a `converged: false`
+    report with the error, and the last iterate when it carries one, before
+    it propagates (exit 2)."""
     started = datetime.now(timezone.utc)
     try:
         u, rep = solve()
     except SolverError as exc:
-        if exc.field is None:
-            raise
-        u = phase_gauge(exc.field)
+        u = None if exc.field is None else phase_gauge(exc.field)
         rep = SolveReport.failed(eps, parsed.opts.seed, str(exc))
         _write_solution(out, parsed, u, rep, eps, started)
         raise
@@ -91,7 +89,9 @@ def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
 
 
 def _write_solution(out: Path, parsed: ParsedConfig, u, rep, eps: float, started):
-    names = save_field(out / "u.f64", u, s=parsed.cfg.s, mu=parsed.cfg.mu, eps=eps)
+    """The field u (none when u is None), the report and the run files."""
+    names = [] if u is None else save_field(out / "u.f64", u, s=parsed.cfg.s,
+                                            mu=parsed.cfg.mu, eps=eps)
     write_report(out / "report.json", rep)
     write_run(out, parsed, names + ["report.json"], started)
 

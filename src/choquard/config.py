@@ -158,9 +158,16 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
     # potential floor and well structure on the rescaled grid
     vvals, inside, v_bnd = sampled_well(pot, cfg.eps, grid)
     slack = 1e-12 * max(1.0, abs(cfg.V0))
-    v_min = float(np.min(vvals))
+    at = np.unravel_index(np.argmin(vvals), grid.shape)
+    v_min = float(vvals[at])
+    # a well between samples leaves its least sample above V0 by less than
+    # the largest rise from that sample to an axis neighbour
+    rise = max(float(vvals[at[:a] + ((at[a] + d) % grid.M,) + at[a + 1:]]) - v_min
+               for a in range(grid.dim) for d in (-1, 1))
     if v_min < cfg.V0 - slack:
         bad.append("V falls below the stated floor V0 on the grid")
+    elif v_min > cfg.V0 + rise + slack:
+        bad.append("V stays above the stated floor V0 on the grid")
 
     if not inside.any():
         bad.append("penalization region contains no grid point")

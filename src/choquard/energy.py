@@ -147,16 +147,15 @@ def energy_terms(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
     operator image of u, and `K`, its Hartree potential, save the operator
     pass and the convolution when they are already known."""
     v = u.values
-    hV = ctx.grid.cell_volume()
     sem = ctx.seminorm_sq(v, Lu)
     potq = ctx.potential_sq(v)
     density = np.abs(v) ** 2
     Gv = ctx.G_of(density)
     if K is None:
         K = riesz_convolve(Gv, ctx.hartree)
-    har = float(np.sum(K * Gv) * hV)
+    har = float(ctx.grid.integrate(K * Gv))
     J = 0.5 * (sem + potq) - 0.25 * har
-    resid = sem + potq - float(np.sum(K * ctx.g_of(density) * density) * hV)
+    resid = sem + potq - float(ctx.grid.integrate(K * ctx.g_of(density) * density))
     return EnergyReport(sem, potq, har, J, resid)
 
 
@@ -199,8 +198,8 @@ def nehari_residual(u: Field, ctx: EnergyContext, Lu: np.ndarray | None = None,
 
 # Relative bracket width at which a root search stops.
 ROOT_REL_TOL = 1e-12
-# Doublings of t a Nehari projection tries for an upper bracket when the
-# region alone pairs to zero, before it reports that the ray has no root.
+# Doublings of t a truncated Nehari projection tries for an upper bracket,
+# before it reports that the ray has no root.
 NEHARI_BRACKET_DOUBLINGS = 64
 
 
@@ -263,41 +262,35 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
     the Hartree term is 2/q times the pairing, so J(t u) is
     (1/2 - 1/(2q)) t^2 ||u||_eps^2: one convolution in all. That is the
     answer when `ctx.pen` is None or t^2 |u|^2 <= a outside the region.
-    Otherwise it is a lower bound (the truncation only lowers G and g), the
-    same formula with F and f cut to the region an upper bound (where the
-    region alone pairs to zero, t doubled from the lower bound until the
-    pairing turns negative, at most `NEHARI_BRACKET_DOUBLINGS` times), and
-    the root between them is found by `root_decreasing` (about 8 pairings of
-    one convolution each), plus one convolution for the potential at the root,
-    whose G also gives J. `Lu`, the operator image of u when it is already
-    known, saves the operator pass.
+    Otherwise it is a lower bound (the truncation only lowers G and g); the
+    truncated G grows linearly past a, so t doubled from it until the pairing
+    turns negative, at most `NEHARI_BRACKET_DOUBLINGS` times, is an upper
+    bound, and the root between them is found by `root_decreasing`, plus one
+    convolution for the potential at the root, whose G also gives J. `Lu`,
+    the operator image of u when it is already known, saves the operator pass.
     """
     v = u.values
     n2 = float(ctx.norm_eps_sq(v, Lu))
     if not 0 < n2 < np.inf:
         raise NehariError(f"cannot project a field of norm^2 {n2}")
     density = np.abs(v) ** 2
-    hV = ctx.grid.cell_volume()
-    q = ctx.cfg.q
+    integrate, q = ctx.grid.integrate, ctx.cfg.q
 
-    def closed_form(keep=None) -> tuple[float, np.ndarray]:
-        """t of the pure power model on the points the mask `keep` selects
-        (None: all), and the convolution K1 it was computed from."""
-        F = ctx.nl.F(density)
-        if keep is not None:
-            F *= keep
-        K1 = riesz_convolve(F, ctx.hartree)
-        del F
-        Kfr = ctx.nl.f(density)  # K1 f(|u|^2) |u|^2 (times keep), in place
-        if keep is not None:
-            Kfr *= keep
-        Kfr *= K1
-        Kfr *= density
-        X = float(np.sum(Kfr) * hV)
-        t = (n2 / X) ** (1.0 / (2.0 * q - 2.0)) if X > 0 else np.inf
-        if not 0 < t < np.inf:
-            raise NehariError("ray has no Nehari point")
-        return t, K1
+    K1 = riesz_convolve(ctx.nl.F(density), ctx.hartree)
+    Kfr = ctx.nl.f(density)  # K1 f(|u|^2) |u|^2, in place
+    Kfr *= K1
+    Kfr *= density
+    X = float(integrate(Kfr))
+    del Kfr
+    t_lo = (n2 / X) ** (1.0 / (2.0 * q - 2.0)) if X > 0 else np.inf
+    if not 0 < t_lo < np.inf:
+        raise NehariError("ray has no Nehari point")
+    # t^2 max |u|^2 is the largest t^2 |u|^2 (rounding is monotone)
+    if ctx.pen is None or not t_lo * t_lo * np.max(
+            density, where=np.logical_not(ctx.lambda_mask), initial=0.0) > ctx.pen.a:
+        K1 *= t_lo ** q
+        return Ray(t_lo, K1, (0.5 - 0.5 / q) * t_lo * t_lo * n2)
+    del K1
 
     def phi_over_t2(t: float) -> float:
         # t^2 |u|^2 is formed where G and g read it, so that it is not held
@@ -306,34 +299,22 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
         Kgr = ctx.g_of((t * t) * density)  # K g(t^2 |u|^2) |u|^2, in place
         Kgr *= K
         Kgr *= density
-        val = n2 - float(np.sum(Kgr) * hV)
+        val = n2 - float(integrate(Kgr))
         if not np.isfinite(val):
             raise NehariError(f"ray has no Nehari point: non-finite pairing at t={t:g}")
         return val
 
-    t_lo, K1 = closed_form()
-    # t^2 max |u|^2 is the largest t^2 |u|^2 (rounding is monotone)
-    if ctx.pen is None or not t_lo * t_lo * np.max(
-            density, where=np.logical_not(ctx.lambda_mask), initial=0.0) > ctx.pen.a:
-        K1 *= t_lo ** q
-        return Ray(t_lo, K1, (0.5 - 0.5 / q) * t_lo * t_lo * n2)
-    del K1
-    try:
-        t_hi = closed_form(ctx.lambda_mask)[0]
-    except NehariError:
-        # no pairing on the region (its mass underflows): the truncated G
-        # grows linearly past a, so doubling t finds an upper bracket
-        t_hi = t_lo
-        for _ in range(NEHARI_BRACKET_DOUBLINGS):
-            t_hi *= 2.0
-            if phi_over_t2(t_hi) < 0:
-                break
-        else:
-            raise NehariError("ray has no Nehari point") from None
+    t_hi = t_lo
+    for _ in range(NEHARI_BRACKET_DOUBLINGS):
+        t_hi *= 2.0
+        if phi_over_t2(t_hi) < 0:
+            break
+    else:
+        raise NehariError("ray has no Nehari point")
     t = root_decreasing(phi_over_t2, t_lo, t_hi)
     G = ctx.G_of((t * t) * density)
     K = riesz_convolve(G, ctx.hartree)
-    return Ray(t, K, 0.5 * t * t * n2 - 0.25 * float(np.sum(K * G) * hV))
+    return Ray(t, K, 0.5 * t * t * n2 - 0.25 * float(integrate(K * G)))
 
 
 # ------------------------------------------------------------- calibration

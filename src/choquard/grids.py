@@ -122,7 +122,7 @@ class Field:
         object.__setattr__(self, "values", v)
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume()))
+        return float(np.sqrt(self.grid.integrate(np.abs(self.values) ** 2)))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

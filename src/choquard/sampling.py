@@ -80,9 +80,9 @@ def _gaussian(grid: GridSpec, center=None, region: np.ndarray | None = None,
     return np.exp(-axis_sum([(ax - c) ** 2 for c in center]) / (2 * width ** 2))
 
 
-def gaussian_bump(grid: GridSpec, width: float = 1.0) -> Field:
-    """Real Gaussian of unit height centred at the origin."""
-    return Field(_gaussian(grid, 0.0, width=width), grid)
+def gaussian_bump(grid: GridSpec) -> Field:
+    """Real Gaussian of unit height and unit width centred at the origin."""
+    return Field(_gaussian(grid, 0.0), grid)
 
 
 def bump_in_region(grid: GridSpec, mask: np.ndarray) -> Field:

@@ -181,7 +181,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     Lu and Lw. A trial takes one Riesz convolution (about a dozen where the
     truncation is active): the projection reads ||w||_eps from Lw and returns
     the Hartree potential K and energy of t w; the next gradient uses t Lw, K."""
-    hV = ctx.grid.cell_volume()
+    integrate = ctx.grid.integrate
     Lu = ctx.apply_op(start.values)
     try:
         t0, K, J = nehari_project(start, ctx, Lu=Lu)
@@ -210,7 +210,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         # each field is dropped at its last use, so that the line search holds
         # only u, Lu, d and the trial (`conj` of a real array is the array)
         del K
-        slope = float(np.real(np.sum(g.values.conj() * d.values)) * hV)
+        slope = float(np.real(integrate(g.values.conj() * d.values)))
         del g
         short = False
         if u_prev is not None:
@@ -218,9 +218,9 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             u_prev = None
             yv = d.values - d_prev.values
             d_prev = None
-            tau, short = bb_step(float(np.sum(np.abs(sv) ** 2) * hV),
-                                 float(np.real(np.sum(sv.conj() * yv)) * hV),
-                                 float(np.sum(np.abs(yv) ** 2) * hV), tau)
+            tau, short = bb_step(float(integrate(np.abs(sv) ** 2)),
+                                 float(np.real(integrate(sv.conj() * yv))),
+                                 float(integrate(np.abs(yv) ** 2)), tau)
             tau = min(max(tau, BB_TAU_MIN), BB_TAU_MAX)
             del sv, yv
         u_prev, d_prev = u, d
@@ -281,7 +281,7 @@ def _default_start(ctx: EnergyContext, opts: SolverOptions) -> Field:
 
 def _limit_start(grid: GridSpec, opts: SolverOptions) -> Field:
     """Unit Gaussian at the origin times the seeded perturbation."""
-    base = gaussian_bump(grid, width=1.0).values
+    base = gaussian_bump(grid).values
     return Field(base * _seeded_perturbation(grid, opts.seed), grid)
 
 

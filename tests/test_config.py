@@ -252,11 +252,28 @@ def test_floor_attained_in_the_region_is_accepted(monkeypatch):
     cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
     rep = validate_config(cfg, make_pot(1, V=constant_V(1.0)), GridSpec(L=8.0, M=64, dim=1))
     assert NOT_ATTAINED not in rep.violations and not rep.ok
-    # a well in the region between samples: no sample is V0, the least is inside
-    off_grid = make_pot(1, V=lambda p: 1.0 + np.minimum((np.asarray(p)[..., 0] - 0.3) ** 2, 4.0))
-    grid = GridSpec(L=10.0, M=96, dim=1)
-    assert np.min(sampled_well(off_grid, cfg.eps, grid)[0]) > cfg.V0 + 1e-5
-    assert validate_config(cfg, off_grid, grid).ok
+
+
+def test_floor_below_every_sample_is_refused():
+    # paper1d's grid: V >= 1 everywhere, so the stated V0 = 0.5 is no floor
+    # of V; the least sample, V = 1 at the origin, exceeds it by far more
+    # than its rise to a neighbour (3.9e-3)
+    cfg = ProblemConfig(dim=1, s=0.75, mu=0.5, q=4.0, eps=0.5, V0=0.5)
+    rep = validate_config(cfg, make_pot(1), GridSpec(L=64.0, M=1024, dim=1))
+    assert rep.violations == ("V stays above the stated floor V0 on the grid",)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_floor_between_samples_is_accepted(dim):
+    # the well of test_V_at_max_is_V_at_the_maximum at x = 0.3 on each axis,
+    # in the region between samples: no sample is V0, the least is inside,
+    # and it exceeds V0 by less than its largest rise to a neighbour
+    def V(p):
+        return 1.0 + np.minimum(np.sum((np.asarray(p) - 0.3) ** 2, axis=-1), 4.0)
+    cfg = ProblemConfig(dim=dim, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    grid = GridSpec(L=10.0, M=96, dim=dim)
+    assert np.min(sampled_well(make_pot(dim, V=V), cfg.eps, grid)[0]) > cfg.V0 + 1e-5
+    assert validate_config(cfg, make_pot(dim, V=V), grid).ok
 
 
 def test_validate_config_peaks_below_a_few_fields():

@@ -757,6 +757,28 @@ def test_cli_solve_blow_up_exits_2(tmp_path, capsys, monkeypatch):
     assert "solver failed: calibration" in capsys.readouterr().err
 
 
+def test_cli_failure_without_an_iterate_writes_its_report(tmp_path, capsys, monkeypatch):
+    # a calibration whose bump ray has no Nehari point fails before any
+    # iterate exists: the run still leaves its report and manifest, no field
+    import choquard.solver as solver
+    from choquard import NehariError
+
+    def no_point(ctx, **kwargs):
+        raise NehariError("ray has no Nehari point")
+    monkeypatch.setattr(solver, "calibrate_penalization", no_point)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "solver failed: calibration: ray has no Nehari point" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert report["error"] == "calibration: ray has no Nehari point"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["config.json", "report.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "manifest.json",
+                                                     "report.json"]
+
+
 @pytest.mark.parametrize("verb", ["solve", "limit"])
 def test_cli_unconverged_solve_writes_iterate(tmp_path, capsys, verb):
     doc = json.loads(json.dumps(BASE_CONFIG))

@@ -120,12 +120,10 @@ def count_convolutions(monkeypatch):
     return calls
 
 
-def test_truncated_projection_peaks_within_the_closed_form_budget(monkeypatch):
-    # solve3d's grid at seed 7: the start's projection takes the truncated
-    # branch; t^2 |u|^2 is not held across a convolution, so the projection
-    # peaks about 4.1 field sizes above its entry, as a closed-form trial
-    # does (5.07 with it bound)
-    from conftest import traced_peak
+@pytest.fixture(scope="module")
+def solve3d_start():
+    """solve3d's config and grid calibrated at seed 7, and its default start,
+    whose projection takes the truncated branch."""
     from choquard import SolverOptions, clipped_quadratic_V
     from choquard.solver import _default_start
     grid = GridSpec(L=12.0, M=32, dim=3)
@@ -134,12 +132,41 @@ def test_truncated_projection_peaks_within_the_closed_form_budget(monkeypatch):
                         region=BallRegion((0.0, 0.0, 0.0), 1.0))
     ctx = build_penalized_context(cfg, pot, grid)
     ctx = replace(ctx, pen=calibrate_penalization(ctx, seed=7).pen)
-    start = _default_start(ctx, SolverOptions(seed=7))
+    return ctx, _default_start(ctx, SolverOptions(seed=7))
+
+
+def test_truncated_projection_peaks_within_the_closed_form_budget(solve3d_start,
+                                                                  monkeypatch):
+    # t^2 |u|^2 is not held across a convolution and the pairing array goes
+    # once it is summed, so the projection peaks about 4.1 field sizes above
+    # its entry, as a closed-form trial does (5.07 with t^2 |u|^2 bound, 5.14
+    # with the pairing array kept)
+    from conftest import traced_peak
+    ctx, start = solve3d_start
     Lu = ctx.apply_op(start.values)
     calls = count_convolutions(monkeypatch)
     nehari_project(start, ctx, Lu=Lu)
     assert len(calls) > 2
-    assert traced_peak(lambda: nehari_project(start, ctx, Lu=Lu), 8 * grid.size) <= 4.5
+    assert traced_peak(lambda: nehari_project(start, ctx, Lu=Lu), 8 * ctx.grid.size) <= 4.5
+
+
+def test_solve3d_start_is_bracketed_by_doubling(solve3d_start, monkeypatch):
+    # the root search runs between the closed-form lower bound and its first
+    # doubling, and lands on the literal bisection's root
+    ctx, start = solve3d_start
+    brackets = []
+    root = energy_mod.root_decreasing
+
+    def recorded(fn, lo, hi):
+        brackets.append((lo, hi))
+        return root(fn, lo, hi)
+    monkeypatch.setattr(energy_mod, "root_decreasing", recorded)
+    t = nehari_project(start, ctx).t
+    t_lower = nehari_closed_form(start, ctx)
+    assert np.max(t_lower ** 2 * np.abs(start.values[~ctx.lambda_mask]) ** 2) > ctx.pen.a
+    [(lo, hi)] = brackets
+    assert lo == pytest.approx(t_lower, rel=1e-12) and hi == 2.0 * lo
+    assert t == pytest.approx(literal_bisection(start, ctx, t_lower), rel=1e-11)
 
 
 def test_inactive_truncation_takes_one_convolution(plain_ctx, monkeypatch):
@@ -151,9 +178,10 @@ def test_inactive_truncation_takes_one_convolution(plain_ctx, monkeypatch):
 
 
 @pytest.mark.parametrize("width", [2.0, 5.0, 9.0])
-def test_truncated_ray_bisects_between_closed_form_bounds(plain_ctx, monkeypatch, width):
+def test_truncated_ray_root_lies_above_the_closed_form_bound(plain_ctx, monkeypatch, width):
     # wide Gaussians put mass outside the region above the threshold a at
-    # the closed-form t, so the truncation is active along the ray
+    # the closed-form t, so the truncation is active along the ray, and the
+    # root lies above that t
     ctx, _, _ = plain_ctx
     u = Field(np.exp(-ctx.grid.axis() ** 2 / (2 * width ** 2)), ctx.grid)
     t_lower = nehari_closed_form(u, ctx)
