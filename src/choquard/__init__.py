@@ -5,7 +5,7 @@ for decay and concentration."""
 __version__ = "0.1.0"  # before the submodules: `io` reads it for the run manifest
 
 from .config import (ConfigError, PotentialSpec, ProblemConfig, ValidationReport,
-                     check_problem, region_mask, validate_config)
+                     check_problem, validate_config)
 from .diagnostics import (CheckResult, check_concentration, check_decay,
                           check_diamagnetic, check_hartree_bound, fit_decay, mpg_shell_radius)
 from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
@@ -19,6 +19,6 @@ from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
                         build_hartree_cache, frac_lap_constant, near_zone_weight,
                         quadratic_form, riesz_convolve, sphere_area)
 from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
-                         constant_V, random_smooth_A, sine_A)
+                         constant_V, sine_A)
 from .solver import (SolveReport, SolverError, SolverOptions, phase_gauge,
                      rescale_field, solve_limit, solve_penalized, sweep_epsilon)

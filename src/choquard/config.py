@@ -193,13 +193,3 @@ def validate_config(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec) -> V
 
     return ValidationReport(tuple(bad), scalar.warnings)
 
-
-def region_mask(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> np.ndarray:
-    """The blown-up region Lambda/eps of the rescaled equation x -> eps*x,
-    as a mask on the grid.
-
-    Raises ConfigError when the blown-up region does not fit the box.
-    """
-    if region_leaves_domain(cfg, grid, pot):
-        raise ConfigError(REGION_LEAVES_DOMAIN)
-    return sampled_well(pot, cfg.eps, grid)[1]

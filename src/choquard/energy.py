@@ -4,6 +4,7 @@ calibration of the penalization parameters."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace, field
+from random import Random
 from typing import NamedTuple
 
 import numpy as np
@@ -203,7 +204,7 @@ ROOT_REL_TOL = 1e-12
 NEHARI_BRACKET_DOUBLINGS = 64
 
 
-def root_decreasing(fn, lo: float, hi: float) -> float:
+def root_decreasing(fn, lo: float, hi: float, f_hi: float | None = None) -> float:
     """Root of a decreasing `fn` between bounds lo < hi, by the Illinois
     variant of regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
     point of the bracket, with the value kept at an end halved whenever the
@@ -211,11 +212,13 @@ def root_decreasing(fn, lo: float, hi: float) -> float:
     back to the midpoint, and one closer to an end than half the stopping
     width (roundoff puts it on an end that is at the root) is moved to that
     distance, so that the next step closes the bracket. An end where fn has
-    already crossed zero (roundoff at a bound that is the root) is returned."""
+    already crossed zero (roundoff at a bound that is the root) is returned.
+    `f_hi`, fn(hi) when the caller has it, saves that evaluation."""
     f_lo = fn(lo)
     if f_lo <= 0:
         return lo
-    f_hi = fn(hi)
+    if f_hi is None:
+        f_hi = fn(hi)
     if f_hi >= 0:
         return hi
     side = 0  # +1: lo moved last, -1: hi moved last
@@ -307,11 +310,12 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
     t_hi = t_lo
     for _ in range(NEHARI_BRACKET_DOUBLINGS):
         t_hi *= 2.0
-        if phi_over_t2(t_hi) < 0:
+        f_hi = phi_over_t2(t_hi)
+        if f_hi < 0:
             break
     else:
         raise NehariError("ray has no Nehari point")
-    t = root_decreasing(phi_over_t2, t_lo, t_hi)
+    t = root_decreasing(phi_over_t2, t_lo, t_hi, f_hi)
     G = ctx.G_of((t * t) * density)
     K = riesz_convolve(G, ctx.hartree)
     return Ray(t, K, 0.5 * t * t * n2 - 0.25 * float(integrate(K * G)))
@@ -342,7 +346,7 @@ def shell_samples(ctx: EnergyContext, shell: float, n: int, seed: int):
 
     The modes of all n fields are drawn at once (`sampling.draw_modes`), so
     neither the fields nor their order depend on the group size."""
-    k, c = draw_modes(ctx.grid, np.random.default_rng(seed), n)
+    k, c = draw_modes(ctx.grid, Random(seed), n)
     complex_valued = ctx.op.A is not None
     per_group = max(1, SAMPLE_GROUP_BYTES // (16 * ctx.grid.size))
     for lo in range(0, n, per_group):

@@ -79,22 +79,3 @@ def sine_A(amplitude: float, wavelength: float, dim: int):
         return np.stack(comps, axis=-1)
     return A
 
-
-def random_smooth_A(dim: int, L: float, amplitude: float, seed: int):
-    """Band-limited random vector potential (three modes per component),
-    periodic over [-L, L]^dim."""
-    n_modes = 3
-    rng = np.random.default_rng(seed)
-    ks = rng.integers(1, 4, size=(dim, n_modes, dim))
-    phases = rng.uniform(0, 2 * np.pi, size=(dim, n_modes))
-    amps = rng.normal(size=(dim, n_modes)) * amplitude / np.sqrt(n_modes)
-
-    def A(points):
-        p = np.asarray(points)
-        out = np.zeros(p.shape[:-1] + (dim,))
-        for a in range(dim):
-            for m in range(n_modes):
-                arg = np.sum(p * ks[a, m] * (np.pi / L), axis=-1) + phases[a, m]
-                out[..., a] += amps[a, m] * np.sin(arg)
-        return out
-    return A

@@ -19,20 +19,26 @@ def _window_factor(grid: GridSpec) -> np.ndarray:
 
 
 def draw_modes(grid: GridSpec, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 12 modes of each of n fields in three generator calls: wavenumbers
-    uniform on [-max(2, M/8), max(2, M/8)]^N as indices mod M, (n, 12, N), then
-    the real and the imaginary parts of standard complex normal coefficients."""
-    top = max(2, grid.M // 8)
-    k = rng.integers(-top, top + 1, size=(n, 12, grid.dim)) % grid.M
-    return k, rng.normal(size=(n, 12)) + 1j * rng.normal(size=(n, 12))
+    """The 12 modes of each of n fields from one batch of uniforms on [0, 1),
+    `rng.random()` (a `random.Random`), N + 2 per mode, field after field:
+    wavenumbers floor(u (2 top + 1)) - top, uniform on [-top, top]^N with
+    top = max(2, M/8), as indices mod M, (n, 12, N), and standard complex
+    normal coefficients by Box-Muller, sqrt(-2 log(1 - u1)) e^(2 pi i u2),
+    (n, 12). Drawing n fields at once draws what n single draws would."""
+    top, N = max(2, grid.M // 8), grid.dim
+    u = np.array([rng.random() for _ in range(n * 12 * (N + 2))]).reshape(n, 12, N + 2)
+    # u < 1, so the floor is at most 2 top
+    k = (np.floor(u[..., :N] * (2 * top + 1)).astype(int) - top) % grid.M
+    return k, np.sqrt(-2.0 * np.log1p(-u[..., N])) * np.exp(2j * np.pi * u[..., N + 1])
 
 
 def band_limited_field(grid: GridSpec, draws, *, complex_valued: bool = True):
     """Random superposition of 12 Fourier modes, windowed so the samples
     vanish toward the box boundary (smooth decaying test fields), with sup
-    norm 1 (a zero draw stays zero). `draws` is a generator, from which one
-    field is drawn and returned as a Field, or the modes (k, c) of n fields
-    from `draw_modes`, whose fields are returned stacked, (n,) + grid.shape.
+    norm 1 (a zero draw stays zero). `draws` is a `random.Random`, from which
+    one field is drawn and returned as a Field, or the modes (k, c) of n
+    fields from `draw_modes`, whose fields are returned stacked,
+    (n,) + grid.shape.
 
     The sum is the inverse transform of the coefficients: the leading axes
     are summed directly, each mode as a product of one-axis plane waves, into

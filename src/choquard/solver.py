@@ -4,6 +4,7 @@ manifold, and the epsilon-sweep concentration experiment."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from random import Random
 from time import perf_counter
 from typing import NamedTuple
 
@@ -258,8 +259,7 @@ def _seeded_perturbation(grid: GridSpec, seed: int) -> np.ndarray:
     """Factor 1 + 0.01 * p for a seeded band-limited p, symmetrized about the
     origin (index reflection on the periodic grid) so a degenerate
     translation-invariant well keeps its flat mode unexcited."""
-    rng = np.random.default_rng(seed)
-    pert = band_limited_field(grid, rng, complex_valued=False).values
+    pert = band_limited_field(grid, Random(seed), complex_valued=False).values
     for a in range(grid.dim):
         pert = 0.5 * (pert + np.roll(np.flip(pert, axis=a), 1, axis=a))
     return 1.0 + 0.01 * pert

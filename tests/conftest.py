@@ -1,14 +1,50 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
+import random
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from choquard import (BallRegion, GridSpec, Field, PotentialSpec, ProblemConfig,
+from choquard import (BallRegion, ConfigError, GridSpec, Field, PotentialSpec, ProblemConfig,
                       build_penalized_context, calibrate_penalization,
-                      clipped_quadratic_V, constant_V, random_smooth_A)
+                      clipped_quadratic_V, constant_V)
+from choquard.config import REGION_LEAVES_DOMAIN, region_leaves_domain, sampled_well
+
+
+# ------------------------------------------------------------ test inputs
+
+def random_smooth_A(dim: int, L: float, amplitude: float, seed: int):
+    """Band-limited random vector potential (three modes per component),
+    periodic over [-L, L]^dim."""
+    n_modes = 3
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(1, 4, size=(dim, n_modes, dim))
+    phases = rng.uniform(0, 2 * np.pi, size=(dim, n_modes))
+    amps = rng.normal(size=(dim, n_modes)) * amplitude / np.sqrt(n_modes)
+
+    def A(points):
+        p = np.asarray(points)
+        out = np.zeros(p.shape[:-1] + (dim,))
+        for a in range(dim):
+            for m in range(n_modes):
+                arg = np.sum(p * ks[a, m] * (np.pi / L), axis=-1) + phases[a, m]
+                out[..., a] += amps[a, m] * np.sin(arg)
+        return out
+    return A
+
+
+def region_mask(cfg: ProblemConfig, grid: GridSpec, pot: PotentialSpec) -> np.ndarray:
+    """The blown-up region Lambda/eps of the rescaled equation x -> eps*x,
+    as a mask on the grid.
+
+    Raises ConfigError when the blown-up region does not fit the box.
+    """
+    if region_leaves_domain(cfg, grid, pot):
+        raise ConfigError(REGION_LEAVES_DOMAIN)
+    return sampled_well(pot, cfg.eps, grid)[1]
 
 
 # ----------------------------------------------------------------- oracles
@@ -44,21 +80,23 @@ def riesz_kernel_table(grid: GridSpec, mu: float) -> np.ndarray:
     return table
 
 
-def reference_band_limited_field(grid: GridSpec, rng: np.random.Generator,
+def reference_band_limited_field(grid: GridSpec, rng: random.Random,
                                  complex_valued: bool = True, n: int = 1) -> np.ndarray:
-    """The n draws of `band_limited_field` by their definition, stacked: one
-    `integers` call for the wavenumbers of all n fields, shape (n, 12, N), one
-    `normal` call for the real and one for the imaginary parts of their
-    coefficients, shape (n, 12); each field's coefficients scattered onto the
-    full spectrum, one full inverse transform (np.fft.ifftn) times M^N, then
-    the window by its mesh formula (`mesh_window`) and the normalization."""
-    max_mode = max(2, grid.M // 8)
-    k = rng.integers(-max_mode, max_mode + 1, size=(n, 12, grid.dim)) % grid.M
-    re, im = rng.normal(size=(n, 12)), rng.normal(size=(n, 12))
+    """The n draws of `band_limited_field` by their definition, stacked:
+    field after field and mode after mode, N uniforms `rng.random()` give
+    the wavenumbers floor(u (2 top + 1)) - top, top = max(2, M/8), and two
+    more u1, u2 the coefficient sqrt(-2 log(1 - u1)) e^(2 pi i u2); each
+    field's coefficients scattered onto the full spectrum, one full inverse
+    transform (np.fft.ifftn) times M^N, then the window by its mesh formula
+    (`mesh_window`) and the normalization."""
+    top = max(2, grid.M // 8)
     coeffs = np.zeros((n,) + grid.shape, dtype=complex)
     for i in range(n):
-        for j in range(12):
-            coeffs[(i,) + tuple(k[i, j])] += re[i, j] + 1j * im[i, j]
+        for _ in range(12):
+            k = tuple((math.floor(rng.random() * (2 * top + 1)) - top) % grid.M
+                      for _ in range(grid.dim))
+            u1, u2 = rng.random(), rng.random()
+            coeffs[(i,) + k] += np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
     axes = tuple(range(1, grid.dim + 1))
     vals = np.fft.ifftn(coeffs, axes=axes) * grid.size
     if not complex_valued:

@@ -14,14 +14,14 @@ from choquard import (BallRegion, Field, GridSpec, PotentialSpec,
                       build_hartree_cache, check_concentration, check_diamagnetic,
                       check_hartree_bound, clipped_quadratic_V, energy_value, gradient,
                       load_field,
-                      mpg_shell_radius, nehari_project, parse_config, random_smooth_A,
+                      mpg_shell_radius, nehari_project, parse_config,
                       riesz_convolve, save_field, solve_limit, solve_penalized,
                       sweep_epsilon)
 from choquard.io import config_hash
 from choquard.sampling import band_limited_field, bump_in_region
 
 from conftest import (brute_force_riesz, central_diff_energy, gaussian_frac_lap,
-                      nehari_closed_form, riesz_kernel_table)
+                      nehari_closed_form, random_smooth_A, riesz_kernel_table)
 
 
 def report(num, name, detail, t0):

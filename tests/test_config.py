@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from choquard import (BallRegion, BoxRegion, ConfigError, GridSpec, PotentialSpec,
                       ProblemConfig, check_problem, clipped_quadratic_V, constant_A,
-                      constant_V, random_smooth_A, region_mask, sine_A, validate_config)
+                      constant_V, sine_A, validate_config)
 from choquard.config import sampled_well
 from choquard.operators import magnetic_on
 
-from conftest import mesh_magnetic_on, mesh_sampled_well, traced_peak
+from conftest import (mesh_magnetic_on, mesh_sampled_well, random_smooth_A, region_mask,
+                      traced_peak)
 
 
 def make_pot(dim, V=None, radius=1.0):

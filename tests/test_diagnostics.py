@@ -3,10 +3,10 @@ import pytest
 
 from choquard import (Field, GridSpec, check_concentration,
                       check_decay, check_diamagnetic, check_hartree_bound,
-                      constant_A, random_smooth_A)
+                      constant_A)
 from choquard.solver import SolveReport
 
-from conftest import traced_peak
+from conftest import random_smooth_A, traced_peak
 
 
 @pytest.fixture(scope="module")

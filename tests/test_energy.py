@@ -1,5 +1,5 @@
-from collections import Counter
 from dataclasses import replace
+from random import Random
 
 import numpy as np
 import pytest
@@ -192,22 +192,17 @@ def test_grouped_shell_samples_match_one_at_a_time(request, monkeypatch):
 
 
 class _CountingGenerator:
-    """A numpy generator whose method calls are counted by name; `zero_row`
-    zeroes that row of every `normal` draw (both coefficient parts)."""
+    """A `random.Random` whose `random()` calls are logged in `events`; the
+    calls numbered in `zero_at` return 0.0 instead of the stream's value
+    (the stream still advances)."""
 
-    def __init__(self, rng, calls, zero_row=None):
-        self._rng, self._calls, self._zero_row = rng, calls, zero_row
+    def __init__(self, seed, events, zero_at=()):
+        self._rng, self._events, self._zero_at = Random(seed), events, set(zero_at)
 
-    def __getattr__(self, name):
-        fn = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            self._calls[name] += 1
-            out = fn(*args, **kwargs)
-            if name == "normal" and self._zero_row is not None:
-                out[self._zero_row] = 0.0
-            return out
-        return counted
+    def random(self):
+        self._events.append("random")
+        u = self._rng.random()
+        return 0.0 if len(self._events) - 1 in self._zero_at else u
 
 
 def _paper1d_ctx():
@@ -218,38 +213,40 @@ def _paper1d_ctx():
     return build_penalized_context(cfg, pot, grid)
 
 
-def test_calibration_draws_in_three_generator_calls(monkeypatch):
-    # paper1d's grid: the 50 samples' modes take one `integers` and two
-    # `normal` calls, and the 1024-point fields are built in groups of 8
+def test_calibration_draws_every_uniform_before_the_first_build(monkeypatch):
+    # paper1d's grid: the 50 samples' modes take 50 * 12 * 3 uniforms, all
+    # drawn before the first field is built, and the 1024-point fields are
+    # built in groups of 8
     ctx = _paper1d_ctx()
-    calls, builds = Counter(), []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _CountingGenerator(default_rng(seed), calls))
+    events, builds = [], []
+    monkeypatch.setattr(energy_mod, "Random", lambda seed: _CountingGenerator(seed, events))
     build = energy_mod.band_limited_field
 
     def counted(grid, draws, **kwargs):
+        events.append("build")
         builds.append(len(draws[1]) if isinstance(draws, tuple) else 1)
         return build(grid, draws, **kwargs)
     monkeypatch.setattr(energy_mod, "band_limited_field", counted)
     cal = energy_mod.calibrate_penalization(ctx, seed=7)
     assert cal.samples_used == 50
-    assert calls == Counter(integers=1, normal=2)
+    assert events == ["random"] * (50 * 12 * 3) + ["build"] * 7
     assert builds == [8] * 6 + [2]
 
 
 def test_zero_draw_is_skipped_without_warning(monkeypatch):
-    # sample 17 draws twelve zero coefficients: its field is zero, so it is
-    # skipped, with no division by its zero norm, and C0 is the supremum over
-    # the other 49, which are the draws of the unstubbed generator
+    # sample 17 draws twelve zero coefficients (u1 = 0 in every mode, so the
+    # Box-Muller radius is 0): its field is zero, so it is skipped, with no
+    # division by its zero norm, and C0 is the supremum over the other 49,
+    # which are the draws of the unstubbed generator
     ctx = _paper1d_ctx()
     ref = energy_mod.calibrate_penalization(ctx, seed=7)
     shell = 4.0 * (ref.pen.kappa + 1.0)
     base = replace(ctx, pen=None)
     full = [v for U in energy_mod.shell_samples(base, shell, 50, seed=7) for v in U]
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _CountingGenerator(default_rng(seed), Counter(), zero_row=17))
+    # a 1-D mode takes 3 uniforms: the wavenumber, u1 and u2
+    zero_at = [17 * 12 * 3 + 3 * j + 1 for j in range(12)]
+    monkeypatch.setattr(energy_mod, "Random",
+                        lambda seed: _CountingGenerator(seed, [], zero_at))
     # every floating-point error raises but underflow (the bump's Gaussian tail)
     with np.errstate(all="raise", under="ignore"):
         cal = energy_mod.calibrate_penalization(ctx, seed=7)
@@ -267,10 +264,10 @@ def test_stacked_hartree_sup_matches_one_at_a_time(request, which, monkeypatch):
     # the largest sample is not the first of its group
     ctx, _, _ = request.getfixturevalue(which)
     monkeypatch.setattr(energy_mod, "SAMPLE_GROUP_BYTES", 4 * 16 * ctx.grid.size)
-    cal = energy_mod.calibrate_penalization(ctx, n_samples=8, seed=3)
+    cal = energy_mod.calibrate_penalization(ctx, n_samples=8, seed=4)
     base = replace(ctx, pen=None)
     sups = [float(np.max(np.abs(base.hartree_potential(np.abs(v) ** 2))))
-            for U in energy_mod.shell_samples(base, 4.0 * (cal.pen.kappa + 1.0), 8, seed=3)
+            for U in energy_mod.shell_samples(base, 4.0 * (cal.pen.kappa + 1.0), 8, seed=4)
             for v in U]
     assert cal.C0 == max(sups) and int(np.argmax(sups)) % 4 != 0
     assert cal.samples_used == len(sups) == 8

@@ -2,6 +2,7 @@
 callables evaluated on chunks of rows, against the coordinate-mesh forms."""
 
 from dataclasses import replace
+from random import Random
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_grid_callables_build_no_mesh(monkeypatch):
     monkeypatch.setattr(GridSpec, "points", refused)
     config.sampled_well(pot, cfg.eps, grid)
     assert operators.magnetic_on(pot.A_eps(cfg.eps), grid)
-    sampling.band_limited_field(grid, np.random.default_rng(0))
+    sampling.band_limited_field(grid, Random(0))
     ctx_a.a0_plane_wave(np.ones(small.shape))
     sampling._gaussian(grid, 0.0)
     sampling._gaussian(grid, region=ctx.lambda_mask)

@@ -90,12 +90,19 @@ def twin_well_ray():
     return ctx, u
 
 
-def test_twin_well_ray_is_bracketed_by_doubling(twin_well_ray):
+def test_twin_well_ray_is_bracketed_by_doubling(twin_well_ray, monkeypatch):
     # the truncated G grows linearly past a, so the pairing on this ray
-    # crosses ||u||^2 (one doubling of t_lo = 1.0915 brackets it)
+    # crosses ||u||^2 (one doubling of t_lo = 1.0915 brackets it), and the
+    # root is the literal bisection's
     ctx, u = twin_well_ray
+    brackets = record_brackets(monkeypatch)
     t, K, J = nehari_project(u, ctx)
-    assert t == pytest.approx(1.1298, abs=1e-4)
+    t_lower = nehari_closed_form(u, ctx)
+    assert np.max(t_lower ** 2 * np.abs(u.values[~ctx.lambda_mask]) ** 2) > ctx.pen.a
+    [(lo, hi, _)] = brackets
+    assert lo == pytest.approx(t_lower, rel=1e-12) and hi >= 2.0 * lo
+    assert t == pytest.approx(1.1460, abs=1e-4)
+    assert t == pytest.approx(literal_bisection(u, ctx, t_lower), rel=1e-11)
     w = Field(t * u.values, ctx.grid)
     n2 = ctx.norm_eps_sq(w.values)
     assert abs(nehari_residual(w, ctx, K=K)) < 1e-10 * n2
@@ -107,6 +114,25 @@ def test_twin_well_ray_past_the_doubling_cap_has_no_point(twin_well_ray, monkeyp
     monkeypatch.setattr(energy_mod, "NEHARI_BRACKET_DOUBLINGS", 0)
     with pytest.raises(NehariError, match="^ray has no Nehari point$"):
         nehari_project(u, ctx)
+
+
+def record_brackets(monkeypatch):
+    """The (lo, hi, f_hi) of every `root_decreasing` call; each call checks
+    that f_hi is the pairing at hi, and that passing it leaves the root
+    bit-identical."""
+    brackets = []
+    root = energy_mod.root_decreasing
+
+    def recorded(fn, lo, hi, f_hi=None):
+        brackets.append((lo, hi, f_hi))
+        t = root(fn, lo, hi, f_hi)
+        with monkeypatch.context() as m:
+            m.setattr(energy_mod, "riesz_convolve", riesz_convolve)
+            assert f_hi is not None and f_hi == fn(hi) < 0
+            assert root(fn, lo, hi) == t
+        return t
+    monkeypatch.setattr(energy_mod, "root_decreasing", recorded)
+    return brackets
 
 
 def count_convolutions(monkeypatch):
@@ -152,19 +178,18 @@ def test_truncated_projection_peaks_within_the_closed_form_budget(solve3d_start,
 
 def test_solve3d_start_is_bracketed_by_doubling(solve3d_start, monkeypatch):
     # the root search runs between the closed-form lower bound and its first
-    # doubling, and lands on the literal bisection's root
+    # doubling, takes the pairing at the doubling from the bracket loop, and
+    # lands on the literal bisection's root: 13 convolutions (the closed form,
+    # the doubling, 10 pairings of the root search, the potential at the
+    # root), 14 when the root search evaluates its upper end again
     ctx, start = solve3d_start
-    brackets = []
-    root = energy_mod.root_decreasing
-
-    def recorded(fn, lo, hi):
-        brackets.append((lo, hi))
-        return root(fn, lo, hi)
-    monkeypatch.setattr(energy_mod, "root_decreasing", recorded)
+    brackets = record_brackets(monkeypatch)
+    calls = count_convolutions(monkeypatch)
     t = nehari_project(start, ctx).t
+    assert len(calls) <= 13
     t_lower = nehari_closed_form(start, ctx)
     assert np.max(t_lower ** 2 * np.abs(start.values[~ctx.lambda_mask]) ** 2) > ctx.pen.a
-    [(lo, hi)] = brackets
+    [(lo, hi, _)] = brackets
     assert lo == pytest.approx(t_lower, rel=1e-12) and hi == 2.0 * lo
     assert t == pytest.approx(literal_bisection(start, ctx, t_lower), rel=1e-11)
 

@@ -5,13 +5,12 @@ import pytest
 
 from choquard import (Field, GridSpec, ProblemConfig, QuadratureOperator,
                       SpectralOperator, build_hartree_cache, build_limit_context,
-                      constant_A, frac_lap_constant, random_smooth_A, riesz_convolve,
-                      sine_A)
+                      constant_A, frac_lap_constant, riesz_convolve, sine_A)
 from choquard import operators
 from choquard.operators import fourier_multiply, quadratic_form
 
 from conftest import (brute_force_riesz, gaussian_frac_lap, gaussian_seminorm_sq,
-                      riesz_kernel_table, weighted_seminorm_sq)
+                      random_smooth_A, riesz_kernel_table, weighted_seminorm_sq)
 
 
 @pytest.fixture(scope="module")
