@@ -627,6 +627,36 @@ def test_non_finite_gradient_is_solver_error(plain_ctx, monkeypatch):
     assert exc.value.field is not None
 
 
+def test_cli_imports_no_scipy():
+    # scipy's fft, special and ndimage cost a CLI process ~0.5 s of imports
+    import os
+    import subprocess
+    import sys
+    code = ("import sys, choquard.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_no_scipy_optimize():
+    # scipy.optimize would add ~21 MB of RSS and 0.3-0.5 s to every CLI process
+    import os
+    import subprocess
+    import sys
+    code = "import sys, choquard.cli; assert 'scipy.optimize' not in sys.modules"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_commands_import_no_scipy_or_numpy_random(tmp_path):
     # a fresh interpreter runs solve, limit, sweep and check on a small 1-D
     # config through choquard.cli.main, then no scipy module and no
