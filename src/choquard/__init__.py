@@ -7,7 +7,7 @@ __version__ = "0.1.0"  # before the submodules: `io` reads it for the run manife
 from .config import (ConfigError, PotentialSpec, ProblemConfig, ValidationReport,
                      check_problem, validate_config)
 from .diagnostics import (CheckResult, check_concentration, check_decay,
-                          check_diamagnetic, check_hartree_bound, fit_decay, mpg_shell_radius)
+                          check_diamagnetic, fit_decay)
 from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
                      build_limit_context, build_penalized_context,
                      calibrate_penalization, energy_terms, energy_value, gradient,

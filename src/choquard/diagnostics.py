@@ -1,6 +1,5 @@
 """Named checks for the testable inequalities and limit claims: diamagnetic
-monotonicity, convolution boundedness, tail decay, and concentration
-trends."""
+monotonicity, tail decay, and concentration trends."""
 
 from __future__ import annotations
 
@@ -10,10 +9,8 @@ from itertools import product
 import numpy as np
 
 from .config import ProblemConfig, PotentialSpec, sampled_well
-from .energy import (EnergyContext, root_decreasing, sampled_hartree_sup, shell_of_B,
-                     shell_samples)
 from .grids import Field, GridSpec, axis_sum
-from .operators import QuadratureOperator, riesz_convolve
+from .operators import QuadratureOperator
 
 
 # check_decay: the largest |u| / (fitted envelope) beyond L/8, and how far the
@@ -148,55 +145,6 @@ def check_diamagnetic(u: Field, A, s: float) -> CheckResult:
     slack = 1e-12 * max(1.0, sem_A)
     return CheckResult("diamagnetic", bool(sem_mod <= sem_A + slack), sem_mod, sem_A,
                        slack)
-
-
-# ---------------------------------------------------------- convolution bound
-
-def check_hartree_bound(ctx: EnergyContext, *, n_samples: int = 50,
-                        seed: int = 1234) -> CheckResult:
-    """Fresh-sample estimate of sup ||K(u)||_inf / ell0 over the bounded set B;
-    the calibration keeps it at 1/4, the requirement is < 1/2."""
-    pen = ctx.pen
-    if pen is None or pen.kappa is None:
-        raise ValueError("check_hartree_bound needs a calibrated context")
-    shell = shell_of_B(pen.kappa)
-    sup, used = sampled_hartree_sup(ctx, shell, n_samples, seed)
-    ratio = sup / pen.ell0
-    return CheckResult("hartree_bound", ratio < 0.5, ratio, 0.5, 0.0,
-                       {"samples": used, "seed": seed, "shell": shell})
-
-
-# ----------------------------------------------------- mountain-pass geometry
-
-def mpg_shell_radius(ctx: EnergyContext, *, n_samples: int = 30, seed: int = 7):
-    """Shell radius rho from the quadratic-vs-superquadratic crossover.
-
-    Estimates the constant C in  quarter-Hartree(u) <= C(||u||^4 + ||u||^2q)
-    by sampled suprema over normalized rays (inflated fivefold, since a
-    sampled sup underestimates the true one), then solves
-    C(rho^4 + rho^(2q)) = rho^2/4, so the energy on the shell ||u|| = rho is
-    at least rho^2/4 > 0.  Returns (rho, C)."""
-    q = ctx.cfg.q
-    ts = np.logspace(-2, 1.5, 15)
-    C_emp = 0.0
-    for U in shell_samples(ctx, 1.0, n_samples, seed):
-        absU = np.abs(U)
-        for t in ts:  # one stacked convolution per group and ray parameter
-            Gv = ctx.G_of((t * absU) ** 2)
-            har = ctx.grid.integrate(riesz_convolve(Gv, ctx.hartree) * Gv)
-            C_emp = max(C_emp, 0.25 * float(np.max(har)) / (t ** 4 + t ** (2 * q)))
-    if C_emp == 0:
-        raise ValueError("could not estimate the superquadratic constant")
-    C_emp *= 5.0
-
-    # rho solves C (rho^2 + rho^(2q-2)) = 1/4; it lies below the first rho at
-    # which either term reaches 1/4, and above the first at which one reaches 1/8
-    def bound(quarter):
-        return min((quarter / C_emp) ** 0.5, (quarter / C_emp) ** (1.0 / (2 * q - 2)))
-
-    rho = root_decreasing(lambda r: 0.25 - C_emp * (r ** 2 + r ** (2 * q - 2)),
-                          bound(0.125), bound(0.25))
-    return rho, C_emp
 
 
 # -------------------------------------------------------------- concentration

@@ -279,7 +279,9 @@ def nehari_project(u: Field, ctx: EnergyContext, *, Lu: np.ndarray | None = None
     density = np.abs(v) ** 2
     integrate, q = ctx.grid.integrate, ctx.cfg.q
 
-    K1 = riesz_convolve(ctx.nl.F(density), ctx.hartree)
+    F = ctx.nl.F(density)
+    K1 = riesz_convolve(F, ctx.hartree, out=F)  # the forward transform reads F last
+    del F
     Kfr = ctx.nl.f(density)  # K1 f(|u|^2) |u|^2, in place
     Kfr *= K1
     Kfr *= density

@@ -13,7 +13,6 @@ All writes are atomic (write to a temp file, then rename).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -30,6 +29,18 @@ from .grids import Field, GridSpec
 from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
                          constant_V, sine_A)
 from .solver import SolverOptions
+
+# SHA-256 from the interpreter's built-in module, as random.py takes its sha512:
+# hashlib loads _hashlib, which maps OpenSSL's libcrypto (~3.5 MB of RSS in a
+# CLI process). _sha2 (Python >= 3.12) and _sha256 (3.10, 3.11) are private
+# modules, so an interpreter built without them falls back to hashlib.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # the sidecar's name for the global phase of a stored field (solver.phase_gauge)
 PHASE_GAUGE = "argmax-real-positive"
@@ -68,7 +79,7 @@ def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> list[str]:
         "mu": mu,
         "eps": eps,
         "phase_gauge": PHASE_GAUGE,
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "sha256": sha256(payload).hexdigest(),
     }
     meta_path = path.with_name(path.name + ".meta.json")
     _atomic_write_bytes(path, payload)
@@ -105,7 +116,7 @@ def load_field(path) -> tuple[Field, dict]:
         raise ConfigError("unexpected end of field data")
     if len(payload) > expected:
         raise ConfigError("field payload longer than sidecar dims imply")
-    if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
+    if sha256(payload).hexdigest() != meta["sha256"]:
         raise ConfigError("checksum mismatch in field payload")
     vals = np.frombuffer(payload, dtype="<c16").reshape(grid.shape).copy()
     return Field(vals, grid), meta
@@ -300,7 +311,7 @@ def write_report(path, report):
 # ----------------------------------------------------------------- manifest
 
 def config_hash(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
+    return sha256(raw).hexdigest()
 
 
 def write_run(out_dir, parsed: ParsedConfig, names: list[str], started: datetime):

@@ -40,7 +40,7 @@ class PenalizationParams:
     """Truncation data: cap value f(a) = V0/ell0 at threshold a, and the
     mountain-pass cap kappa that sets the bounded set B. `calibrate_penalization`
     always sets kappa; it is None only for params built directly, which
-    `check_hartree_bound` refuses."""
+    name no bounded set B."""
 
     ell0: float
     a: float

@@ -76,20 +76,23 @@ def magnetic_on(A, grid: GridSpec) -> bool:
 
 # ------------------------------------------------------------------ helpers
 
-def fourier_multiply(mult: np.ndarray, u: np.ndarray) -> np.ndarray:
+def fourier_multiply(mult: np.ndarray, u: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """ifft(mult * fft(u)) over the trailing `mult.ndim` axes of u (leading
     axes stack fields), for a real multiplier that is even in each axis,
     stored on the half spectrum of the real transform (M//2 + 1 last-axis
     columns). The product is taken in place on u's spectrum. Real in gives
     real out; a complex u goes through as its real and imaginary parts,
-    stacked so that each transform is one call."""
+    stacked so that each transform is one call. The result is written into
+    `out` when it is given, an array of u's shape and type that may be u
+    itself, since the forward transform is u's last reader."""
     if np.iscomplexobj(u):
         re, im = fourier_multiply(mult, np.stack((u.real, u.imag)))
-        return re + 1j * im
+        return np.add(re, 1j * im, out=out)
     axes = tuple(range(-mult.ndim, 0))
     uh = fftn(u, axes)
     uh *= mult
-    return ifftn(uh, axes, u.shape[-1])
+    return ifftn(uh, axes, u.shape[-1], out)
 
 
 def quadratic_form(grid: GridSpec, u: np.ndarray, Lu: np.ndarray):
@@ -341,6 +344,8 @@ def build_hartree_cache(grid: GridSpec, mu: float) -> HartreeCache:
     return HartreeCache(spec, clip)
 
 
-def riesz_convolve(h: np.ndarray, cache: HartreeCache) -> np.ndarray:
-    """Circular convolution |x|^(-mu) * h on the grid (real in, real out)."""
-    return fourier_multiply(cache.kernel_spectrum, h)
+def riesz_convolve(h: np.ndarray, cache: HartreeCache,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Circular convolution |x|^(-mu) * h on the grid (real in, real out),
+    written into `out` when it is given (h itself, say)."""
+    return fourier_multiply(cache.kernel_spectrum, h, out)

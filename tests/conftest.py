@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from choquard import (BallRegion, ConfigError, GridSpec, Field, PotentialSpec, ProblemConfig,
-                      build_penalized_context, calibrate_penalization,
-                      clipped_quadratic_V, constant_V)
+from choquard import (BallRegion, CheckResult, ConfigError, GridSpec, Field, PotentialSpec,
+                      ProblemConfig, build_penalized_context, calibrate_penalization,
+                      clipped_quadratic_V, constant_V, riesz_convolve)
 from choquard.config import REGION_LEAVES_DOMAIN, region_leaves_domain, sampled_well
+from choquard.energy import root_decreasing, sampled_hartree_sup, shell_of_B, shell_samples
 
 
 # ------------------------------------------------------------ test inputs
@@ -131,12 +132,55 @@ def nehari_closed_form(u: Field, ctx) -> float:
     """Analytic ray parameter for the pure power model on fields supported in
     the region: the pairing is t^2 ||u||^2 - (2/q) t^(2q) D with
     D = sum (|x|^-mu * |u|^q) |u|^q h^N, so t* = (q ||u||^2 / (2D))^(1/(2q-2))."""
-    from choquard import riesz_convolve
     q = ctx.cfg.q
     n2 = ctx.norm_eps_sq(u.values)
     p = np.abs(u.values) ** q
     D = float(np.sum(riesz_convolve(p, ctx.hartree) * p) * ctx.grid.cell_volume())
     return (q * n2 / (2.0 * D)) ** (1.0 / (2.0 * q - 2.0))
+
+
+def check_hartree_bound(ctx, *, n_samples: int = 50, seed: int = 1234) -> CheckResult:
+    """Fresh-sample estimate of sup ||K(u)||_inf / ell0 over the bounded set B;
+    the calibration keeps it at 1/4, the requirement is < 1/2."""
+    pen = ctx.pen
+    if pen is None or pen.kappa is None:
+        raise ValueError("check_hartree_bound needs a calibrated context")
+    shell = shell_of_B(pen.kappa)
+    sup, used = sampled_hartree_sup(ctx, shell, n_samples, seed)
+    ratio = sup / pen.ell0
+    return CheckResult("hartree_bound", ratio < 0.5, ratio, 0.5, 0.0,
+                       {"samples": used, "seed": seed, "shell": shell})
+
+
+def mpg_shell_radius(ctx, *, n_samples: int = 30, seed: int = 7):
+    """Shell radius rho from the quadratic-vs-superquadratic crossover.
+
+    Estimates the constant C in  quarter-Hartree(u) <= C(||u||^4 + ||u||^2q)
+    by sampled suprema over normalized rays (inflated fivefold, since a
+    sampled sup underestimates the true one), then solves
+    C(rho^4 + rho^(2q)) = rho^2/4, so the energy on the shell ||u|| = rho is
+    at least rho^2/4 > 0.  Returns (rho, C)."""
+    q = ctx.cfg.q
+    ts = np.logspace(-2, 1.5, 15)
+    C_emp = 0.0
+    for U in shell_samples(ctx, 1.0, n_samples, seed):
+        absU = np.abs(U)
+        for t in ts:  # one stacked convolution per group and ray parameter
+            Gv = ctx.G_of((t * absU) ** 2)
+            har = ctx.grid.integrate(riesz_convolve(Gv, ctx.hartree) * Gv)
+            C_emp = max(C_emp, 0.25 * float(np.max(har)) / (t ** 4 + t ** (2 * q)))
+    if C_emp == 0:
+        raise ValueError("could not estimate the superquadratic constant")
+    C_emp *= 5.0
+
+    # rho solves C (rho^2 + rho^(2q-2)) = 1/4; it lies below the first rho at
+    # which either term reaches 1/4, and above the first at which one reaches 1/8
+    def bound(quarter):
+        return min((quarter / C_emp) ** 0.5, (quarter / C_emp) ** (1.0 / (2 * q - 2)))
+
+    rho = root_decreasing(lambda r: 0.25 - C_emp * (r ** 2 + r ** (2 * q - 2)),
+                          bound(0.125), bound(0.25))
+    return rho, C_emp
 
 
 def gaussian_frac_lap(N: int, s: float, r2) -> np.ndarray:

@@ -12,16 +12,15 @@ import numpy as np
 from choquard import (BallRegion, Field, GridSpec, PotentialSpec,
                       ProblemConfig, QuadratureOperator, SolverOptions,
                       build_hartree_cache, check_concentration, check_diamagnetic,
-                      check_hartree_bound, clipped_quadratic_V, energy_value, gradient,
-                      load_field,
-                      mpg_shell_radius, nehari_project, parse_config,
-                      riesz_convolve, save_field, solve_limit, solve_penalized,
-                      sweep_epsilon)
+                      clipped_quadratic_V, energy_value, gradient, load_field,
+                      nehari_project, parse_config, riesz_convolve, save_field,
+                      solve_limit, solve_penalized, sweep_epsilon)
 from choquard.io import config_hash
 from choquard.sampling import band_limited_field, bump_in_region
 
-from conftest import (brute_force_riesz, central_diff_energy, gaussian_frac_lap,
-                      nehari_closed_form, random_smooth_A, riesz_kernel_table)
+from conftest import (brute_force_riesz, central_diff_energy, check_hartree_bound,
+                      gaussian_frac_lap, mpg_shell_radius, nehari_closed_form,
+                      random_smooth_A, riesz_kernel_table)
 
 
 def report(num, name, detail, t0):

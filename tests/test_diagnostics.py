@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from choquard import (Field, GridSpec, check_concentration,
-                      check_decay, check_diamagnetic, check_hartree_bound,
-                      constant_A)
+                      check_decay, check_diamagnetic, constant_A)
 from choquard.solver import SolveReport
 
-from conftest import random_smooth_A, traced_peak
+from conftest import check_hartree_bound, random_smooth_A, traced_peak
 
 
 @pytest.fixture(scope="module")

@@ -4,19 +4,18 @@ from random import Random
 import numpy as np
 import pytest
 
-import choquard.diagnostics as diagnostics_mod
 import choquard.energy as energy_mod
 import choquard.operators as operators_mod
 import choquard.sampling as sampling_mod
 from choquard import (BallRegion, Field, GridSpec, PotentialSpec, ProblemConfig,
                       QuadratureOperator, SpectralOperator, build_limit_context,
                       build_penalized_context, clipped_quadratic_V, constant_A,
-                      energy_terms, energy_value, gradient, mpg_shell_radius,
-                      nehari_project, sine_A)
+                      energy_terms, energy_value, gradient, nehari_project, sine_A)
 from choquard.nonlinearity import PenalizationParams
 from choquard.sampling import band_limited_field
 
-from conftest import central_diff_energy
+import conftest
+from conftest import central_diff_energy, mpg_shell_radius
 
 
 def test_zero_field_all_pieces_zero(plain_ctx):
@@ -138,12 +137,12 @@ def test_mpg_one_convolution_per_group_and_ray_parameter(plain_ctx, monkeypatch)
     # parameters take 15 stacked convolutions (180 one field at a time), and
     # C matches the estimate built one field a group
     ctx, _, _ = plain_ctx
-    convolve, shapes = diagnostics_mod.riesz_convolve, []
+    convolve, shapes = conftest.riesz_convolve, []
 
     def counted(h, cache):
         shapes.append(h.shape)
         return convolve(h, cache)
-    monkeypatch.setattr(diagnostics_mod, "riesz_convolve", counted)
+    monkeypatch.setattr(conftest, "riesz_convolve", counted)
     per_group = energy_mod.SAMPLE_GROUP_BYTES // (16 * ctx.grid.size)
     assert per_group >= 12
     rho, C = mpg_shell_radius(ctx, n_samples=12, seed=5)

@@ -106,6 +106,32 @@ def test_field_checksum_mismatch(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("size", [0, 1, 16 * 1024 + 3, 512 * 1024])
+def test_digest_is_hashlib_sha256(size):
+    # the interpreter's built-in SHA-256 that choquard.io takes in place of
+    # hashlib: the same digest, so stored sidecars and config hashes stay valid
+    from choquard.io import sha256
+    payload = bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8))
+    assert sha256(payload).hexdigest() == hashlib.sha256(payload).hexdigest()
+
+
+def test_field_with_hashlib_digest_loads(tmp_path):
+    # a field stored by a version that took its digest from hashlib: the
+    # payload and a sidecar written by hand, not by save_field
+    grid = GridSpec(L=8.0, M=8, dim=2)
+    vals = np.arange(64.0).reshape(grid.shape) * (1 - 0.5j)
+    payload = vals.astype("<c16").tobytes()
+    (tmp_path / "u.f64").write_bytes(payload)
+    (tmp_path / "u.f64.meta.json").write_text(json.dumps({
+        "dims": [8, 8], "L": 8.0, "s": 0.6, "mu": 0.5, "eps": 0.5,
+        "phase_gauge": "argmax-real-positive",
+        "sha256": hashlib.sha256(payload).hexdigest()}))
+    back, meta = load_field(tmp_path / "u.f64")
+    assert back.values.tobytes() == vals.tobytes() and back.grid == grid
+    save_field(tmp_path / "v.f64", back, s=0.6, mu=0.5, eps=0.5)
+    assert json.loads((tmp_path / "v.f64.meta.json").read_text())["sha256"] == meta["sha256"]
+
+
 def test_field_dims_disagree(tmp_path):
     grid = GridSpec(L=8.0, M=16, dim=1)
     path = tmp_path / "u.f64"

@@ -139,9 +139,9 @@ def count_convolutions(monkeypatch):
     calls = []
     convolve = energy_mod.riesz_convolve
 
-    def counted(h, cache):
+    def counted(h, cache, out=None):
         calls.append(1)
-        return convolve(h, cache)
+        return convolve(h, cache, out)
     monkeypatch.setattr(energy_mod, "riesz_convolve", counted)
     return calls
 
@@ -165,8 +165,8 @@ def test_truncated_projection_peaks_within_the_closed_form_budget(solve3d_start,
                                                                   monkeypatch):
     # t^2 |u|^2 is not held across a convolution and the pairing array goes
     # once it is summed, so the projection peaks about 4.1 field sizes above
-    # its entry, as a closed-form trial does (5.07 with t^2 |u|^2 bound, 5.14
-    # with the pairing array kept)
+    # its entry, above a closed-form trial's 3.6 (5.07 with t^2 |u|^2 bound,
+    # 5.14 with the pairing array kept)
     from conftest import traced_peak
     ctx, start = solve3d_start
     Lu = ctx.apply_op(start.values)
@@ -174,6 +174,20 @@ def test_truncated_projection_peaks_within_the_closed_form_budget(solve3d_start,
     nehari_project(start, ctx, Lu=Lu)
     assert len(calls) > 2
     assert traced_peak(lambda: nehari_project(start, ctx, Lu=Lu), 8 * ctx.grid.size) <= 4.5
+
+
+def test_closed_form_projection_convolves_into_F(solve3d_start, monkeypatch):
+    # F(|u|^2)'s last reader is the forward transform, so the convolution is
+    # written into its storage: 3.57 field sizes above the entry, 4.07 with
+    # F held through the inverse transform
+    from conftest import traced_peak
+    ctx, start = solve3d_start
+    ctx = replace(ctx, pen=None)
+    Lu = ctx.apply_op(start.values)
+    calls = count_convolutions(monkeypatch)
+    nehari_project(start, ctx, Lu=Lu)
+    assert len(calls) == 1
+    assert traced_peak(lambda: nehari_project(start, ctx, Lu=Lu), 8 * ctx.grid.size) < 3.8
 
 
 def test_solve3d_start_is_bracketed_by_doubling(solve3d_start, monkeypatch):
