@@ -17,8 +17,8 @@ from .diagnostics import _tail_radii, check_decay, check_diamagnetic
 from .io import (ParsedConfig, decode_json, load_field, parse_config, report_to_dict,
                  sanitize_json, save_field, write_report, write_run, _atomic_write_bytes,
                  _atomic_write_json)
-from .solver import (SolveReport, SolverError, phase_gauge, solve_limit,
-                     solve_penalized, sweep_epsilon)
+from .solver import (SolverError, failed_solve, solve_limit, solve_penalized,
+                     sweep_epsilon)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,9 +79,8 @@ def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
     try:
         u, rep = solve()
     except SolverError as exc:
-        u = None if exc.field is None else phase_gauge(exc.field)
-        rep = SolveReport.failed(eps, parsed.opts.seed, str(exc))
-        _write_solution(out, parsed, u, rep, eps, started)
+        _write_solution(out, parsed, *failed_solve(exc, eps, parsed.opts.seed), eps,
+                        started)
         raise
     _write_solution(out, parsed, u, rep, eps, started)
     _print_warnings([rep])
@@ -179,16 +178,15 @@ def _cmd_export(args) -> int:
     idx = u.argmax_index()
     if args.mode == "axis":
         writer.writerow(["x", "abs_u"])
-        sel = list(idx)
-        for i in range(g.M):
-            sel[0] = i
-            writer.writerow([f"{-g.L + i * g.h:.17g}",
-                             f"{abs(u.values[tuple(sel)]):.17g}"])
+        # the scalar abs of each sample: numpy's array abs of a complex array
+        # can differ from it in the last bit
+        for x, v in zip(g.axis(), u.values[(slice(None), *idx[1:])]):
+            writer.writerow([f"{x:.17g}", f"{abs(v):.17g}"])
     else:
         writer.writerow(["r_mid", "mean_abs_u", "count"])
         r = _tail_radii(u, idx).reshape(-1)
         a = np.abs(u.values).reshape(-1)
-        edges = np.arange(0.0, r.max() + g.h, g.h)
+        edges = g.h * np.arange(r.max() // g.h + 2)  # the last lies above r.max()
         which = np.digitize(r, edges)
         for b in range(1, len(edges)):
             m = which == b

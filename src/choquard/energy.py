@@ -204,21 +204,19 @@ ROOT_REL_TOL = 1e-12
 NEHARI_BRACKET_DOUBLINGS = 64
 
 
-def root_decreasing(fn, lo: float, hi: float, f_hi: float | None = None) -> float:
-    """Root of a decreasing `fn` between bounds lo < hi, by the Illinois
-    variant of regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
-    point of the bracket, with the value kept at an end halved whenever the
-    other end moves twice in a row. A secant point outside the bracket falls
-    back to the midpoint, and one closer to an end than half the stopping
-    width (roundoff puts it on an end that is at the root) is moved to that
-    distance, so that the next step closes the bracket. An end where fn has
-    already crossed zero (roundoff at a bound that is the root) is returned.
-    `f_hi`, fn(hi) when the caller has it, saves that evaluation."""
+def root_decreasing(fn, lo: float, hi: float, f_hi: float) -> float:
+    """Root of a decreasing `fn` between bounds lo < hi, given f_hi = fn(hi),
+    by the Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971):
+    the secant point of the bracket, with the value kept at an end halved
+    whenever the other end moves twice in a row. A secant point outside the
+    bracket falls back to the midpoint, and one closer to an end than half
+    the stopping width (roundoff puts it on an end that is at the root) is
+    moved to that distance, so that the next step closes the bracket. An end
+    where fn has already crossed zero (roundoff at a bound that is the root)
+    is returned."""
     f_lo = fn(lo)
     if f_lo <= 0:
         return lo
-    if f_hi is None:
-        f_hi = fn(hi)
     if f_hi >= 0:
         return hi
     side = 0  # +1: lo moved last, -1: hi moved last

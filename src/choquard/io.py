@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ProblemConfig, PotentialSpec
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, NonFiniteFieldError
 from .potentials import (BallRegion, BoxRegion, clipped_quadratic_V, constant_A,
                          constant_V, sine_A)
 from .solver import SolverOptions
@@ -89,7 +89,8 @@ def save_field(path, u: Field, *, s: float, mu: float, eps: float) -> list[str]:
 
 def load_field(path) -> tuple[Field, dict]:
     """Round-trip loader; verifies the sidecar's keys and values, the payload
-    length and its checksum, raising ConfigError for any fault."""
+    length, its checksum and that every sample is finite, raising ConfigError
+    for any fault."""
     path = Path(path)
     meta_path = path.with_name(path.name + ".meta.json")
     if not meta_path.exists():
@@ -119,7 +120,10 @@ def load_field(path) -> tuple[Field, dict]:
     if sha256(payload).hexdigest() != meta["sha256"]:
         raise ConfigError("checksum mismatch in field payload")
     vals = np.frombuffer(payload, dtype="<c16").reshape(grid.shape).copy()
-    return Field(vals, grid), meta
+    try:
+        return Field(vals, grid), meta
+    except NonFiniteFieldError as exc:
+        raise ConfigError(f"field payload {path.name}: {exc}") from None
 
 
 # ------------------------------------------------------------- config parse
@@ -177,7 +181,8 @@ def _parse_V(doc: dict, V0: float):
     if kind == "clipped_quadratic":
         vals = _take(doc, "potential.V", {"kind": str},
                      {"coeff": float, "cap": float})
-        return clipped_quadratic_V(V0, vals.get("coeff", 1.0), vals.get("cap", 4.0))
+        del vals["kind"]
+        return clipped_quadratic_V(V0, **vals)
     raise ConfigError(f"unknown potential.V kind '{kind}'")
 
 

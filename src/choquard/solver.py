@@ -62,24 +62,27 @@ class SolverOptions:
             raise ValueError("max_iters must be at least 1")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolveReport:
-    c_eps: float
-    x_eps: tuple[float, ...]
-    x_eps_index: tuple[int, ...]
-    V_at_max: float
-    valid_penalization: bool
-    decay_exponent: float
-    Cfit: float
-    iterations: int
-    residual: float
-    converged: bool
-    nehari_residual: float
-    sup_norm: float
-    boundary_ratio: float  # largest |u| on the outermost grid layer over sup |u|
+    """A solve's record. A failed solve's gives only eps, seed and error, and
+    its measured fields keep these defaults: NaN, empty, 0 or False."""
+
+    c_eps: float = np.nan
+    x_eps: tuple[float, ...] = ()
+    x_eps_index: tuple[int, ...] = ()
+    V_at_max: float = np.nan
+    valid_penalization: bool = False
+    decay_exponent: float = np.nan
+    Cfit: float = np.nan
+    iterations: int = 0
+    residual: float = np.nan
+    converged: bool = False
+    nehari_residual: float = np.nan
+    sup_norm: float = np.nan
+    boundary_ratio: float = np.nan  # largest |u| on the outermost grid layer over sup |u|
     eps: float
     seed: int
-    backend: str
+    backend: str = ""
     # the calibrated penalization and its inputs; None for the limit problem
     calibration: Calibration | None = None
     # sup |u| outside the region over min(a, sqrt(a)); the solve is a valid
@@ -90,21 +93,20 @@ class SolveReport:
     nehari_projections: int = 0  # projections that found a ray parameter, the start's included
     warnings: tuple[str, ...] = ()
     error: str | None = None
-    decay_status: str = "ok"
+    decay_status: str = "inconclusive"  # "ok" once a finished solve's tail is fitted
     # seconds per phase of the solve, keys `PHASES` (empty for a failed solve)
     timings: dict[str, float] = field(default_factory=dict)
     energy_history: tuple[float, ...] = field(default=(), repr=False)
     steps: tuple[Step, ...] = field(default=(), repr=False)
 
-    @classmethod
-    def failed(cls, eps: float, seed: int, error: str) -> "SolveReport":
-        """Report of a solve that raised `error`: no field, every number NaN."""
-        nan = float("nan")
-        return cls(c_eps=nan, x_eps=(), x_eps_index=(), V_at_max=nan,
-                   valid_penalization=False, decay_exponent=nan, Cfit=nan,
-                   iterations=0, residual=nan, converged=False,
-                   nehari_residual=nan, sup_norm=nan, boundary_ratio=nan,
-                   eps=eps, seed=seed, backend="", error=error)
+
+def failed_solve(exc: SolverError | ConfigError, eps: float,
+                 seed: int) -> tuple[Field | None, SolveReport]:
+    """The record of a solve at eps that raised `exc`: its last iterate,
+    phase-gauged (None when `exc` carries none), and a report of no result."""
+    u = getattr(exc, "field", None)
+    return (None if u is None else phase_gauge(u),
+            SolveReport(eps=eps, seed=seed, error=str(exc)))
 
 
 # the phases of a solve timed in `SolveReport.timings`: building the energy
@@ -328,19 +330,12 @@ def _descend(ctx: EnergyContext, initial: Field | None, default_start, opts: Sol
 
 def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
                     opts: SolverOptions | None = None, *,
-                    initial: Field | None = None,
-                    validate: bool = True) -> tuple[Field, SolveReport]:
+                    initial: Field | None = None) -> tuple[Field, SolveReport]:
     """Ground state of the penalized rescaled problem at cfg.eps, with the
     penalization calibrated for it; ConfigError, one violation per line, when
-    `validate_config` refuses the problem.
-
-    `validate=False` skips the admissibility gate for deliberately degenerate
-    diagnostic configurations (e.g. constant V, where the well condition
-    fails but the functional is still well defined)."""
+    `validate_config` refuses the problem."""
     opts = opts or SolverOptions()
-    report = validate_config(cfg, pot, grid)
-    if validate:
-        report.raise_violations()
+    report = validate_config(cfg, pot, grid).raise_violations()
     marks = [perf_counter()]
     ctx = build_penalized_context(cfg, pot, grid)
     marks.append(perf_counter())
@@ -395,8 +390,9 @@ def sweep_epsilon(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
     An eps list that is not descending, or a problem that `check_problem`
     refuses, raises ConfigError before the first solve. A solve that fails
     (SolverError, or ConfigError when `validate_config` refuses its eps) is
-    recorded in its report and the sweep continues; any other exception
-    propagates.
+    recorded by `failed_solve`, its iterate passed to `on_solution` when it
+    has one, and the sweep continues from the last converged field; any other
+    exception propagates.
     """
     opts = opts or SolverOptions()
     eps_list = [float(e) for e in eps_list]
@@ -414,10 +410,10 @@ def sweep_epsilon(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
             initial = rescale_field(prev_field, eps / prev_eps)
         try:
             u, rep = solve_penalized(replace(cfg, eps=eps), pot, grid, opts, initial=initial)
-            reports.append(rep)
             prev_field, prev_eps = u, eps
-            if on_solution is not None:
-                on_solution(eps, u, rep)
         except (SolverError, ConfigError) as exc:
-            reports.append(SolveReport.failed(eps, opts.seed, str(exc)))
+            u, rep = failed_solve(exc, eps, opts.seed)
+        reports.append(rep)
+        if on_solution is not None and u is not None:
+            on_solution(eps, u, rep)
     return reports

@@ -178,8 +178,10 @@ def mpg_shell_radius(ctx, *, n_samples: int = 30, seed: int = 7):
     def bound(quarter):
         return min((quarter / C_emp) ** 0.5, (quarter / C_emp) ** (1.0 / (2 * q - 2)))
 
-    rho = root_decreasing(lambda r: 0.25 - C_emp * (r ** 2 + r ** (2 * q - 2)),
-                          bound(0.125), bound(0.25))
+    def gap(r):
+        return 0.25 - C_emp * (r ** 2 + r ** (2 * q - 2))
+    hi = bound(0.25)
+    rho = root_decreasing(gap, bound(0.125), hi, gap(hi))
     return rho, C_emp
 
 

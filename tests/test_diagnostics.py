@@ -112,6 +112,27 @@ def test_decay_inconclusive_without_tail():
     assert res.context["status"] == "inconclusive"
 
 
+def test_decay_of_a_zero_field_is_inconclusive():
+    grid = GridSpec(L=20.0, M=128, dim=1)
+    res = check_decay(Field(np.zeros(128), grid), 1.0, (64,), 0.5)
+    assert res.passed is False
+    assert res.context["status"] == "inconclusive"
+
+
+def test_tail_underflowing_on_the_slope_shell_is_steeper():
+    # exp(-50 r^2) is positive up to r = 3.75 and underflows to 0 from r = 4,
+    # which is L/4: the envelope is fitted on [L/8, L/4), and the slope shell
+    # holds no nonzero sample
+    grid = GridSpec(L=16.0, M=128, dim=1)
+    u = Field(np.exp(-50.0 * grid.axis() ** 2), grid)
+    r = np.abs(grid.axis())
+    assert np.all(u.values[r >= 4.0] == 0) and np.all(u.values[r < 4.0] > 0)
+    res = check_decay(u, 1.0, u.argmax_index(), 0.5)
+    assert res.context["status"] == "ok"
+    assert res.context["slope"] == -np.inf
+    assert res.context["steeper"] and not res.context["slope_ok"]
+
+
 def test_check_decay_fits_once(monkeypatch):
     from choquard import diagnostics
     calls = {"_tail_radii": 0, "_periodized_envelope": 0}

@@ -106,6 +106,28 @@ def test_field_checksum_mismatch(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("verb", ["check", "export"])
+def test_cli_non_finite_payload_exits_1(tmp_path, capsys, verb):
+    # one NaN sample under a matching digest is a config fault, not a traceback
+    grid = GridSpec(L=8.0, M=16, dim=1)
+    path = tmp_path / "u.f64"
+    save_field(path, Field(np.ones(16), grid), s=0.5, mu=0.4, eps=1.0)
+    vals = np.ones(16, dtype="<c16")
+    vals[5] = np.nan
+    path.write_bytes(vals.tobytes())
+    meta_path = tmp_path / "u.f64.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sha256"] = hashlib.sha256(vals.tobytes()).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+    argv = ["--name", "decay"] if verb == "check" else ["--out", str(tmp_path / "u.csv")]
+    assert main([verb, "--field", str(path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config invalid: field payload u.f64: field contains "
+                            "non-finite values\n")
+    assert not (tmp_path / "u.csv").exists()
+
+
 @pytest.mark.parametrize("size", [0, 1, 16 * 1024 + 3, 512 * 1024])
 def test_digest_is_hashlib_sha256(size):
     # the interpreter's built-in SHA-256 that choquard.io takes in place of
@@ -498,18 +520,42 @@ def test_cli_check_unknown_name(tmp_path, capsys):
 
 
 def test_cli_export_axis_csv(tmp_path):
-    grid = GridSpec(L=8.0, M=32, dim=1)
+    # a complex 2-D field peaked off the centre: row i holds x_i and |u| at
+    # (i, argmax[1]), each sample's abs taken alone, byte for byte
+    grid = GridSpec(L=6.0, M=24, dim=2)
+    x, y = grid.axis()[:, None], grid.axis()[None, :]
+    vals = np.exp(-(x - 1.0) ** 2 - (y + 2.0) ** 2 / 2 + 1j * (0.3 * x - 0.7 * y))
     path = tmp_path / "u.f64"
-    save_field(path, Field(np.exp(-grid.axis() ** 2), grid), s=0.5, mu=0.4, eps=1.0)
+    save_field(path, Field(vals, grid), s=0.5, mu=0.4, eps=1.0)
     out = tmp_path / "u.csv"
     assert main(["export", "--field", str(path), "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,abs_u"
-    assert len(lines) == 33
-    out2 = tmp_path / "rad.csv"
-    assert main(["export", "--field", str(path), "--out", str(out2),
+    u, _ = load_field(path)
+    j = u.argmax_index()[1]
+    assert j != grid.M // 2
+    rows = [f"{-grid.L + i * grid.h:.17g},{abs(u.values[i, j]):.17g}\r\n"
+            for i in range(grid.M)]
+    assert out.read_bytes() == ("x,abs_u\r\n" + "".join(rows)).encode()
+
+
+def test_cli_export_radial_rows(tmp_path):
+    # h = 1/2 and the radii are exact: bin k holds the two samples at
+    # distance kh from the peak, one at k = 0 and at k = M/2, the far edge
+    # x = -L, whose distance is the largest
+    grid = GridSpec(L=4.0, M=16, dim=1)
+    vals = np.exp(-grid.axis() ** 2 / 4)
+    path = tmp_path / "u.f64"
+    save_field(path, Field(vals, grid), s=0.5, mu=0.4, eps=1.0)
+    out = tmp_path / "rad.csv"
+    assert main(["export", "--field", str(path), "--out", str(out),
                  "--mode", "radial"]) == 0
-    assert out2.read_text().startswith("r_mid,mean_abs_u")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "r_mid,mean_abs_u,count"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == grid.M // 2 + 1
+    for k, (r_mid, mean_abs_u, count) in enumerate(rows):
+        assert r_mid == (k + 0.5) * grid.h
+        assert count == (1 if k in (0, grid.M // 2) else 2)
+        assert mean_abs_u == vals[grid.M // 2 + k if k < grid.M // 2 else 0]
 
 
 def test_cli_limit_subcommand(tmp_path, capsys):
@@ -816,8 +862,34 @@ def test_cli_unconverged_solve_writes_iterate(tmp_path, capsys, verb):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
     assert report["error"].startswith("no convergence")
+    assert report["decay_status"] == "inconclusive"  # no tail was fitted
     u, meta = load_field(out / "u.f64")  # the checksum of the sidecar holds
     assert u.sup_norm() > 0
     assert meta["eps"] == (BASE_CONFIG["problem"]["eps"] if verb == "solve" else 1.0)
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["artifacts"]) >= {"u.f64", "u.f64.meta.json", "report.json"}
+
+
+def test_cli_unconverged_sweep_writes_every_iterate(tmp_path, capsys):
+    # no entry converges in 3 iterations: each writes its last iterate, as a
+    # failed solve writes u.f64, and none claims a decay fit
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["solver"]["max_iters"] = 3
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--eps-list", "0.5,0.25"]) == 2
+    assert "sweep finished with failed entries" in capsys.readouterr().err
+    reports = json.loads((out / "sweep.json").read_text())["reports"]
+    assert [r["converged"] for r in reports] == [False, False]
+    assert [r["decay_status"] for r in reports] == ["inconclusive"] * 2
+    assert all(r["error"].startswith("no convergence in 3") for r in reports)
+    for eps in (0.5, 0.25):
+        u, meta = load_field(out / f"u_eps_{eps:g}.f64")
+        assert meta["eps"] == eps
+        peak = u.values[u.argmax_index()]
+        assert peak.imag == 0 and peak.real > 0  # phase-gauged
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["config.json", "sweep.json",
+                                     "u_eps_0.25.f64", "u_eps_0.25.f64.meta.json",
+                                     "u_eps_0.5.f64", "u_eps_0.5.f64.meta.json"]

@@ -118,18 +118,16 @@ def test_twin_well_ray_past_the_doubling_cap_has_no_point(twin_well_ray, monkeyp
 
 def record_brackets(monkeypatch):
     """The (lo, hi, f_hi) of every `root_decreasing` call; each call checks
-    that f_hi is the pairing at hi, and that passing it leaves the root
-    bit-identical."""
+    that f_hi is the pairing at hi."""
     brackets = []
     root = energy_mod.root_decreasing
 
-    def recorded(fn, lo, hi, f_hi=None):
+    def recorded(fn, lo, hi, f_hi):
         brackets.append((lo, hi, f_hi))
         t = root(fn, lo, hi, f_hi)
         with monkeypatch.context() as m:
             m.setattr(energy_mod, "riesz_convolve", riesz_convolve)
-            assert f_hi is not None and f_hi == fn(hi) < 0
-            assert root(fn, lo, hi) == t
+            assert f_hi == fn(hi) < 0
         return t
     monkeypatch.setattr(energy_mod, "root_decreasing", recorded)
     return brackets
@@ -263,9 +261,24 @@ def test_root_at_an_end_is_not_evaluated_again():
     def fn(t):
         points.append(t)
         return 1e-17 if t <= 1.0 else 1.0 - t
-    root = root_decreasing(fn, 1.0, 2.0)
+    root = root_decreasing(fn, 1.0, 2.0, fn(2.0))
     assert len(set(points)) == len(points) <= 4
     assert 1.0 < root < 1.0 + ROOT_REL_TOL
+
+
+@pytest.mark.parametrize("f_lo, f_hi, end", [(0.0, -1.0, "lo"), (-1.0, -1.0, "lo"),
+                                              (1.0, 0.0, "hi"), (1.0, 2.0, "hi")])
+def test_root_at_a_crossed_end_is_that_end(f_lo, f_hi, end):
+    # fn(lo) <= 0 returns lo, and a given f_hi >= 0 returns hi, after one
+    # evaluation, at lo
+    from choquard.energy import root_decreasing
+    points = []
+
+    def fn(t):
+        points.append(t)
+        return f_lo
+    assert root_decreasing(fn, 1.0, 2.0, f_hi) == {"lo": 1.0, "hi": 2.0}[end]
+    assert points == [1.0]
 
 
 def ray_field(ctx, u0, branch):

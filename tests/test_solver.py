@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import choquard.energy as energy_mod
+import choquard.solver as solver_mod
 from choquard import (BallRegion, ConfigError, Field, GridSpec, PotentialSpec,
                       ProblemConfig, SolverError, SolverOptions, build_limit_context,
-                      clipped_quadratic_V, constant_A, constant_V, energy_value,
-                      rescale_field, solve_limit, solve_penalized, sweep_epsilon)
+                      check_problem, clipped_quadratic_V, constant_A, constant_V,
+                      energy_value, rescale_field, solve_limit, solve_penalized,
+                      sweep_epsilon)
 
 from choquard.nonlinearity import threshold_for
 from choquard.solver import INCONCLUSIVE_DECAY_WARNING
@@ -23,17 +25,26 @@ def coincident_setup(request):
     return grid, cfg, pot
 
 
-def test_penalized_reproduces_limit(coincident_setup):
+@pytest.fixture
+def unvalidated(monkeypatch):
+    """solve_penalized gated by `check_problem` alone: coincident_setup's
+    constant V fails the well condition, though its functional is well defined."""
+    monkeypatch.setattr(solver_mod, "validate_config",
+                        lambda cfg, pot, grid: check_problem(cfg, grid))
+
+
+def test_penalized_reproduces_limit(coincident_setup, unvalidated):
     grid, cfg, pot = coincident_setup
     opts = SolverOptions(grad_tol=1e-8, seed=1)
-    u_p, rep_p = solve_penalized(cfg, pot, grid, opts, validate=False)
+    u_p, rep_p = solve_penalized(cfg, pot, grid, opts)
     u_l, rep_l = solve_limit(cfg, grid, opts)
     assert rep_p.converged and rep_l.converged
     assert rep_p.c_eps == pytest.approx(rep_l.c_eps, rel=1e-6)
 
 
 @pytest.mark.parametrize("limit", [False, True], ids=["penalized", "limit"])
-def test_spectral_solve_builds_the_symbol_once(coincident_setup, monkeypatch, limit):
+def test_spectral_solve_builds_the_symbol_once(coincident_setup, unvalidated, monkeypatch,
+                                                limit):
     # the preconditioner reads |xi|^(2s) from the spectral operator
     grid, cfg, pot = coincident_setup
     mesh_sq, calls = GridSpec.wavenumber_mesh_sq, []
@@ -46,7 +57,7 @@ def test_spectral_solve_builds_the_symbol_once(coincident_setup, monkeypatch, li
     if limit:
         _, rep = solve_limit(cfg, grid, opts)
     else:
-        _, rep = solve_penalized(cfg, pot, grid, opts, validate=False)
+        _, rep = solve_penalized(cfg, pot, grid, opts)
     assert rep.converged
     assert len(calls) == 1
 
@@ -67,10 +78,10 @@ def test_converged_report_consistency(magnetic_ctx, request):
     assert np.all(np.diff(hist) <= 1e-12)
 
 
-def test_mountain_pass_ray_consistency(coincident_setup):
+def test_mountain_pass_ray_consistency(coincident_setup, unvalidated):
     grid, cfg, pot = coincident_setup
     opts = SolverOptions(grad_tol=1e-8, seed=3)
-    u, rep = solve_penalized(cfg, pot, grid, opts, validate=False)
+    u, rep = solve_penalized(cfg, pot, grid, opts)
     from choquard import build_penalized_context
     ctx = build_penalized_context(cfg, pot, grid)
     ts = np.logspace(-1, 1, 129)
@@ -78,7 +89,7 @@ def test_mountain_pass_ray_consistency(coincident_setup):
     assert rep.c_eps == pytest.approx(max(ray), rel=1e-6)
 
 
-def test_limit_solution_real_up_to_phase(coincident_setup):
+def test_limit_solution_real_up_to_phase(coincident_setup, unvalidated):
     grid, cfg, pot = coincident_setup
     # at 1e-7 the imaginary part is converged, not wherever the descent
     # happened to stop (at 1e-5 it spans 5.5e-7 to 7.7e-6 along plain BB's iterates)
@@ -88,7 +99,7 @@ def test_limit_solution_real_up_to_phase(coincident_setup):
     pert = 0.05 * (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)) \
         * np.exp(-grid.axis() ** 2 / 8)
     start = Field(u_real.values * np.exp(0.3j) + pert, grid)
-    u_c, rep_c = solve_penalized(cfg, pot, grid, opts, initial=start, validate=False)
+    u_c, rep_c = solve_penalized(cfg, pot, grid, opts, initial=start)
     aligned = align_phase(u_c.values, u_real.values.astype(complex))
     assert np.max(np.abs(np.imag(aligned))) < 1e-6 * np.max(np.abs(aligned))
 
@@ -171,23 +182,22 @@ def test_inconclusive_decay_fit_warns(L, M, status):
     assert (INCONCLUSIVE_DECAY_WARNING in rep.warnings) == (status == "inconclusive")
 
 
-def test_constant_A_is_gauge_equivalent(coincident_setup):
+def test_constant_A_is_gauge_equivalent(coincident_setup, unvalidated):
     grid, cfg, pot = coincident_setup
     potA = PotentialSpec(V=pot.V, A=constant_A([0.6]), region=pot.region)
     opts = SolverOptions(grad_tol=1e-6, seed=8)
-    _, rep0 = solve_penalized(cfg, pot, grid, opts, validate=False)
-    _, repA = solve_penalized(cfg, potA, grid, opts, validate=False)
+    _, rep0 = solve_penalized(cfg, pot, grid, opts)
+    _, repA = solve_penalized(cfg, potA, grid, opts)
     # same mountain-pass level: the two problems differ by a plane-wave gauge;
     # the tolerance covers the free-quadrature vs spectral backend difference
     assert repA.c_eps == pytest.approx(rep0.c_eps, rel=2e-3)
 
 
-def test_nonconvergence_carries_iterate(coincident_setup):
+def test_nonconvergence_carries_iterate(coincident_setup, unvalidated):
     grid, cfg, pot = coincident_setup
     with pytest.raises(SolverError) as exc:
         solve_penalized(cfg, pot, grid,
-                        SolverOptions(grad_tol=1e-14, max_iters=2, seed=9),
-                        validate=False)
+                        SolverOptions(grad_tol=1e-14, max_iters=2, seed=9))
     assert exc.value.field is not None
     assert exc.value.field.values.shape == grid.shape
 
@@ -314,6 +324,34 @@ def test_sweep_warm_starts_each_entry_by_rescaling(monkeypatch):
     assert all(s is out for s, (_, _, out) in zip(starts[1:], rescales))
 
 
+def test_sweep_hands_a_failed_iterate_on(monkeypatch):
+    # a failed entry's last iterate, phase-gauged, goes to on_solution with
+    # its report; the next entry still starts from the last converged field
+    grid = GridSpec(L=10.0, M=96, dim=1)
+    cfg = ProblemConfig(dim=1, s=0.6, mu=0.5, q=3.0, eps=0.5, V0=1.0)
+    pot = PotentialSpec(V=clipped_quadratic_V(1.0), A=None,
+                        region=BallRegion((0.0,), 1.0))
+    iterate = Field(-np.exp(-grid.axis() ** 2), grid)
+    starts, handed = [], []
+
+    def stalled_at_a_quarter(cfg, *args, initial=None, **kwargs):
+        starts.append(initial)
+        if cfg.eps == 0.25:
+            raise SolverError("line search stalled", iterate)
+        return solve_penalized(cfg, *args, initial=initial, **kwargs)
+    monkeypatch.setattr(solver_mod, "solve_penalized", stalled_at_a_quarter)
+    reports = sweep_epsilon(cfg, pot, grid, [0.5, 0.25, 0.2],
+                            SolverOptions(grad_tol=1e-5, seed=10),
+                            on_solution=lambda *entry: handed.append(entry))
+    assert [r.converged for r in reports] == [True, False, True]
+    assert [eps for eps, _, _ in handed] == [0.5, 0.25, 0.2]
+    assert [rep for _, _, rep in handed] == reports
+    assert reports[1].error == "line search stalled"
+    assert np.array_equal(handed[1][1].values, -iterate.values)
+    assert np.array_equal(starts[2].values,
+                          rescale_field(handed[0][1], 0.2 / 0.5).values)
+
+
 def test_solve_penalized_2d():
     grid = GridSpec(L=10.0, M=48, dim=2)
     cfg = ProblemConfig(dim=2, s=0.6, mu=0.8, q=2.5, eps=0.5, V0=1.0)
@@ -401,7 +439,7 @@ def test_descent_one_convolution_per_trial(plain_ctx, magnetic_ctx, monkeypatch,
         convolutions.append(h.shape)
         return convolve(h, cache, out)
 
-    def counted_root(fn, lo, hi, f_hi=None):
+    def counted_root(fn, lo, hi, f_hi):
         roots.append((lo, hi))
         return root(fn, lo, hi, f_hi)
     monkeypatch.setattr(energy_mod, "riesz_convolve", counted_convolve)
