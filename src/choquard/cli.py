@@ -71,28 +71,25 @@ def _print_warnings(reports) -> None:
 
 
 def _solve_into(out: Path, parsed: ParsedConfig, solve, eps: float):
-    """Run `solve`, write its field, report and run files under `out` and
-    print the report's warnings. A SolverError writes a `converged: false`
-    report with the error, and the last iterate when it carries one, before
-    it propagates (exit 2)."""
+    """Run `solve`, write its field (none when it failed with no iterate),
+    report and run files under `out` and print the report's warnings. A
+    SolverError is recorded by `failed_solve`, a `converged: false` report
+    with the error, and propagates once that is written (exit 2)."""
     started = datetime.now(timezone.utc)
     try:
         u, rep = solve()
+        error = None
     except SolverError as exc:
-        _write_solution(out, parsed, *failed_solve(exc, eps, parsed.opts.seed), eps,
-                        started)
-        raise
-    _write_solution(out, parsed, u, rep, eps, started)
-    _print_warnings([rep])
-    return rep
-
-
-def _write_solution(out: Path, parsed: ParsedConfig, u, rep, eps: float, started):
-    """The field u (none when u is None), the report and the run files."""
+        u, rep = failed_solve(exc, eps, parsed.opts.seed)
+        error = exc
     names = [] if u is None else save_field(out / "u.f64", u, s=parsed.cfg.s,
                                             mu=parsed.cfg.mu, eps=eps)
     write_report(out / "report.json", rep)
     write_run(out, parsed, names + ["report.json"], started)
+    if error is not None:
+        raise error
+    _print_warnings([rep])
+    return rep
 
 
 def _cmd_solve(args) -> int:
@@ -173,19 +170,20 @@ def _cmd_check(args) -> int:
 def _cmd_export(args) -> int:
     u, meta = load_field(args.field)
     g = u.grid
+    # |u| once for both modes: hypot is the scalar abs of each sample, bit for
+    # bit, where numpy's array abs of a complex array can differ in the last bit
+    a = np.hypot(u.values.real, u.values.imag)
     buf = _io.StringIO()
     writer = csv.writer(buf)
     idx = u.argmax_index()
     if args.mode == "axis":
         writer.writerow(["x", "abs_u"])
-        # the scalar abs of each sample: numpy's array abs of a complex array
-        # can differ from it in the last bit
-        for x, v in zip(g.axis(), u.values[(slice(None), *idx[1:])]):
-            writer.writerow([f"{x:.17g}", f"{abs(v):.17g}"])
+        for x, v in zip(g.axis(), a[(slice(None), *idx[1:])]):
+            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
     else:
         writer.writerow(["r_mid", "mean_abs_u", "count"])
         r = _tail_radii(u, idx).reshape(-1)
-        a = np.abs(u.values).reshape(-1)
+        a = a.reshape(-1)
         edges = g.h * np.arange(r.max() // g.h + 2)  # the last lies above r.max()
         which = np.digitize(r, edges)
         for b in range(1, len(edges)):
@@ -204,10 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                                              "ground-state solver")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", required=True)
-        if needs_out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--grid", type=int, default=None, help="override grid M")
         p.add_argument("--tol", type=float, default=None, help="override grad_tol")

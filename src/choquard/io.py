@@ -234,14 +234,10 @@ class ParsedConfig:
     raw: bytes
 
 
-def parse_config(source) -> ParsedConfig:
-    """Parse the single JSON config document; unknown keys are errors."""
-    if isinstance(source, (str, Path)):
-        raw = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        raw = source
-    else:
-        raw = json.dumps(source).encode()
+def parse_config(source: str | Path | bytes) -> ParsedConfig:
+    """Parse the single JSON config document, the file at a path or its
+    bytes (kept as `raw`); unknown keys are errors."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
     top = _take(decode_json(raw, "config"), "config",
                 {"problem": dict, "grid": dict, "potential": dict},
                 {"solver": dict, "sweep": dict})

@@ -182,45 +182,41 @@ class QuadratureOperator:
             self.kernel_fft = even_spectrum(np.fft.ifftshift(k))
         else:
             self.kernel_fft = None  # the pair blocks hold the pair sum
-            self._build_pair_tables(k[(slice(1, None),) * N].reshape(-1))
-            step = max(1, PAIR_BLOCK_PAIRS // g.size)
-            self.blocks = [self._pair_block(slice(lo, min(lo + step, g.size)))
-                           for lo in range(0, g.size, step)]
+            self.blocks = self._pair_blocks(k[(slice(1, None),) * N].reshape(-1))
         self.pair_weights_mb = sum(B.nbytes for _, B in self.blocks) / 2 ** 20
         self.diag = self.c * (g.cell_volume() * self.rowsums + tail)
 
-    # ---------------- magnetic tables
+    # ---------------- magnetic pair blocks
 
-    def _build_pair_tables(self, ktab: np.ndarray):
-        """The kernel with the near-zone stencil by displacement (`ktab`,
-        flat) and A on the half-step lattice, indexed by the flat
-        multi-indices S_i - S_j + S_off and S_i + S_j."""
+    def _pair_blocks(self, ktab: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+        """The stored row blocks of the pair weights W_ij (module docstring),
+        from `ktab`, the kernel with the near-zone stencil by displacement
+        (flat); each block's columns run from its first row to the last one
+        where the kernel is nonzero."""
         g = self.grid
         M, N = g.M, g.dim
         n = 2 * M - 1
-        self.ktab = ktab
         half = -g.L + 0.5 * g.h * np.arange(n)
         lattice = np.stack(np.meshgrid(*([half] * N), indexing="ij"), axis=-1)
-        self.Atab = np.asarray(self.A(lattice.reshape(-1, N))).T.copy()
+        Atab = np.asarray(self.A(lattice.reshape(-1, N))).T.copy()
+        del lattice
         strides = n ** np.arange(N - 1, -1, -1)
-        self.S = strides @ np.indices(g.shape).reshape(N, -1)
-        self.S_off = int((M - 1) * strides.sum())
-        self.xT = g.points().T.copy()
-
-    def _pair_block(self, rows: slice) -> tuple[slice, np.ndarray]:
-        """Rows `rows` of the pair weights W_ij = k(x_i - x_j) e^{i A(mid).(x_i - x_j)},
-        columns from `rows.start` to the last one where the kernel is nonzero;
-        W is Hermitian (the phase is odd under i <-> j), so these blocks
-        determine it."""
-        Si = self.S[rows, None]
-        K = self.ktab[Si - self.S[rows.start:] + self.S_off]
-        # k = 0 past the cutoff: drop the trailing zero columns before the phases
-        K = K[:, :K.shape[1] - np.argmax(K[:, ::-1].any(axis=0))]
-        cols = slice(rows.start, rows.start + K.shape[1])
-        S, xT = self.S[cols], self.xT
-        A_mid = self.Atab[:, Si + S]
-        th = np.einsum("aij,aij->ij", A_mid, xT[:, rows, None] - xT[:, None, cols])
-        return rows, K * np.exp(1j * th)
+        S = strides @ np.indices(g.shape).reshape(N, -1)
+        S_off = int((M - 1) * strides.sum())
+        xT = g.points().T.copy()
+        step = max(1, PAIR_BLOCK_PAIRS // g.size)
+        blocks = []
+        for lo in range(0, g.size, step):
+            rows = slice(lo, min(lo + step, g.size))
+            Si = S[rows, None]
+            K = ktab[Si - S[lo:] + S_off]
+            # k = 0 past the cutoff: drop the trailing zero columns before the phases
+            K = K[:, :K.shape[1] - np.argmax(K[:, ::-1].any(axis=0))]
+            cols = slice(lo, lo + K.shape[1])
+            th = np.einsum("aij,aij->ij", Atab[:, Si + S[cols]],
+                           xT[:, rows, None] - xT[:, None, cols])
+            blocks.append((rows, K * np.exp(1j * th)))
+        return blocks
 
     # ---------------- the pair sum of apply
 

@@ -68,12 +68,12 @@ def band_limited_field(grid: GridSpec, draws, *, complex_valued: bool = True):
     return Field(vals[0], grid) if single else vals
 
 
-def _gaussian(grid: GridSpec, center=None, region: np.ndarray | None = None,
-              width: float = 1.0) -> np.ndarray:
-    """exp(-|x - center|^2 / (2 w^2)) on the grid, w = `width`. With a
-    `region` mask, w = max(the region's narrowest extent / 6, 2h) instead,
-    and a `center` of None is the region's centroid."""
+def _gaussian(grid: GridSpec, center=None, region: np.ndarray | None = None) -> np.ndarray:
+    """exp(-|x - center|^2 / (2 w^2)) on the grid, w = 1. With a `region`
+    mask, w = max(the region's narrowest extent / 6, 2h) instead, and a
+    `center` of None is the region's centroid."""
     ax = grid.axis()
+    width = 1.0
     if region is not None:
         # the region's points as mesh()[region] has them, (n, N) in C order
         # (np.argwhere's transposed layout would sum the centroid differently)

@@ -40,11 +40,14 @@ INCONCLUSIVE_DECAY_WARNING = (
 
 
 class SolverError(RuntimeError):
-    """Solver failure; carries the last iterate in `.field` when available."""
+    """Solver failure; carries the last iterate in `.field` when available,
+    and in `.progress` the `SolveReport` fields of what the descent did (none
+    for a failure before its first iterate)."""
 
-    def __init__(self, message: str, field_: Field | None = None):
+    def __init__(self, message: str, field_: Field | None = None, **progress):
         super().__init__(message)
         self.field = field_
+        self.progress = progress
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,9 @@ class SolverOptions:
 
 @dataclass(kw_only=True)
 class SolveReport:
-    """A solve's record. A failed solve's gives only eps, seed and error, and
-    its measured fields keep these defaults: NaN, empty, 0 or False."""
+    """A solve's record. A failed solve's gives only eps, seed, error and the
+    descent's progress (`SolverError.progress`), and its other measured
+    fields keep these defaults: NaN, empty, 0 or False."""
 
     c_eps: float = np.nan
     x_eps: tuple[float, ...] = ()
@@ -103,10 +107,12 @@ class SolveReport:
 def failed_solve(exc: SolverError | ConfigError, eps: float,
                  seed: int) -> tuple[Field | None, SolveReport]:
     """The record of a solve at eps that raised `exc`: its last iterate,
-    phase-gauged (None when `exc` carries none), and a report of no result."""
+    phase-gauged (None when `exc` carries none), and a report of no result
+    with the descent's progress when `exc` carries it."""
     u = getattr(exc, "field", None)
     return (None if u is None else phase_gauge(u),
-            SolveReport(eps=eps, seed=seed, error=str(exc)))
+            SolveReport(eps=eps, seed=seed, error=str(exc),
+                        **getattr(exc, "progress", {})))
 
 
 # the phases of a solve timed in `SolveReport.timings`: building the energy
@@ -193,19 +199,24 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     u = Field(t0 * start.values, ctx.grid)
     del start  # a start built where the descent takes it is freed here
     Lu *= t0
-    if not np.isfinite(J):
-        raise SolverError("quadrature blow-up", u)
     pmult = ctx.precond_multiplier()
     history = [J]
     tau = 1.0 / (1.0 + ctx.cfg.V0)
     u_prev = d_prev = None
     gn = np.inf
     projections, steps = 1, []
+
+    def failed(message: str) -> SolverError:  # stopped at u, with what was done
+        return SolverError(message, u, iterations=len(steps), steps=tuple(steps),
+                           energy_history=tuple(history), nehari_projections=projections)
+
+    if not np.isfinite(J):
+        raise failed("quadrature blow-up")
     for it in range(opts.max_iters):
         try:
             g = gradient(u, ctx, Lu, K=K)
         except NonFiniteFieldError:
-            raise SolverError("quadrature blow-up", u) from None
+            raise failed("quadrature blow-up") from None
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = d.l2_norm()
         if gn < opts.grad_tol:
@@ -247,14 +258,13 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
             Lw += Lu
             Lw *= 0.5
         else:
-            raise SolverError("line search stalled before reaching tolerance", u)
+            raise failed("line search stalled before reaching tolerance")
         w *= t  # in place: the accepted trial and its image become u and Lu
         Lw *= t
         u, J, Lu = Field(w, ctx.grid), J_new, Lw
         history.append(J)
         steps.append(Step(gn, tau, halvings, float(t), short))
-    raise SolverError(f"no convergence in {opts.max_iters} iterations "
-                      f"(grad norm {gn:.3e})", u)
+    raise failed(f"no convergence in {opts.max_iters} iterations (grad norm {gn:.3e})")
 
 
 def _seeded_perturbation(grid: GridSpec, seed: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -246,7 +247,7 @@ def test_floor_attained_in_the_region_is_accepted(monkeypatch):
     spec.loader.exec_module(workloads)
     assert len(workloads.WORKLOADS) == 4
     for work in workloads.WORKLOADS.values():
-        parsed = parse_config(work.config)
+        parsed = parse_config(json.dumps(work.config).encode())
         for eps in parsed.eps_list or (parsed.cfg.eps,):
             cfg = replace(parsed.cfg, eps=eps)
             assert validate_config(cfg, parsed.pot, parsed.grid).ok, work.name

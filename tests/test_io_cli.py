@@ -1,5 +1,6 @@
 import json
 import hashlib
+import re
 import struct
 from pathlib import Path
 
@@ -208,7 +209,7 @@ def test_parse_config_constant_potentials_and_box_region():
     doc["potential"] = {"V": {"kind": "constant"},
                         "A": {"kind": "constant", "value": [0.3, -0.2]},
                         "Lambda": {"kind": "box", "lo": [-1.0, -0.5], "hi": [1.0, 0.5]}}
-    pot = parse_config(doc).pot
+    pot = parse_config(json.dumps(doc).encode()).pot
     pts = np.array([[0.0, 0.0], [0.9, 0.4], [0.0, 0.6], [-1.2, 0.0]])
     assert np.array_equal(pot.V(pts), np.full(4, BASE_CONFIG["problem"]["V0"]))
     assert np.array_equal(pot.A(pts), np.tile([0.3, -0.2], (4, 1)))
@@ -270,7 +271,7 @@ def test_parse_config_malformed_values_are_config_errors(path, value):
             node = node[key]
         node[path[-1]] = value
     with pytest.raises(ConfigError):
-        parse_config(doc)
+        parse_config(json.dumps(doc).encode())
 
 
 _JSON_VALUES = st.recursive(
@@ -306,7 +307,7 @@ def test_parse_config_raises_only_config_error(data):
         else:
             node[key] = data.draw(_JSON_VALUES)
     try:
-        parse_config(doc)
+        parse_config(json.dumps(doc).encode())
     except Exception as exc:
         assert type(exc) is ConfigError, repr(exc)
 
@@ -392,6 +393,17 @@ def test_readme_names_every_report_key(tmp_path):
              "line_search_trials", "operator_passes", "short_steps"]
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_readme_library_example_runs(capsys):
+    # README's one python block, run as written, so that a renamed export or
+    # a changed signature fails here: it prints V(eps x_eps) per swept eps
+    # and c_eps / c_V0 at the last
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    V_at_max, ratio = capsys.readouterr().out.rsplit("] ", 1)
+    assert len(json.loads(V_at_max + "]")) == 3 and float(ratio) > 0
 
 
 def test_cli_mu_at_2s_rejected(tmp_path, capsys):
@@ -556,6 +568,33 @@ def test_cli_export_radial_rows(tmp_path):
         assert r_mid == (k + 0.5) * grid.h
         assert count == (1 if k in (0, grid.M // 2) else 2)
         assert mean_abs_u == vals[grid.M // 2 + k if k < grid.M // 2 else 0]
+
+
+def test_cli_export_modes_read_one_modulus(tmp_path):
+    # a complex 1-D field whose peak is a sample where numpy's array abs of
+    # the field differs from the scalar abs in the last bit: the peak's shell
+    # (its one sample) in the radial CSV reads as the axis CSV at the peak
+    grid = GridSpec(L=8.0, M=64, dim=1)
+    rng = np.random.default_rng(5)
+    vals = 0.5 * (rng.uniform(-1, 1, grid.M) + 1j * rng.uniform(-1, 1, grid.M))
+    peak = 23
+    for x, y in rng.uniform(1.0, 2.0, (1000, 2)):
+        vals[peak] = complex(x, y)
+        if np.abs(vals)[peak] != abs(vals[peak]):
+            break
+    else:
+        pytest.skip("numpy's array abs agrees with the scalar abs here")
+    path = tmp_path / "u.f64"
+    save_field(path, Field(vals, grid), s=0.5, mu=0.4, eps=1.0)
+    csvs = {}
+    for mode in ("axis", "radial"):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["export", "--field", str(path), "--out", str(out),
+                     "--mode", mode]) == 0
+        csvs[mode] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    r_mid, mean_abs_u, count = csvs["radial"][0]
+    assert float(r_mid) == grid.h / 2 and count == "1"
+    assert mean_abs_u == csvs["axis"][peak][1] == f"{abs(vals[peak]):.17g}"
 
 
 def test_cli_limit_subcommand(tmp_path, capsys):
@@ -851,18 +890,28 @@ def test_cli_failure_without_an_iterate_writes_its_report(tmp_path, capsys, monk
                                                      "report.json"]
 
 
+def _assert_three_steps_kept(report):
+    """A failed record keeps what its descent did, as a converged one does:
+    its 3 steps, J at the start and after each, and every projection."""
+    assert report["iterations"] == len(report["steps"]) == 3
+    assert len(report["energy_history"]) == 4
+    assert report["nehari_projections"] >= 4
+
+
 @pytest.mark.parametrize("verb", ["solve", "limit"])
 def test_cli_unconverged_solve_writes_iterate(tmp_path, capsys, verb):
     doc = json.loads(json.dumps(BASE_CONFIG))
-    doc["solver"]["max_iters"] = 1
+    doc["solver"]["max_iters"] = 3
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "run"
     assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "solver failed: no convergence in 1 iterations" in capsys.readouterr().err
+    assert "solver failed: no convergence in 3 iterations" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
     assert report["error"].startswith("no convergence")
     assert report["decay_status"] == "inconclusive"  # no tail was fitted
+    assert report["c_eps"] == "nan" and report["timings"] == {}
+    _assert_three_steps_kept(report)
     u, meta = load_field(out / "u.f64")  # the checksum of the sidecar holds
     assert u.sup_norm() > 0
     assert meta["eps"] == (BASE_CONFIG["problem"]["eps"] if verb == "solve" else 1.0)
@@ -884,6 +933,8 @@ def test_cli_unconverged_sweep_writes_every_iterate(tmp_path, capsys):
     assert [r["converged"] for r in reports] == [False, False]
     assert [r["decay_status"] for r in reports] == ["inconclusive"] * 2
     assert all(r["error"].startswith("no convergence in 3") for r in reports)
+    for r in reports:
+        _assert_three_steps_kept(r)
     for eps in (0.5, 0.25):
         u, meta = load_field(out / f"u_eps_{eps:g}.f64")
         assert meta["eps"] == eps

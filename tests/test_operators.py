@@ -312,6 +312,13 @@ def test_kernel_evaluated_once_per_operator(grid, monkeypatch):
     assert abs(stencilled.sum() - table.sum()) <= 1e-12 * table.sum()
     doubled = np.zeros((2 * M,) * N)
     doubled[(slice(1, None),) * N] = stencilled
+    # the table the pair blocks are built from, which the operator drops
+    pair_blocks, tables = QuadratureOperator._pair_blocks, []
+
+    def captured(op, ktab):
+        tables.append(ktab)
+        return pair_blocks(op, ktab)
+    monkeypatch.setattr(QuadratureOperator, "_pair_blocks", captured)
     for A in (None, sine_A(0.5, 4.0, N)):
         calls.clear()
         op = QuadratureOperator(grid, 0.6, A)
@@ -319,8 +326,10 @@ def test_kernel_evaluated_once_per_operator(grid, monkeypatch):
         if A is None:
             spectrum = operators.even_spectrum(np.fft.ifftshift(doubled))
             assert np.array_equal(op.kernel_fft, spectrum)
+            assert tables == []
         else:
-            assert np.array_equal(op.ktab, stencilled.reshape(-1))
+            [ktab] = tables
+            assert np.array_equal(ktab, stencilled.reshape(-1))
 
 
 def test_stored_pair_blocks_are_cut_at_the_cutoff():
@@ -332,6 +341,15 @@ def test_stored_pair_blocks_are_cut_at_the_cutoff():
     stored = sum(B.nbytes for _, B in op.blocks)
     assert stored <= 0.8 * 16 * n * (n + 1) / 2
     assert op.pair_weights_mb == stored / 2 ** 20
+
+
+def test_quadrature_keeps_only_what_apply_reads():
+    # the kernel table, A on the half-step lattice, the flat multi-indices and
+    # the coordinates live only while the pair blocks are built
+    for A in (None, sine_A(0.5, 4.0, 2)):
+        op = QuadratureOperator(GridSpec(L=5.0, M=12, dim=2), 0.6, A)
+        assert sorted(vars(op)) == ["A", "blocks", "c", "cutoff", "diag", "grid",
+                                    "kernel_fft", "pair_weights_mb", "rowsums", "s"]
 
 
 def _many_blocks(g):
