@@ -13,7 +13,7 @@ from .energy import (Calibration, EnergyContext, EnergyReport, NehariError,
                      calibrate_penalization, energy_terms, energy_value, gradient,
                      nehari_project, nehari_residual)
 from .grids import Field, GridSpec
-from .io import ParsedConfig, load_field, parse_config, report_to_dict, save_field
+from .io import ParsedConfig, load_field, parse_config, save_field
 from .nonlinearity import PenalizationParams, PowerNonlinearity, G_eval, g_eval
 from .operators import (HartreeCache, QuadratureOperator, SpectralOperator,
                         build_hartree_cache, frac_lap_constant, near_zone_weight,

@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, pair_storage_refusal
-from .diagnostics import _tail_radii, check_decay, check_diamagnetic
-from .io import (ParsedConfig, decode_json, load_field, parse_config, report_to_dict,
-                 sanitize_json, save_field, write_report, write_run, _atomic_write_bytes,
-                 _atomic_write_json)
+from .diagnostics import _tail_radii, check_concentration, check_decay, check_diamagnetic
+from .io import (ParsedConfig, decode_json, load_field, parse_config, save_field, to_json,
+                 write_report, write_run, _atomic_write_bytes, _atomic_write_json)
 from .solver import (SolverError, failed_solve, solve_limit, solve_penalized,
                      sweep_epsilon)
 
@@ -97,9 +96,9 @@ def _cmd_solve(args) -> int:
     parsed = _load_parsed(args)
     rep = _solve_into(out, parsed, lambda: solve_penalized(
         parsed.cfg, parsed.pot, parsed.grid, parsed.opts), parsed.cfg.eps)
-    print(json.dumps({"c_eps": rep.c_eps, "V_at_max": rep.V_at_max,
-                      "valid_penalization": rep.valid_penalization,
-                      "iterations": rep.iterations}))
+    print(to_json({"c_eps": rep.c_eps, "V_at_max": rep.V_at_max,
+                   "valid_penalization": rep.valid_penalization,
+                   "iterations": rep.iterations}))
     return EXIT_OK
 
 
@@ -108,8 +107,8 @@ def _cmd_limit(args) -> int:
     parsed = _load_parsed(args)
     rep = _solve_into(out, parsed, lambda: solve_limit(
         parsed.cfg, parsed.grid, parsed.opts), 1.0)
-    print(json.dumps({"c_V0": rep.c_eps, "decay_exponent": rep.decay_exponent,
-                      "iterations": rep.iterations}))
+    print(to_json({"c_V0": rep.c_eps, "decay_exponent": rep.decay_exponent,
+                   "iterations": rep.iterations}))
     return EXIT_OK
 
 
@@ -119,22 +118,25 @@ def _cmd_sweep(args) -> int:
     started = datetime.now(timezone.utc)
     names: list[str] = []
 
-    def on_solution(eps, field, rep):
-        names.extend(save_field(out / f"u_eps_{eps:g}.f64", field, s=parsed.cfg.s,
+    def on_solution(eps, field, rep):  # named by eps's `g` form if it reads back as eps
+        name = f"{eps:g}" if float(f"{eps:g}") == eps else repr(eps)
+        names.extend(save_field(out / f"u_eps_{name}.f64", field, s=parsed.cfg.s,
                                 mu=parsed.cfg.mu, eps=eps))
 
     reports = sweep_epsilon(parsed.cfg, parsed.pot, parsed.grid, parsed.eps_list,
                             parsed.opts, on_solution=on_solution)
     _print_warnings(reports)
-    summary = {"eps_list": list(parsed.eps_list),
-               "reports": [report_to_dict(r) for r in reports]}
-    _atomic_write_json(out / "sweep.json", sanitize_json(summary))
+    # the concentration check refuses fewer than three entries
+    concentration = (check_concentration(reports, parsed.pot, parsed.cfg, parsed.grid)
+                     if len(reports) >= 3 else None)
+    _atomic_write_json(out / "sweep.json", {"eps_list": parsed.eps_list, "reports": reports,
+                                            "concentration": concentration})
     write_run(out, parsed, names + ["sweep.json"], started)
     if not all(r.converged for r in reports):
         print("sweep finished with failed entries", file=sys.stderr)
         return EXIT_SOLVER
-    print(json.dumps(sanitize_json({"V_at_max": [r.V_at_max for r in reports],
-                                    "c_eps": [r.c_eps for r in reports]})))
+    print(to_json({"V_at_max": [r.V_at_max for r in reports],
+                   "c_eps": [r.c_eps for r in reports]}))
     return EXIT_OK
 
 
@@ -163,7 +165,7 @@ def _cmd_check(args) -> int:
         result.context["A"] = kind
     else:
         result = check_decay(u, meta["eps"], u.argmax_index(), meta["s"])
-    print(json.dumps(report_to_dict(result)))
+    print(to_json(result))
     return EXIT_OK
 
 

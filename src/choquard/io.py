@@ -63,7 +63,7 @@ def _atomic_write_bytes(path: Path, payload: bytes):
 
 
 def _atomic_write_json(path: Path, doc):
-    _atomic_write_bytes(Path(path), json.dumps(doc, indent=2).encode())
+    _atomic_write_bytes(Path(path), to_json(doc, indent=2).encode())
 
 
 # ------------------------------------------------------------ field storage
@@ -279,34 +279,27 @@ def parse_config(source: str | Path | bytes) -> ParsedConfig:
 # ----------------------------------------------------------------- reports
 
 def sanitize_json(obj):
-    """Make a report JSON-safe: every numeric is finite or the string
-    'nan'/'inf'/'-inf'."""
+    """Make a record JSON-safe: a dataclass becomes its dict, and every float
+    is finite or the string 'nan'/'inf'/'-inf'."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {str(k): sanitize_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize_json(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, np.ndarray):
-        return sanitize_json(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
-def report_to_dict(report) -> dict:
-    return sanitize_json(dataclasses.asdict(report))
+def to_json(doc, indent: int | None = None) -> str:
+    """Strict JSON of `sanitize_json(doc)`: the one encoder of reports,
+    summaries, manifests, sidecars and the CLI's stdout lines."""
+    return json.dumps(sanitize_json(doc), indent=indent, allow_nan=False)
 
 
 def write_report(path, report):
-    _atomic_write_json(Path(path), report_to_dict(report))
+    _atomic_write_json(Path(path), report)
 
 
 # ----------------------------------------------------------------- manifest

@@ -135,19 +135,18 @@ class Step(NamedTuple):
 
 
 class Descent(NamedTuple):
-    """Result of `minimize_on_nehari`; `Lu` is the operator image of u and
-    `K` its Hartree potential; `steps` holds one `Step` per step. The
-    benchmark's trace reads `iterations` by position, as index 2."""
+    """Result of `minimize_on_nehari`; `Lu` is the operator image of u, `K`
+    its Hartree potential and `progress` the `SolveReport` fields of what the
+    descent did, as in `SolverError.progress`. The benchmark's trace reads
+    `iterations` by position, as index 2."""
 
     u: Field
     J: float
     iterations: int
     grad_norm: float
-    history: list
-    nehari_projections: int
     Lu: np.ndarray
     K: np.ndarray
-    steps: list
+    progress: dict
 
 
 def phase_gauge(u: Field) -> Field:
@@ -206,9 +205,12 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
     gn = np.inf
     projections, steps = 1, []
 
-    def failed(message: str) -> SolverError:  # stopped at u, with what was done
-        return SolverError(message, u, iterations=len(steps), steps=tuple(steps),
-                           energy_history=tuple(history), nehari_projections=projections)
+    def progress() -> dict:  # the SolveReport fields of what was done
+        return {"iterations": len(steps), "steps": tuple(steps),
+                "energy_history": tuple(history), "nehari_projections": projections}
+
+    def failed(message: str) -> SolverError:  # stopped at u
+        return SolverError(message, u, **progress())
 
     if not np.isfinite(J):
         raise failed("quadrature blow-up")
@@ -220,7 +222,7 @@ def minimize_on_nehari(ctx: EnergyContext, start: Field, opts: SolverOptions) ->
         d = Field(fourier_multiply(pmult, g.values), ctx.grid)
         gn = d.l2_norm()
         if gn < opts.grad_tol:
-            return Descent(u, J, it, gn, history, projections, Lu, K, steps)
+            return Descent(u, J, it, gn, Lu, K, progress())
         # each field is dropped at its last use, so that the line search holds
         # only u, Lu, d and the trial (`conj` of a real array is the array)
         del K
@@ -297,14 +299,14 @@ def _limit_start(grid: GridSpec, opts: SolverOptions) -> Field:
     return Field(base * _seeded_perturbation(grid, opts.seed), grid)
 
 
-def _descend(ctx: EnergyContext, initial: Field | None, default_start, opts: SolverOptions,
-             marks: list, warnings: tuple[str, ...], cal: Calibration | None = None
+def _descend(ctx: EnergyContext, start, opts: SolverOptions, marks: list,
+             warnings: tuple[str, ...], cal: Calibration | None = None
              ) -> tuple[Field, SolveReport]:
-    """The descent from `initial`, or from `default_start()` when it is None,
-    and its report, timed by phase: `marks` holds the clock readings that open
-    the context, calibration and descent phases. A default start is built
-    where the descent takes it, so no caller holds it through the descent."""
-    run = minimize_on_nehari(ctx, default_start() if initial is None else initial, opts)
+    """The descent from `start()` and its report, timed by phase: `marks`
+    holds the clock readings that open the context, calibration and descent
+    phases. A built start is made where the descent takes it, so no caller
+    holds it through the descent."""
+    run = minimize_on_nehari(ctx, start(), opts)
     marks.append(perf_counter())
     u = phase_gauge(run.u)
     idx, sup = u.argmax_index(), u.sup_norm()
@@ -323,17 +325,14 @@ def _descend(ctx: EnergyContext, initial: Field | None, default_start, opts: Sol
     report = SolveReport(
         c_eps=run.J, x_eps=tuple(float(x) for x in u.grid.index_to_point(idx)),
         x_eps_index=idx, V_at_max=float(ctx.V_eps[idx]), valid_penalization=valid,
-        decay_exponent=slope, Cfit=Cfit, iterations=run.iterations,
-        residual=run.grad_norm, converged=True,
+        decay_exponent=slope, Cfit=Cfit, residual=run.grad_norm, converged=True,
         nehari_residual=nehari_residual(run.u, ctx, run.Lu, K=run.K),
         sup_norm=sup, boundary_ratio=outer_layer_max(u) / sup if sup > 0 else 0.0,
         eps=ctx.cfg.eps, seed=opts.seed, backend=ctx.op.backend,
         calibration=cal, penalization_margin=margin,
         spectrum_clip=ctx.hartree.spectrum_clip,
-        pair_weights_mb=ctx.op.pair_weights_mb,
-        nehari_projections=run.nehari_projections,
-        warnings=warnings, decay_status=status,
-        energy_history=tuple(run.history), steps=tuple(run.steps))
+        pair_weights_mb=ctx.op.pair_weights_mb, warnings=warnings,
+        decay_status=status, **run.progress)
     report.timings = dict(zip(PHASES, np.diff(marks + [perf_counter()]).tolist()))
     return u, report
 
@@ -355,13 +354,12 @@ def solve_penalized(cfg: ProblemConfig, pot: PotentialSpec, grid: GridSpec,
         raise SolverError(f"calibration: {exc}") from None
     ctx = replace(ctx, pen=cal.pen)
     marks.append(perf_counter())
-    return _descend(ctx, initial, lambda: _default_start(ctx, opts), opts, marks,
-                    report.warnings, cal)
+    return _descend(ctx, lambda: _default_start(ctx, opts) if initial is None else initial,
+                    opts, marks, report.warnings, cal)
 
 
 def solve_limit(cfg: ProblemConfig, grid: GridSpec,
-                opts: SolverOptions | None = None, *,
-                initial: Field | None = None) -> tuple[Field, SolveReport]:
+                opts: SolverOptions | None = None) -> tuple[Field, SolveReport]:
     """Ground state of the limit problem (V == V0, A == 0, un-truncated f);
     c_eps in the report is the limit level. ConfigError when `check_problem`
     refuses the problem; V, A and the region are not read."""
@@ -370,7 +368,7 @@ def solve_limit(cfg: ProblemConfig, grid: GridSpec,
     marks = [perf_counter()]
     ctx = build_limit_context(cfg, grid)
     marks += [perf_counter()] * 2  # no calibration phase
-    return _descend(ctx, initial, lambda: _limit_start(grid, opts), opts, marks, warnings)
+    return _descend(ctx, lambda: _limit_start(grid, opts), opts, marks, warnings)
 
 
 def rescale_field(u: Field, ratio: float) -> Field:

@@ -13,7 +13,7 @@ import choquard.cli as cli
 from choquard import (ConfigError, Field, GridSpec, QuadratureOperator, load_field,
                       parse_config, save_field, sine_A)
 from choquard.cli import main
-from choquard.io import report_to_dict, sanitize_json
+from choquard.io import decode_json, sanitize_json
 
 
 BASE_CONFIG = {
@@ -316,7 +316,7 @@ def test_sanitize_nonfinite():
     doc = sanitize_json({"a": float("nan"), "b": float("inf"),
                          "c": float("-inf"), "d": 1.5, "e": np.float64(2.0)})
     assert doc == {"a": "nan", "b": "inf", "c": "-inf", "d": 1.5, "e": 2.0}
-    json.dumps(doc)  # valid JSON
+    json.dumps(doc, allow_nan=False)  # strict JSON
 
 
 # --------------------------------------------------------------------- CLI
@@ -612,7 +612,8 @@ def test_cli_sweep_subcommand(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--eps-list", "0.5,0.25"]) == 0
     summary = json.loads((out / "sweep.json").read_text())
-    assert list(summary) == ["eps_list", "reports"]
+    assert list(summary) == ["eps_list", "reports", "concentration"]
+    assert summary["concentration"] is None  # the check needs three entries
     assert summary["eps_list"] == [0.5, 0.25]
     assert len(summary["reports"]) == 2
     assert all(r["converged"] for r in summary["reports"])
@@ -624,6 +625,46 @@ def test_cli_sweep_subcommand(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         manifest["artifacts"] + ["manifest.json"])
     assert manifest["tool_version"] == choquard.__version__
+
+
+def test_cli_sweep_names_each_field_by_its_eps(tmp_path):
+    # 0.2500001 and 0.25 share their `g` form: each field keeps its own file
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                 "--eps-list", "0.5,0.2500001,0.25"]) == 0
+    fields = sorted(out.glob("u_eps_*.f64"))
+    assert sorted(load_field(f)[1]["eps"] for f in fields) == [0.25, 0.2500001, 0.5]
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert len(artifacts) == len(set(artifacts)) == 2 + 2 * len(fields)
+
+
+def test_cli_sweep_records_its_concentration_verdict(tmp_path):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                 "--eps-list", "0.5,0.25,0.125"]) == 0
+    verdict = json.loads((out / "sweep.json").read_text())["concentration"]
+    assert verdict["name"] == "concentration"
+    assert len(verdict["context"]["gaps"]) == 3
+
+
+def test_cli_stdout_is_strict_json(tmp_path, capsys):
+    # every command prints one line of strict JSON; a limit on 10 points has
+    # fewer than four samples on its slope shell, so its decay exponent is -inf
+    cfg = str(write_config(tmp_path))
+    run = tmp_path / "run"
+    commands = [["limit", "--config", cfg, "--out", str(tmp_path / "coarse"), "--grid", "10"],
+                ["solve", "--config", cfg, "--out", str(run)],
+                ["limit", "--config", cfg, "--out", str(tmp_path / "lim")],
+                ["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                 "--eps-list", "0.5,0.25"],
+                ["check", "--field", str(run / "u.f64"), "--name", "decay"]]
+    lines = []
+    for argv in commands:
+        assert main(argv) == 0
+        lines.append(capsys.readouterr().out)
+        assert lines[-1].count("\n") == 1
+        decode_json(lines[-1].encode(), argv[0])
+    assert '"decay_exponent": "-inf"' in lines[0]
 
 
 def _one_line_error(capsys) -> str:
@@ -829,10 +870,10 @@ def test_report_to_dict_json_safe():
                       residual=0.0, converged=False, nehari_residual=0.0,
                       sup_norm=0.0, boundary_ratio=0.0, eps=0.1, seed=0,
                       backend="")
-    doc = report_to_dict(rep)
+    doc = sanitize_json(rep)
     assert doc["c_eps"] == "nan" and doc["V_at_max"] == "inf"
     assert doc["decay_exponent"] == "-inf"
-    json.dumps(doc)
+    json.dumps(doc, allow_nan=False)
 
 
 def test_cli_reports_carry_phase_timings(tmp_path):

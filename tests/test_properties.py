@@ -53,7 +53,7 @@ def test_field_roundtrip_random_arrays(tmp_path_factory, data):
 @given(x=st.floats(allow_nan=True, allow_infinity=True))
 def test_sanitize_always_json_serializable(x):
     doc = sanitize_json({"v": x, "nested": [x, {"y": x}]})
-    json.dumps(doc)
+    json.dumps(doc, allow_nan=False)
     if np.isnan(x):
         assert doc["v"] == "nan"
     elif np.isinf(x):

@@ -446,7 +446,7 @@ def test_descent_one_convolution_per_trial(plain_ctx, magnetic_ctx, monkeypatch,
     monkeypatch.setattr(energy_mod, "root_decreasing", counted_root)
     run = minimize_on_nehari(ctx, u0, SolverOptions(grad_tol=1e-6, seed=0))
     assert run.iterations > 3 and roots == []
-    assert len(convolutions) == sum(b + 1 for _, _, b, _, _ in run.steps) + 1
+    assert len(convolutions) == sum(b + 1 for _, _, b, _, _ in run.progress["steps"]) + 1
 
 
 @pytest.mark.parametrize("verb", ["penalized", "limit"])
@@ -485,7 +485,7 @@ def test_midpoint_backtracks_keep_the_image_of_the_iterate(magnetic_ctx, monkeyp
     monkeypatch.setattr(type(ctx.op), "apply", counted)
     run = minimize_on_nehari(ctx, u0, SolverOptions(grad_tol=1e-6, seed=0))
     monkeypatch.undo()
-    assert sum(b + 1 for _, _, b, _, _ in run.steps) > run.iterations > 3
+    assert sum(b + 1 for _, _, b, _, _ in run.progress["steps"]) > run.iterations > 3
     assert len(passes) == run.iterations + 1
     Lu = ctx.apply_op(run.u.values)
     assert np.max(np.abs(run.Lu - Lu)) <= 1e-12 * np.max(np.abs(Lu))
@@ -788,7 +788,7 @@ def test_descent_peaks_below_its_line_search_fields():
     runs = []
     peak = traced_peak(lambda: runs.append(minimize_on_nehari(ctx, start, opts)),
                        8 * grid.size)
-    assert runs[-1].iterations > 10 and any(s.backtracks for s in runs[-1].steps)
+    assert runs[-1].iterations > 10 and any(s.backtracks for s in runs[-1].progress["steps"])
     assert peak < 10
 
 
